@@ -1,10 +1,9 @@
 """Farm extension: the multiprocess speedup the GIL withheld, measured.
 
-`bench_ext_parallel_analysis.py` demonstrates the offline analysis is
-*structurally* parallel but concedes the thread-pooled variant "stays
-within noise of sequential under the GIL … speedup requires processes".
-This bench makes that measurement with the farm's process workers on a
-recorded 16-thread workload mix:
+`bench_ext_parallel_analysis.py` checks that the farm's whole-thread
+shards stay exact on a small 8-thread mix; Python threads could not
+speed that analysis up under the GIL, so this bench measures what the
+farm's process workers buy on a recorded 16-thread workload mix:
 
 * exactness first: farm output (any jobs count) is bit-identical to
   the online profiler — speed never buys back correctness;

@@ -12,9 +12,8 @@ Commands:
 * ``record <benchmark> <file>`` — record one execution's event trace
   (chunked binary v2 by default, ``--format v1`` for the text format);
 * ``analyze <trace>`` — run the profilers over a recorded trace;
-  ``--jobs N`` farms the TRMS analysis out to N worker processes
-  (exact: identical to the online profiler), ``--kernel`` picks the
-  flat-array or classic analysis kernel (bit-identical, see
+  ``--jobs N`` farms the flat-kernel TRMS analysis out to N worker
+  processes (exact: identical to the online profiler, see
   ``docs/KERNEL.md``), ``--dump`` writes a mergeable profile dump;
 * ``merge -o out.profile a.profile b.profile …`` — associatively merge
   profile dumps of several shards or several independent runs into one
@@ -163,11 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--context", action="store_true")
     analyze.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="farm the trms analysis out to N worker processes")
-    analyze.add_argument("--kernel", choices=["auto", "flat", "classic"],
-                         default="auto",
-                         help="trms analysis kernel: flat (columnar "
-                              "single-pass), classic (object-per-event "
-                              "replay), auto = flat (bit-identical either way)")
     analyze.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                          help="per-shard worker timeout (with --jobs)")
     analyze.add_argument("--dump", metavar="FILE",
@@ -566,56 +560,35 @@ def _cmd_watch(args, out) -> int:
 def _cmd_analyze(args, out) -> int:
     from .core import replay
     from .core.tracefile import TraceFileError, iter_trace
-    from .farm import is_binary_trace, iter_binary_trace, save_profile
-
-    def replay_trace(consumer, metric: str) -> None:
-        with telemetry.span("analyze.replay", metric=metric):
-            if is_binary_trace(args.trace):
-                with open(args.trace, "rb") as stream:
-                    replay(iter_binary_trace(stream), consumer)
-            else:
-                with open(args.trace) as stream:
-                    replay(iter_trace(stream), consumer)
-
-    kernel = getattr(args, "kernel", "auto")
-    if kernel == "auto":
-        kernel = "flat"
-    # The flat kernel lives in the farm workers, so any non-classic trms
-    # analysis routes through the farm engine — with --jobs 1 that is a
-    # single inline shard, still bit-identical to the online replay.
-    farm_trms = args.jobs > 1 or kernel == "flat"
+    from .farm import analyze_file, is_binary_trace, iter_binary_trace, save_profile
 
     databases = {}
     try:
-        if farm_trms:
-            from .farm import analyze_file
+        if args.metric in ("trms", "both"):
+            # --jobs 1 is one inline shard of the flat kernel
+            result = analyze_file(
+                args.trace, jobs=args.jobs, context_sensitive=args.context,
+                timeout=args.timeout, progress=out.write,
+            )
+            databases["trms"] = result.db
+            if args.stats:
+                from .reporting import render_farm_stats
 
-            if args.metric in ("trms", "both"):
-                result = analyze_file(
-                    args.trace, jobs=args.jobs, context_sensitive=args.context,
-                    timeout=args.timeout, progress=out.write, kernel=kernel,
-                )
-                databases["trms"] = result.db
-                if args.stats:
-                    from .reporting import render_farm_stats
-
-                    out.write(render_farm_stats(result.stats))
-                    out.write("\n")
-            if args.metric in ("rms", "both"):
-                if args.jobs > 1:
-                    out.write("note: --jobs farms the trms analysis; "
-                              "rms runs sequentially\n")
-                profiler = RmsProfiler(context_sensitive=args.context)
-                replay_trace(profiler, "rms")
-                databases["rms"] = profiler.db
-        else:
-            profilers = {}
-            if args.metric in ("rms", "both"):
-                profilers["rms"] = RmsProfiler(context_sensitive=args.context)
-            if args.metric in ("trms", "both"):
-                profilers["trms"] = TrmsProfiler(context_sensitive=args.context)
-            replay_trace(EventBus(list(profilers.values())), args.metric)
-            databases = {metric: p.db for metric, p in profilers.items()}
+                out.write(render_farm_stats(result.stats))
+                out.write("\n")
+        if args.metric in ("rms", "both"):
+            if args.jobs > 1:
+                out.write("note: --jobs farms the trms analysis; "
+                          "rms runs sequentially\n")
+            profiler = RmsProfiler(context_sensitive=args.context)
+            with telemetry.span("analyze.replay", metric="rms"):
+                if is_binary_trace(args.trace):
+                    with open(args.trace, "rb") as stream:
+                        replay(iter_binary_trace(stream), profiler)
+                else:
+                    with open(args.trace) as stream:
+                        replay(iter_trace(stream), profiler)
+            databases["rms"] = profiler.db
     except (TraceFileError, OSError) as error:
         out.write(f"error: {error}\n")
         return 2

@@ -33,7 +33,6 @@ from .metrics import (
 )
 from .flatkernel import FlatAnalyzer, analyze_columns_flat, analyze_events_flat
 from .naive import NaiveRms, NaiveTrms
-from .offline import WriteIndex, analyze_thread, analyze_trace, build_write_index, split_by_thread
 from .profile_data import ActivationRecord, ProfileDatabase, RoutineProfile, SizeStats
 from .profiler import BaseProfiler
 from .renumber import renumber_timestamps
@@ -72,11 +71,6 @@ __all__ = [
     "analyze_columns_flat",
     "analyze_events_flat",
     "NaiveRms",
-    "WriteIndex",
-    "analyze_thread",
-    "analyze_trace",
-    "build_write_index",
-    "split_by_thread",
     "NaiveTrms",
     "ActivationRecord",
     "ProfileDatabase",

@@ -1,9 +1,9 @@
 """The flat-array latest-access kernel for offline TRMS analysis.
 
-:mod:`repro.core.offline` restructured the paper's algorithm into an
-index pass plus per-thread replay; this module restructures the *hot
-loop*.  Three observations make the offline analysis dramatically
-cheaper than an object-per-event replay:
+The online :class:`~repro.core.trms.TrmsProfiler` consumes one
+``Event`` object per operation and stamps accesses with a renumbered
+global counter.  Over a *recorded* trace three observations make the
+same analysis dramatically cheaper:
 
 1. **Events decode as columns, not objects.**  A v2 chunk becomes three
    parallel arrays (kind byte, thread id, argument) in a handful of
@@ -12,12 +12,13 @@ cheaper than an object-per-event replay:
    string-table lookups.  ``CALL`` arguments stay interned routine ids;
    names are materialised only when an activation is emitted.
 
-2. **Global order makes the write index redundant.**  Replaying events
-   in increasing global position means every write at a position below
-   the current read has already been seen, so the per-read binary
-   search of :meth:`~repro.core.offline.WriteIndex.latest_before`
-   collapses to one probe of a running
-   :class:`~repro.core.shadow.PackedLatestWrite` dict.
+2. **Global trace positions replace the online counter.**  Positions
+   refine the counter's order and are unbounded, so there is no
+   Section 4.4 renumbering, and replaying events in increasing
+   position means every write below the current read has already been
+   seen: the induced-first-access test is one probe of a running
+   :class:`~repro.core.shadow.PackedLatestWrite` dict that packs the
+   write position and its kernel/thread provenance into one integer.
 
 3. **Shadow stacks flatten to parallel columns.**  A pending activation
    is a row of :class:`~repro.core.stack.FlatStack` — six ``array('q')``
@@ -26,9 +27,10 @@ cheaper than an object-per-event replay:
 
 The kernel analyses all of a shard's threads in a *single interleaved
 pass*, keeping per-thread stacks and latest-access tables exactly like
-the online profiler keeps per-thread states.  Its output is
-**bit-identical** to the classic two-pass machinery (and hence to the
-online :class:`~repro.core.trms.TrmsProfiler`) — enforced by the farm
+the online profiler keeps per-thread states.  Events of threads outside
+the shard contribute only their writes, so disjoint shards merge
+exactly.  Its output is **bit-identical** to the online
+:class:`~repro.core.trms.TrmsProfiler` — enforced by the farm
 differential tests and the property-based kernel differentials.
 """
 
@@ -42,6 +44,7 @@ from .events import Event, EventKind
 from .profile_data import ProfileDatabase
 from .shadow import PackedLatestWrite
 from .stack import FlatStack
+from .tracefile import MalformedRecord
 
 __all__ = ["FlatAnalyzer", "analyze_columns_flat", "analyze_events_flat"]
 
@@ -61,7 +64,7 @@ _KERNEL_WRITE = int(EventKind.KERNEL_WRITE)
 _THREAD_SWITCH = int(EventKind.THREAD_SWITCH)
 _COST = int(EventKind.COST)
 
-#: per-thread root activations, mirroring ``offline.analyze_thread``
+#: per-thread root activations, one per analysed thread
 _ROOT_NAME = "<root:{thread}>"
 
 
@@ -85,8 +88,10 @@ class FlatAnalyzer:
         threads: the threads to analyse (a shard's assignment).  Events
             of other threads contribute only their writes.  ``None``
             analyses every thread that appears — the whole-trace mode
-            of :func:`~repro.core.offline.analyze_trace`.
-        names: the trace string table ``CALL`` arguments index into.
+            of :func:`analyze_events_flat` and of streaming.
+        names: the trace string table ``CALL`` arguments index into;
+            an id outside it raises
+            :class:`~repro.core.tracefile.MalformedRecord`.
         db: the database activations are emitted into.
         context_sensitive: key profiles by calling context; contexts
             are composed once per distinct (parent, routine) pair and
@@ -147,6 +152,7 @@ class FlatAnalyzer:
         # (events arrive in per-thread runs, so this almost never fires).
         db = self.db
         names = self.names
+        name_count = len(names)
         extra = self._extra
         extra_base = _EXTRA_BASE
         ctx_ids = self._ctx_ids
@@ -213,6 +219,10 @@ class FlatAnalyzer:
                 s_last[arg] = position
                 wts[arg] = position << 1
             elif kind == _CALL:
+                if arg >= name_count or arg < 0:
+                    raise MalformedRecord(
+                        f"routine id {arg} at position {position} outside "
+                        f"string table of {name_count} name(s)")
                 if context_sensitive:
                     parent = s_rtn[-1]
                     rtn_id = ctx_ids.get((parent, arg))

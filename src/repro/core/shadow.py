@@ -175,9 +175,9 @@ class PackedLatestWrite(dict):
 
     The flat offline kernel replays events in global-position order, so
     the induced-first-access test only ever needs the *latest write so
-    far* per cell — one dict probe instead of a per-read binary search
-    over a write-history index.  Each value packs the write's global
-    position with its provenance in a single integer::
+    far* per cell — one dict probe, no write history.  Each value packs
+    the write's global position with its provenance in a single
+    integer::
 
         value = (position << 1) | (1 if written by the kernel else 0)
 

@@ -32,6 +32,7 @@ __all__ = [
     "iter_trace",
     "escape_name",
     "unescape_name",
+    "MalformedRecord",
 ]
 
 TRACE_MAGIC = "repro-trace 1"
@@ -51,6 +52,11 @@ _CODE_KINDS = {code: kind for kind, code in _KIND_CODES.items()}
 
 class TraceFileError(ValueError):
     """Raised on malformed trace files."""
+
+
+class MalformedRecord(TraceFileError):
+    """A record outside the trace vocabulary: an unknown event kind
+    byte, or a ``CALL`` routine id outside the string table."""
 
 
 def escape_name(name: str) -> str:

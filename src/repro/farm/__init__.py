@@ -2,10 +2,11 @@
 
 The paper's closing future-work item asks for "a fully scalable and
 concurrent dynamic instrumentation framework … to exploit parallelism
-to leverage the slowdown of our profiler".  :mod:`repro.core.offline`
-proved the algorithmic half — after the write-index pass, per-thread
-analyses share no mutable state — but Python threads cannot cash that
-in under the GIL.  This package is the systems half:
+to leverage the slowdown of our profiler".  Over a recorded trace the
+flat kernel (:mod:`repro.core.flatkernel`) analyses any subset of
+threads exactly from their own events plus everyone's writes, so
+per-thread analyses share no mutable state — but Python threads cannot
+cash that in under the GIL.  This package spreads them over processes:
 
 * :mod:`repro.farm.binfmt` — trace format v2: chunked, struct-packed
   binary traces with a string table and a seekable chunk index;

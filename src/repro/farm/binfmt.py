@@ -43,7 +43,7 @@ from array import array
 from typing import IO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.events import Event, EventKind, TraceConsumer, replay
-from ..core.tracefile import TraceFileError, TraceWriter, escape_name, iter_trace
+from ..core.tracefile import MalformedRecord, TraceFileError, TraceWriter, escape_name, iter_trace
 
 __all__ = [
     "BINARY_MAGIC",
@@ -391,23 +391,41 @@ def read_trace_meta(stream: IO[bytes]) -> TraceMeta:
     return TraceMeta(event_count, names, chunks)
 
 
+#: every valid kind byte, for the per-chunk ``bytes.translate`` check
+_KIND_BYTES = bytes(int(kind) for kind in EventKind)
+
+
+def _check_kinds(kinds: bytes, first_pos: int) -> None:
+    """Reject a chunk whose kind column holds a byte outside ``EventKind``."""
+    if kinds.translate(None, _KIND_BYTES):
+        offset = next(i for i, kind in enumerate(kinds) if kind not in _KIND_BYTES)
+        raise MalformedRecord(
+            f"unknown event kind {kinds[offset]} at position {first_pos + offset}")
+
+
 def decode_chunk(
     stream: IO[bytes], chunk: ChunkMeta, names: Sequence[str]
 ) -> Iterator[Tuple[int, Event]]:
-    """Yield ``(global position, event)`` for every record of ``chunk``."""
+    """Yield ``(global position, event)`` for every record of ``chunk``.
+
+    Raises :class:`~repro.core.tracefile.MalformedRecord` on an unknown
+    kind byte or a ``CALL`` routine id outside ``names``.
+    """
     stream.seek(chunk.payload_offset)
     payload = _read_exact(stream, chunk.payload_bytes, "chunk payload")
+    _check_kinds(payload[0::_RECORD_BYTES], chunk.first_pos)
     position = chunk.first_pos
     call = EventKind.CALL
     ret = EventKind.RETURN
+    name_count = len(names)
     for kind, thread, arg in _RECORD.iter_unpack(payload):
         kind = EventKind(kind)
         if kind == call:
-            try:
-                decoded = names[arg]
-            except IndexError:
-                raise BinaryTraceError(f"routine id {arg} outside string table") from None
-            yield position, Event(kind, thread, decoded)
+            if not 0 <= arg < name_count:
+                raise MalformedRecord(
+                    f"routine id {arg} at position {position} outside "
+                    f"string table of {name_count} name(s)")
+            yield position, Event(kind, thread, names[arg])
         elif kind == ret:
             yield position, Event(kind, thread, None)
         else:
@@ -447,7 +465,9 @@ def decode_chunk_columns(stream: IO[bytes], chunk: ChunkMeta) -> ChunkColumns:
     from eight strided byte slices into an ``array('q')`` — all C-speed
     bulk copies, ~20x faster than :func:`decode_chunk`.  Hosts whose
     native 64-bit layout differs from the file's little-endian records
-    fall back to ``struct.iter_unpack`` with identical results.
+    fall back to ``struct.iter_unpack`` with identical results.  An
+    unknown kind byte raises :class:`~repro.core.tracefile.MalformedRecord`;
+    routine ids are checked where the flat kernel resolves them.
     """
     stream.seek(chunk.payload_offset)
     payload = _read_exact(stream, chunk.payload_bytes, "chunk payload")
@@ -455,6 +475,7 @@ def decode_chunk_columns(stream: IO[bytes], chunk: ChunkMeta) -> ChunkColumns:
     if count * _RECORD_BYTES != len(payload):
         raise BinaryTraceError("chunk payload size disagrees with event count")
     kinds = payload[0::_RECORD_BYTES]
+    _check_kinds(kinds, chunk.first_pos)
     threads = array("q")
     args = array("q")
     if _NATIVE_I64:

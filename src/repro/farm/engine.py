@@ -18,7 +18,9 @@ that crashes, raises, or times out is resubmitted on a fresh pool, and
 a shard that exhausts its attempts — or a pool that cannot be created
 at all — degrades to inline execution in the coordinator.  The farm
 therefore *always* returns the exact result; parallelism is strictly a
-performance property.
+performance property.  A malformed trace is the exception: its
+:class:`~repro.core.tracefile.TraceFileError` would recur on every
+attempt, so it propagates at once.
 
 Observability: the run is traced end to end.  Every phase (convert,
 plan, pool, inline fallback, merge) is a telemetry span; workers
@@ -45,6 +47,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..core.profile_data import ProfileDatabase
+from ..core.tracefile import TraceFileError
 from ..telemetry import MetricsRegistry
 from .binfmt import DEFAULT_CHUNK_EVENTS, convert_v1_to_v2, is_binary_trace, read_trace_meta
 from .merge import merge_databases
@@ -96,7 +99,6 @@ class FarmStats(NamedTuple):
     wall_seconds: float
     event_count: int     #: events in the trace (not per-shard decode work)
     metrics: Optional[List[Dict]] = None   #: farm registry snapshot
-    kernel: str = "classic"   #: analysis kernel the workers ran
 
 
 class FarmResult(NamedTuple):
@@ -266,6 +268,8 @@ def _run_pool(
                         failed.append(task)
                         if on_failure:
                             on_failure(task.shard_id, "error")
+                    except TraceFileError:
+                        raise  # a malformed trace fails every attempt alike
                     except Exception:
                         failed.append(task)
                         if on_failure:
@@ -320,26 +324,17 @@ def analyze_file(
     progress: Optional[Callable[[str], None]] = None,
     faults: Optional[Dict[int, Tuple]] = None,
     heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
-    kernel: str = "auto",
 ) -> FarmResult:
     """Analyse a recorded trace (v1 or v2) with the farm; exact by contract.
 
-    ``kernel`` selects the per-worker analysis implementation:
-    ``"flat"`` (the columnar single-pass kernel of
-    :mod:`repro.core.flatkernel`), ``"classic"`` (the two-pass
-    object-per-event machinery), or ``"auto"`` (the default — resolves
-    to ``"flat"``).  Both kernels are bit-identical by contract; the
-    differential tests run every benchmark through both.
+    Every shard runs the flat kernel (:mod:`repro.core.flatkernel`);
+    ``jobs=1`` is one inline shard.
 
     ``faults`` maps shard ids to :class:`~repro.farm.worker.ShardTask`
     fault specs — test hooks for the retry and fallback paths; inline
     (fallback) execution always strips faults, so an injected fault can
     delay but never corrupt the result.
     """
-    if kernel not in ("auto", "flat", "classic"):
-        raise ValueError(f"unknown analysis kernel {kernel!r}")
-    if kernel == "auto":
-        kernel = "flat"
     started = time.perf_counter()
     tele = telemetry.current()
     farm_metrics = MetricsRegistry()
@@ -383,7 +378,6 @@ def analyze_file(
                 heartbeat_path=os.path.join(
                     heartbeat_dir, f"shard-{shard.shard_id}.jsonl"),
                 heartbeat_events=heartbeat_events,
-                kernel=kernel,
             )
             for shard in plan.shards
         ]
@@ -438,7 +432,6 @@ def analyze_file(
             where = "pool" if result.pid != os.getpid() else "inline"
             beat = watcher.summary(task.shard_id)
             bump("farm.shard.events", result.events_decoded, shard=task.shard_id)
-            bump("farm.kernel.events", result.events_decoded, kernel=result.kernel)
             farm_metrics.histogram("farm.shard_ms").observe(result.seconds * 1000)
             tele.histogram("farm.shard_ms").observe(result.seconds * 1000)
             outcomes.append(ShardOutcome(
@@ -459,7 +452,7 @@ def analyze_file(
         stats = FarmStats(
             plan.strategy, jobs, outcomes, retried, fallbacks, pool_failures,
             time.perf_counter() - started, meta.event_count,
-            metrics=farm_metrics.snapshot(), kernel=kernel,
+            metrics=farm_metrics.snapshot(),
         )
         return FarmResult(merged, stats)
     finally:

@@ -1,14 +1,14 @@
 """Shard planning: carve a chunked trace into independent work units.
 
-The offline analysis (:mod:`repro.core.offline`) is exact per thread:
-after the write index exists, thread ``t``'s profile depends only on
-``t``'s own events and the (immutable) index.  A *shard* is therefore a
-set of whole threads plus the chunk subset a worker must decode to
-analyse them:
+The flat kernel (:mod:`repro.core.flatkernel`) is exact per thread:
+thread ``t``'s profile depends only on ``t``'s own events and on the
+writes of every thread and of the kernel, seen in trace order.  A
+*shard* is therefore a set of whole threads plus the chunk subset a
+worker must decode to analyse them:
 
-* every chunk containing a write (by anyone) — the worker rebuilds the
-  write index locally from those, which is cheaper than pickling a
-  shared index across process boundaries;
+* every chunk containing a write (by anyone) — the worker replays those
+  writes into its own latest-write map, which is cheaper than sharing
+  one across process boundaries;
 * every chunk containing at least one event of an assigned thread.
 
 Two planning strategies, chosen automatically:

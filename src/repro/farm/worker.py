@@ -3,12 +3,12 @@
 ``run_shard`` is the function the engine ships to pool processes (it
 must stay module-level and its task/result types picklable).  A worker
 is deliberately self-sufficient: it opens the trace file itself, decodes
-only its shard's chunk subset, rebuilds the write index *locally* from
-the write-bearing chunks, and analyses its assigned threads with the
-ordinary :func:`repro.core.offline.analyze_thread` machinery.  Nothing
-mutable crosses the process boundary in either direction — the price is
-that every worker re-reads the write chunks, the payoff is that workers
-share no state and the result is exact by construction.
+only its shard's chunk subset into columns, and feeds them in trace
+order to one :class:`~repro.core.flatkernel.FlatAnalyzer` covering its
+assigned threads — other threads' events contribute only their writes.
+Nothing mutable crosses the process boundary in either direction — the
+price is that every worker re-reads the write chunks, the payoff is
+that workers share no state and the result is exact by construction.
 
 **Heartbeats.**  A worker is also observable while it runs: given a
 ``heartbeat_path``, it appends one JSON line every
@@ -29,13 +29,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
-from ..core.events import Event, EventKind
 from ..core.flatkernel import FlatAnalyzer
-from ..core.offline import WriteIndex, analyze_thread
 from ..core.profile_data import ProfileDatabase
-from .binfmt import decode_chunk, decode_chunk_columns, read_trace_meta
+from .binfmt import decode_chunk_columns, read_trace_meta
 
 try:
     import resource as _resource
@@ -43,8 +41,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
 __all__ = ["ShardTask", "WorkerResult", "run_shard", "DEFAULT_HEARTBEAT_EVENTS"]
-
-_KERNEL = -1
 
 #: decoded events between two heartbeats (plus one per phase change)
 DEFAULT_HEARTBEAT_EVENTS = 25000
@@ -65,8 +61,6 @@ class ShardTask(NamedTuple):
     #: JSONL file this worker appends heartbeat/span records to
     heartbeat_path: Optional[str] = None
     heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS
-    #: analysis kernel: "flat" (columnar single-pass) or "classic"
-    kernel: str = "flat"
 
 
 class WorkerResult(NamedTuple):
@@ -79,7 +73,6 @@ class WorkerResult(NamedTuple):
     analyze_seconds: float = 0.0
     max_rss_kb: int = 0
     heartbeats: int = 0
-    kernel: str = "classic"
 
 
 def _max_rss_kb() -> int:
@@ -155,114 +148,53 @@ def _inject_fault(fault: Optional[Tuple]) -> None:
         raise ValueError(f"unknown fault {fault!r}")
 
 
-def _run_classic(task: ShardTask, stream, meta, heart: _Heart,
-                 beat_every: int) -> Tuple[ProfileDatabase, int, float]:
-    """The original two-pass machinery: decode to Events, bucket, replay.
-
-    One pass over the chunk subset feeds two structures: the local
-    write index (every write in a decoded chunk, any thread) and the
-    per-thread event buckets (assigned threads only, with the same
-    skip rules as :func:`repro.core.offline.split_by_thread`).  Global
-    positions come from the chunk headers, so skipped chunks leave the
-    position space intact and the induced-first-access binary search
-    behaves exactly as it would over the full trace.
-    """
-    mine = frozenset(task.threads)
-    index = WriteIndex()
-    buckets: Dict[int, List[Tuple[int, Event]]] = {thread: [] for thread in task.threads}
-    decoded = 0
-    decode_started = time.perf_counter()
-
-    for chunk_index in task.chunk_indices:
-        chunk = meta.chunks[chunk_index]
-        for position, event in decode_chunk(stream, chunk, meta.names):
-            decoded += 1
-            if decoded % beat_every == 0:
-                heart.beat("decode", decoded)
-            kind = event.kind
-            if kind == EventKind.WRITE:
-                index.add(event.arg, position, event.thread)
-                if event.thread in mine:
-                    buckets[event.thread].append((position, event))
-            elif kind == EventKind.KERNEL_WRITE:
-                index.add(event.arg, position, _KERNEL)
-            elif kind != EventKind.THREAD_SWITCH and event.thread in mine:
-                buckets[event.thread].append((position, event))
-
-    decode_seconds = time.perf_counter() - decode_started
-    heart.beat("analyze", decoded)
-    db = ProfileDatabase(keep_activations=task.keep_activations)
-    for thread in task.threads:
-        analyze_thread(buckets[thread], thread, index, db,
-                       context_sensitive=task.context_sensitive)
-        heart.beat("analyze", decoded)
-    return db, decoded, decode_seconds
-
-
-def _run_flat(task: ShardTask, stream, meta, heart: _Heart,
-              beat_every: int) -> Tuple[ProfileDatabase, int, float]:
-    """The flat-array kernel: columnar decode + single interleaved pass.
-
-    Chunks are decoded whole into :class:`~repro.farm.binfmt.ChunkColumns`
-    and fed, in trace order, to one
-    :class:`~repro.core.flatkernel.FlatAnalyzer` covering all assigned
-    threads — decode and analysis interleave per chunk (there is no
-    separate bucketing pass), so ``decode_seconds`` here is purely the
-    columnar batch decode.
-    """
-    db = ProfileDatabase(keep_activations=task.keep_activations)
-    analyzer = FlatAnalyzer(task.threads, meta.names, db,
-                            context_sensitive=task.context_sensitive)
-    decoded = 0
-    decode_seconds = 0.0
-    next_beat = beat_every
-    for chunk_index in sorted(task.chunk_indices):
-        chunk = meta.chunks[chunk_index]
-        decode_started = time.perf_counter()
-        columns = decode_chunk_columns(stream, chunk)
-        decode_seconds += time.perf_counter() - decode_started
-        analyzer.feed(columns)
-        decoded += columns.events
-        if decoded >= next_beat:
-            heart.beat("analyze", decoded)
-            next_beat = decoded + beat_every
-    analyzer.finish()
-    return db, decoded, decode_seconds
-
-
 def run_shard(task: ShardTask) -> WorkerResult:
     """Decode the shard's chunks, analyse its threads, return the profiles.
 
-    ``task.kernel`` selects the hot path: ``"flat"`` (default — the
-    columnar single-pass kernel) or ``"classic"`` (the two-pass
-    object-per-event machinery).  Both produce bit-identical profiles;
-    the differential tests compare them against each other and against
-    the online profiler.
+    Chunks are decoded whole into :class:`~repro.farm.binfmt.ChunkColumns`
+    and fed, in trace order, to one flat-kernel analyzer — decode and
+    analysis interleave per chunk, so ``decode_seconds`` is purely the
+    columnar batch decode.
     """
     _inject_fault(task.fault)
-    if task.kernel not in ("flat", "classic"):
-        raise ValueError(f"unknown analysis kernel {task.kernel!r}")
     started = time.perf_counter()
     cpu0 = time.process_time()
     heart = _Heart(task, started)
-    heart.beat("decode", 0)
-    beat_every = max(1, task.heartbeat_events)
+    try:
+        heart.beat("decode", 0)
+        beat_every = max(1, task.heartbeat_events)
 
-    with open(task.trace_path, "rb") as stream:
-        meta = read_trace_meta(stream)
-        runner = _run_flat if task.kernel == "flat" else _run_classic
-        db, decoded, decode_seconds = runner(task, stream, meta, heart, beat_every)
+        db = ProfileDatabase(keep_activations=task.keep_activations)
+        decoded = 0
+        decode_seconds = 0.0
+        next_beat = beat_every
+        with open(task.trace_path, "rb") as stream:
+            meta = read_trace_meta(stream)
+            analyzer = FlatAnalyzer(task.threads, meta.names, db,
+                                    context_sensitive=task.context_sensitive)
+            for chunk_index in sorted(task.chunk_indices):
+                chunk = meta.chunks[chunk_index]
+                decode_started = time.perf_counter()
+                columns = decode_chunk_columns(stream, chunk)
+                decode_seconds += time.perf_counter() - decode_started
+                analyzer.feed(columns)
+                decoded += columns.events
+                if decoded >= next_beat:
+                    heart.beat("analyze", decoded)
+                    next_beat = decoded + beat_every
+            analyzer.finish()
 
-    seconds = time.perf_counter() - started
-    cpu_seconds = time.process_time() - cpu0
-    analyze_seconds = max(0.0, seconds - decode_seconds)
-    heart.span("worker.decode", decode_seconds, min(decode_seconds, cpu_seconds),
-               events=decoded, chunks=len(task.chunk_indices), kernel=task.kernel)
-    heart.span("worker.analyze", analyze_seconds,
-               max(0.0, cpu_seconds - decode_seconds),
-               threads=len(task.threads), kernel=task.kernel)
-    heart.beat("done", decoded)
-    heart.close()
+        seconds = time.perf_counter() - started
+        cpu_seconds = time.process_time() - cpu0
+        analyze_seconds = max(0.0, seconds - decode_seconds)
+        heart.span("worker.decode", decode_seconds, min(decode_seconds, cpu_seconds),
+                   events=decoded, chunks=len(task.chunk_indices))
+        heart.span("worker.analyze", analyze_seconds,
+                   max(0.0, cpu_seconds - decode_seconds),
+                   threads=len(task.threads))
+        heart.beat("done", decoded)
+    finally:
+        heart.close()
     return WorkerResult(task.shard_id, db, decoded, seconds, os.getpid(),
                         decode_seconds, analyze_seconds, _max_rss_kb(),
-                        heart.beats, task.kernel)
+                        heart.beats)

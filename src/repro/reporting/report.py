@@ -107,7 +107,6 @@ def render_farm_stats(stats) -> str:
                "beats", "rss", "attempts", "retries", "timeouts", "ran"]
     footer = (
         f"plan: {stats.strategy}   jobs: {stats.jobs}   "
-        f"kernel: {getattr(stats, 'kernel', 'classic')}   "
         f"trace events: {stats.event_count}   wall: {stats.wall_seconds * 1000:.1f}ms\n"
         f"retries: {stats.retries}   inline fallbacks: {stats.fallbacks}   "
         f"pool failures: {stats.pool_failures}\n"

@@ -7,8 +7,8 @@ engine keeps one whole-trace :class:`~repro.core.flatkernel.FlatAnalyzer`
 (``threads=None`` lazy mode) alive across polls and feeds it sealed
 ``ChunkColumns`` in trace order, so the final database — after
 ``finish()`` when the trace seals — is *bit-identical* to
-``repro analyze --kernel flat`` (the streaming differential suite
-compares the dumps byte for byte).
+``repro analyze`` (the streaming differential suite compares the
+dumps byte for byte).
 
 Bounded memory and backpressure: the analyzer's running state is the
 same per-thread stacks + latest-access tables the batch kernel keeps —

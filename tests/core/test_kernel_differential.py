@@ -1,13 +1,12 @@
-"""Differential property tests: flat-array kernel vs classic vs online.
+"""Differential property tests: flat-array kernel vs the online profiler.
 
-The flat kernel (:mod:`repro.core.flatkernel`) re-implements the offline
-TRMS hot loop over columnar event batches — packed latest-write shadow,
-flat array stacks, single interleaved pass.  Its contract is *bit
-identity*: on any trace hypothesis can dream up, it must produce exactly
-the database of the classic two-pass machinery and of the online
-:class:`~repro.core.trms.TrmsProfiler` — including under timestamp
-renumbering (Section 4.4), context sensitivity, and sharded thread
-assignments.
+The flat kernel (:mod:`repro.core.flatkernel`) re-implements the TRMS
+hot loop over columnar event batches — packed latest-write shadow, flat
+array stacks, single interleaved pass.  Its contract is *bit identity*:
+on any trace hypothesis can dream up, it must produce exactly the
+database of the online :class:`~repro.core.trms.TrmsProfiler` —
+including under timestamp renumbering (Section 4.4), context
+sensitivity, and sharded thread assignments.
 """
 
 import io
@@ -15,27 +14,28 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ProfileDatabase, TrmsProfiler, analyze_trace, replay
+from repro.core import Event, EventKind, ProfileDatabase, TrmsProfiler, replay
 from repro.core.flatkernel import FlatAnalyzer, analyze_events_flat
 
 from .util import THREADS, db_snapshot, events_strategy
 
 
-@settings(max_examples=200, deadline=None)
-@given(events_strategy())
-def test_flat_kernel_matches_classic_offline(events):
-    flat = analyze_trace(events, keep_activations=True, kernel="flat")
-    classic = analyze_trace(events, keep_activations=True, kernel="classic")
-    assert db_snapshot(flat) == db_snapshot(classic)
+def flat_db(events, **kwargs):
+    db = ProfileDatabase(keep_activations=True)
+    analyze_events_flat(events, db, **kwargs)
+    return db
+
+
+def online_db(events, **kwargs):
+    profiler = TrmsProfiler(keep_activations=True, **kwargs)
+    replay(events, profiler)
+    return profiler.db
 
 
 @settings(max_examples=150, deadline=None)
 @given(events_strategy())
 def test_flat_kernel_matches_online_profiler(events):
-    flat = analyze_trace(events, keep_activations=True, kernel="flat")
-    online = TrmsProfiler(keep_activations=True)
-    replay(events, online)
-    assert db_snapshot(flat) == db_snapshot(online.db)
+    assert db_snapshot(flat_db(events)) == db_snapshot(online_db(events))
 
 
 @settings(max_examples=120, deadline=None)
@@ -45,20 +45,15 @@ def test_flat_kernel_matches_online_under_renumbering(events):
     timestamps constantly (Section 4.4); the flat kernel uses unbounded
     trace positions and must still land on the identical profiles —
     the counter-overflow edge cases cancel out or neither is exact."""
-    flat = analyze_trace(events, keep_activations=True, kernel="flat")
-    online = TrmsProfiler(keep_activations=True, max_count=40)
-    replay(events, online)
-    assert db_snapshot(flat) == db_snapshot(online.db)
+    assert db_snapshot(flat_db(events)) == \
+        db_snapshot(online_db(events, max_count=40))
 
 
 @settings(max_examples=120, deadline=None)
 @given(events_strategy())
-def test_flat_kernel_context_sensitive_matches_classic(events):
-    flat = analyze_trace(events, keep_activations=True, kernel="flat",
-                         context_sensitive=True)
-    classic = analyze_trace(events, keep_activations=True, kernel="classic",
-                            context_sensitive=True)
-    assert db_snapshot(flat) == db_snapshot(classic)
+def test_flat_kernel_context_sensitive_matches_online(events):
+    assert db_snapshot(flat_db(events, context_sensitive=True)) == \
+        db_snapshot(online_db(events, context_sensitive=True))
 
 
 @settings(max_examples=100, deadline=None)
@@ -69,10 +64,10 @@ def test_flat_kernel_dumps_are_byte_identical(events):
     from repro.farm import save_profile
 
     flat_dump = io.StringIO()
-    classic_dump = io.StringIO()
-    save_profile(analyze_trace(events, kernel="flat"), flat_dump)
-    save_profile(analyze_trace(events, kernel="classic"), classic_dump)
-    assert flat_dump.getvalue() == classic_dump.getvalue()
+    online_dump = io.StringIO()
+    save_profile(flat_db(events), flat_dump)
+    save_profile(online_db(events), online_dump)
+    assert flat_dump.getvalue() == online_dump.getvalue()
 
 
 @settings(max_examples=100, deadline=None)
@@ -99,3 +94,37 @@ def test_flat_kernel_sharded_threads_merge_to_whole(events, split):
         partials.append(db)
     merged = merge_databases(partials, keep_activations=True)
     assert db_snapshot(merged) == db_snapshot(whole)
+
+
+def test_flat_kernel_on_real_vm_trace():
+    """End to end on a recorded multithreaded guest run."""
+    import sys
+    sys.path.insert(0, "benchmarks")
+    from conftest import EventRecorder
+
+    from repro.vm import programs
+
+    recorder = EventRecorder()
+    programs.producer_consumer(20).run(tools=recorder)
+    events = []
+    kind_map = {
+        "on_call": EventKind.CALL, "on_return": EventKind.RETURN,
+        "on_read": EventKind.READ, "on_write": EventKind.WRITE,
+        "on_kernel_read": EventKind.KERNEL_READ,
+        "on_kernel_write": EventKind.KERNEL_WRITE,
+        "on_thread_switch": EventKind.THREAD_SWITCH,
+        "on_cost": EventKind.COST,
+    }
+    for name, first, second in recorder.events:
+        kind = kind_map[name]
+        if kind == EventKind.THREAD_SWITCH:
+            events.append(Event(kind, first, first))
+        elif kind == EventKind.RETURN:
+            events.append(Event(kind, first, None))
+        else:
+            events.append(Event(kind, first, second))
+    flat = flat_db(events)
+    assert db_snapshot(flat) == db_snapshot(online_db(events))
+    consumer = [a for a in flat.activations if a.routine == "consumer"][0]
+    assert consumer.size == 20
+    assert consumer.induced_thread == 20

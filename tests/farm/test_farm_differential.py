@@ -1,10 +1,9 @@
 """Differential tests: the farm's contract is bit-exactness.
 
-Farm-analysed profiles (any shard plan, in-process or multiprocess,
-either analysis kernel) must equal the online ``TrmsProfiler`` on every
-registered workload suite, the flat and classic kernels must dump
-byte-identically, and merged per-run profiles must equal the merge of
-the online results.
+Farm-analysed profiles (any shard plan, in-process or multiprocess)
+must equal the online ``TrmsProfiler`` on every registered workload
+suite, down to the bytes of their profile dumps, and merged per-run
+profiles must equal the merge of the online results.
 """
 
 import io
@@ -30,41 +29,41 @@ ALL_NAMES = [bench.name for bench in all_benchmarks()]
 #: one entry per kernel family, both suites — the multiprocess subset
 POOLED_NAMES = ["350.md", "367.imagick", "376.kdtree", "dedup", "canneal", "vips"]
 
-KERNELS = ("flat", "classic")
+
+def flat_ids(names):
+    """Test ids name the analysis kernel the farm runs."""
+    return [f"{name}-flat" for name in names]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_farm_equals_online_on_every_benchmark(name, kernel, tmp_path):
+@pytest.mark.parametrize("name", ALL_NAMES, ids=flat_ids(ALL_NAMES))
+def test_farm_equals_online_on_every_benchmark(name, tmp_path):
     """In-process farm (full shard/decode/merge machinery) vs online."""
     path = tmp_path / f"{name}.rpt2"
     events = record_benchmark_v2(name, path, threads=4, scale=0.4)
-    result = analyze_file(str(path), jobs=1, keep_activations=True, kernel=kernel)
+    result = analyze_file(str(path), jobs=1, keep_activations=True)
     assert comparable(result.db) == comparable(online_db(events))
-    assert result.stats.kernel == kernel
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_kernel_dumps_byte_identical_on_every_benchmark(name, tmp_path):
-    """The flat and classic kernels must agree to the *byte* in their
-    profile dumps — the equality the CI gate re-checks via SHA-256."""
+    """The farm and the online profiler must agree to the *byte* in
+    their profile dumps — the equality the CI gate re-checks via SHA-256."""
     path = tmp_path / f"{name}.rpt2"
-    record_benchmark_v2(name, path, threads=4, scale=0.4)
-    dumps = {}
-    for kernel in KERNELS:
-        result = analyze_file(str(path), jobs=1, kernel=kernel)
+    events = record_benchmark_v2(name, path, threads=4, scale=0.4)
+
+    def dump(db):
         stream = io.StringIO()
-        save_profile(result.db, stream)
-        dumps[kernel] = stream.getvalue()
-    assert dumps["flat"] == dumps["classic"]
+        save_profile(db, stream)
+        return stream.getvalue()
+
+    assert dump(analyze_file(str(path), jobs=1).db) == dump(online_db(events))
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("name", POOLED_NAMES)
-def test_multiprocess_farm_equals_online(name, kernel, tmp_path):
+@pytest.mark.parametrize("name", POOLED_NAMES, ids=flat_ids(POOLED_NAMES))
+def test_multiprocess_farm_equals_online(name, tmp_path):
     path = tmp_path / f"{name}.rpt2"
     events = record_benchmark_v2(name, path, threads=6, scale=0.5)
-    result = analyze_file(str(path), jobs=3, keep_activations=True, kernel=kernel)
+    result = analyze_file(str(path), jobs=3, keep_activations=True)
     assert comparable(result.db) == comparable(online_db(events))
     # every shard really ran on the pool, no silent degradation
     assert all(outcome.where == "pool" for outcome in result.stats.outcomes)
@@ -104,11 +103,10 @@ def test_skewed_plan_is_exact(tmp_path):
 
 
 @settings(max_examples=60, deadline=None)
-@given(events_strategy(max_ops=100), st.sampled_from([4, 64]),
-       st.sampled_from(KERNELS))
-def test_farm_equals_online_on_arbitrary_streams(events, chunk_events, kernel):
+@given(events_strategy(max_ops=100), st.sampled_from([4, 64]))
+def test_farm_equals_online_on_arbitrary_streams(events, chunk_events):
     result = analyze_events(events, jobs=1, chunk_events=chunk_events,
-                            keep_activations=True, kernel=kernel)
+                            keep_activations=True)
     assert comparable(result.db) == comparable(online_db(events))
 
 

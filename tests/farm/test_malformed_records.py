@@ -1,0 +1,99 @@
+"""Malformed v2 records end in a typed error, never a crash or a wrong profile.
+
+Each case patches one record of a recorded trace: an unknown kind
+byte, a ``CALL`` routine id past the string table, or a routine id of
+-1 (which plain list indexing would resolve to the last name).  Both
+decoders and the flat kernel reject all three with
+:class:`~repro.core.tracefile.MalformedRecord`, and ``repro analyze``
+turns that into exit status 2 under either metric.
+"""
+
+import io
+import struct
+
+import pytest
+
+from repro.cli import main
+from repro.core import EventKind, ProfileDatabase
+from repro.core.flatkernel import FlatAnalyzer
+from repro.core.tracefile import MalformedRecord
+from repro.farm import read_trace_meta
+from repro.farm.binfmt import decode_chunk, decode_chunk_columns
+
+from .util import record_benchmark_v2
+
+RECORD = struct.Struct("<Bqq")
+CASES = ["unknown-kind", "id-past-table", "id-negative"]
+MESSAGES = {
+    "unknown-kind": "unknown event kind 99",
+    "id-past-table": "outside string table",
+    "id-negative": "routine id -1",
+}
+
+
+def patch_first_call(path, case):
+    """Rewrite the trace's first CALL record in place."""
+    with open(path, "r+b") as stream:
+        meta = read_trace_meta(stream)
+        for chunk in meta.chunks:
+            stream.seek(chunk.payload_offset)
+            payload = stream.read(chunk.payload_bytes)
+            for index, (kind, thread, arg) in enumerate(RECORD.iter_unpack(payload)):
+                if kind != EventKind.CALL:
+                    continue
+                if case == "unknown-kind":
+                    kind = 99
+                elif case == "id-past-table":
+                    arg = len(meta.names)
+                else:
+                    arg = -1
+                stream.seek(chunk.payload_offset + index * RECORD.size)
+                stream.write(RECORD.pack(kind, thread, arg))
+                return
+    raise AssertionError("trace has no CALL record")
+
+
+@pytest.fixture(params=CASES)
+def malformed(request, tmp_path):
+    path = tmp_path / "kdtree.rpt2"
+    record_benchmark_v2("376.kdtree", path, threads=2, scale=0.3)
+    patch_first_call(path, request.param)
+    return request.param, path
+
+
+def test_decode_chunk_rejects_malformed_record(malformed):
+    case, path = malformed
+    with open(path, "rb") as stream:
+        meta = read_trace_meta(stream)
+        with pytest.raises(MalformedRecord, match=MESSAGES[case]):
+            for chunk in meta.chunks:
+                list(decode_chunk(stream, chunk, meta.names))
+
+
+def test_flat_path_rejects_malformed_record(malformed):
+    """Columnar decode rejects the kind byte; the kernel rejects the ids."""
+    case, path = malformed
+    with open(path, "rb") as stream:
+        meta = read_trace_meta(stream)
+        analyzer = FlatAnalyzer(None, meta.names, ProfileDatabase())
+        with pytest.raises(MalformedRecord, match=MESSAGES[case]):
+            for chunk in meta.chunks:
+                columns = decode_chunk_columns(stream, chunk)
+                assert case != "unknown-kind"
+                analyzer.feed(columns)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--metric", "trms"),
+    ("--metric", "rms"),
+    ("--metric", "trms", "--jobs", "2"),
+], ids=["trms", "rms", "trms-jobs2"])
+def test_analyze_exits_2_on_malformed_record(malformed, argv):
+    case, path = malformed
+    out = io.StringIO()
+    code = main(["analyze", str(path), *argv], out=out)
+    assert code == 2
+    errors = [line for line in out.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and MESSAGES[case] in errors[0]
+    assert "retrying" not in out.getvalue()

@@ -3,9 +3,9 @@
 The whole point of the live pipeline is that it is *free* of analysis
 drift: feed the flat kernel chunk by chunk as a trace grows, and the
 final profile — after ``finalize()`` — is byte-identical to the batch
-``repro analyze --kernel flat`` dump of the same trace.  These tests
-drive real benchmark traces and hypothesis-generated traces through
-arbitrary chunk-arrival schedules and compare dumps byte for byte.
+``repro analyze`` dump of the same trace.  These tests drive real
+benchmark traces and hypothesis-generated traces through arbitrary
+chunk-arrival schedules and compare dumps byte for byte.
 """
 
 import tempfile

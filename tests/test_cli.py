@@ -142,6 +142,33 @@ def test_analyze_jobs_matches_sequential(tmp_path):
     assert farmed == sequential  # identical rendered report: exactness
 
 
+@pytest.mark.parametrize("name, induced", [
+    ("350.md", 0),        # induced thread reads
+    ("367.imagick", 1),   # kernel I/O: induced external reads
+])
+def test_analyze_dump_bytes_equal_online_profiler(name, induced, tmp_path):
+    """``analyze --dump`` writes, at any ``--jobs``, exactly the bytes
+    ``save_profile`` writes for the online profiler on the same trace."""
+    from repro.core import TrmsProfiler, replay
+    from repro.farm import iter_binary_trace, save_profile
+
+    trace = tmp_path / "run.rpt2"
+    code, _ = run_cli("record", name, str(trace), "--threads", "4", "--scale", "0.5")
+    assert code == 0
+    online = TrmsProfiler()
+    with open(trace, "rb") as stream:
+        replay(iter_binary_trace(stream), online)
+    assert online.db.total_induced()[induced] > 0
+    expected = io.StringIO()
+    save_profile(online.db, expected)
+    for jobs in ("1", "2"):
+        dump = tmp_path / f"jobs{jobs}.profile"
+        code, _ = run_cli("analyze", str(trace), "--metric", "trms",
+                          "--jobs", jobs, "--dump", str(dump))
+        assert code == 0
+        assert dump.read_bytes() == expected.getvalue().encode("utf-8"), jobs
+
+
 def test_analyze_jobs_stats_report(tmp_path):
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")

@@ -6,8 +6,9 @@ whose payload carries a ``gate`` section::
 
     "gate": {
         "scale":          <REPRO_BENCH_SCALE the numbers were taken at>,
-        "ratios":         {name: value},   # machine-portable (e.g. flat/classic
-                                           # speedup) — gated by --tolerance
+        "ratios":         {name: value},   # machine-portable (e.g. the flat
+                                           # kernel's speedup over the naive
+                                           # oracle) — gated by --tolerance
         "throughput":     {name: value},   # absolute events/s — informational
                                            # unless --absolute is given
         "latency_ms":     {name: value},   # e.g. the slap swarm's p99 upload
@@ -28,8 +29,9 @@ committed ``benchmarks/baselines/*.json`` and fails (exit 1) when
 * a ``profile_sha256`` digest differs — the analysis *output* changed,
   which no performance work is ever allowed to do; or
 * a ratio metric regressed by more than ``--tolerance`` (default 25%) —
-  e.g. the flat kernel's speedup over classic dropped, the symptom of a
-  slowdown in the hot loop that a ratio measures free of machine speed;
+  e.g. the flat kernel's speedup over the naive oracle dropped, the
+  symptom of a slowdown in the hot loop that a ratio measures free of
+  machine speed;
 * a latency metric *grew* by more than ``--tolerance`` — the inverted
   direction: for ``latency_ms`` entries (the slap swarm's p99 upload
   latency, ``repro slap --json``) bigger is worse.  Like throughput,

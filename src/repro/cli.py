@@ -5,12 +5,12 @@ Commands:
 * ``list`` — the registered benchmarks (suite, name, description);
 * ``profile <benchmark>`` — run a benchmark under the profilers and
   print the aprof-style report, optionally with the bottleneck ranking,
-  a per-routine cost plot, and a machine-readable point dump;
-* ``fit <dump> <routine>`` — re-load a point dump (``profile --dump``
-  TSV or an ``analyze``/``merge`` profile dump) and name the routine's
-  growth class;
+  a per-routine cost plot, and a ``repro-profile 1`` dump;
+* ``fit <dump> <routine>`` — re-load a ``repro-profile 1`` dump
+  (written by ``profile``, ``analyze`` or ``merge``) and name the
+  routine's growth class;
 * ``record <benchmark> <file>`` — record one execution's event trace
-  (chunked binary v2 by default, ``--format v1`` for the text format);
+  in the chunked binary v2 format;
 * ``analyze <trace>`` — run the profilers over a recorded trace;
   ``--jobs N`` farms the flat-kernel TRMS analysis out to N worker
   processes (exact: identical to the online profiler, see
@@ -62,7 +62,6 @@ from . import telemetry
 from .core import EventBus, RmsProfiler, TrmsProfiler
 from .curvefit import select_model
 from .reporting import render_bottlenecks, render_report, scatter
-from .reporting.report import dump_points, parse_points
 from .workloads import all_benchmarks, benchmark
 
 __all__ = ["main", "build_parser"]
@@ -96,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--plot", metavar="ROUTINE",
                          help="render the worst-case cost plot of a routine")
     profile.add_argument("--dump", metavar="FILE",
-                         help="write the trms plot points as TSV")
+                         help="write a repro-profile 1 dump (of the trms "
+                              "profile when there is one)")
     profile.add_argument("--sample", type=int, default=1, metavar="K",
                          help="burst-sample 1 of every K memory reads "
                               "(sizes become lower bounds)")
@@ -105,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry_option(profile)
 
     fit = commands.add_parser("fit", help="fit a dumped cost plot")
-    fit.add_argument("dump", help="TSV file produced by `profile --dump`")
+    fit.add_argument("dump", help="profile dump written by `profile --dump`, "
+                                  "`analyze --dump` or `merge`")
     fit.add_argument("routine", help="routine to fit")
     _add_telemetry_option(fit)
 
@@ -116,12 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("output", help="trace file to write")
     record.add_argument("--threads", type=int, default=4)
     record.add_argument("--scale", type=float, default=1.0)
-    record.add_argument("--format", choices=["v2", "v1"], default="v2",
-                        help="v2: chunked binary (farm-ready); v1: text")
     record.add_argument("--chunk-events", type=int, default=4096, metavar="N",
                         help="events per v2 chunk (shard planning granularity)")
     record.add_argument("--live", metavar="DIR",
-                        help="stream the trace while recording (v2 only): "
+                        help="stream the trace while recording: "
                              "flush every sealed chunk + names sidecar and "
                              "tail it into profile checkpoints under DIR "
                              "(watch them with `repro watch DIR`)")
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser(
         "analyze", help="run the profilers over a recorded trace"
     )
-    analyze.add_argument("trace", help="file produced by `record` (v1 or v2)")
+    analyze.add_argument("trace", help="v2 trace written by `record`")
     analyze.add_argument("--metric", choices=["rms", "trms", "both"], default="both")
     analyze.add_argument("--context", action="store_true")
     analyze.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -203,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     diff = commands.add_parser(
         "diff", help="asymptotic regressions between two profile dumps"
     )
-    diff.add_argument("old", help="baseline profile dump (or TSV point dump)")
-    diff.add_argument("new", help="candidate profile dump (or TSV point dump)")
+    diff.add_argument("old", help="baseline profile dump")
+    diff.add_argument("new", help="candidate profile dump")
     diff.add_argument("--min-points", type=int, default=4, metavar="N",
                       help="distinct plot points a growth fit needs (default 4)")
     diff.add_argument("--tolerance", type=float, default=1.30, metavar="T",
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         "ingest", help="ingest profile dumps / telemetry runs / bench envelopes"
     )
     ingest.add_argument("inputs", nargs="+",
-                        help="profile dumps, TSV point dumps, v2 traces, "
+                        help="profile dumps, v2 traces, checkpoint dirs, "
                              "telemetry.jsonl runs or repro-bench/1 "
                              "envelopes; '-' reads one artefact from stdin")
     ingest.add_argument("--store", required=True, metavar="DIR",
@@ -396,9 +395,11 @@ def _cmd_profile(args, out) -> int:
         out.write(scatter(profile.worst_case_points(),
                           title=f"{args.plot} — worst-case cost plot"))
     if args.dump:
+        from .farm import save_profile
+
         with open(args.dump, "w") as stream:
-            count = dump_points(reference.db, stream)
-        out.write(f"wrote {count} plot points to {args.dump}\n")
+            count = save_profile(reference.db, stream)
+        out.write(f"wrote {count} profile points to {args.dump}\n")
     if args.html:
         from .reporting import render_html_report
 
@@ -413,63 +414,50 @@ def _cmd_profile(args, out) -> int:
 
 
 def _cmd_record(args, out) -> int:
+    import contextlib
+
+    from .farm import BinaryTraceWriter, live_names_path
+
     try:
         bench = benchmark(args.benchmark)
     except KeyError as error:
         out.write(f"error: {error.args[0]}\n")
         return 2
     live_dir = getattr(args, "live", None)
-    if live_dir and args.format != "v2":
-        out.write("error: --live requires the v2 trace format\n")
-        return 2
-    with telemetry.span("record", benchmark=bench.name,
-                        format=args.format) as record_span:
-        if args.format == "v2":
-            import contextlib
+    with telemetry.span("record", benchmark=bench.name) as record_span:
+        with contextlib.ExitStack() as stack:
+            stream = stack.enter_context(open(args.output, "wb"))
+            names_stream = None
+            session = None
+            watcher = None
+            if live_dir:
+                import threading
 
-            from .farm import BinaryTraceWriter, live_names_path
+                from .streaming import LiveProfileSession
 
-            with contextlib.ExitStack() as stack:
-                stream = stack.enter_context(open(args.output, "wb"))
-                names_stream = None
-                session = None
-                watcher = None
-                if live_dir:
-                    import threading
-
-                    from .streaming import LiveProfileSession
-
-                    names_stream = stack.enter_context(
-                        open(live_names_path(args.output), "w"))
-                    session = LiveProfileSession(
-                        args.output, live_dir,
-                        checkpoint_events=args.checkpoint_events,
-                        checkpoint_seconds=0.5)
-                    watcher = threading.Thread(
-                        target=session.run, name="repro-live", daemon=True)
-                writer = BinaryTraceWriter(
-                    stream, chunk_events=args.chunk_events,
-                    durable=getattr(args, "durable", False),
-                    names_stream=names_stream)
-                if watcher is not None:
-                    watcher.start()
-                machine = bench.run(tools=writer, threads=args.threads,
-                                    scale=args.scale)
-                writer.close()
-                if watcher is not None:
-                    watcher.join(timeout=60.0)
-            chunks = f", {len(writer.chunks)} chunks"
-            if session is not None:
-                chunks += (f"; {len(session.checkpoints)} live checkpoint(s) "
-                           f"in {live_dir}")
-        else:
-            from .core.tracefile import TraceWriter
-
-            with open(args.output, "w") as stream:
-                writer = TraceWriter(stream)
-                machine = bench.run(tools=writer, threads=args.threads,
-                                    scale=args.scale)
-            chunks = ""
+                names_stream = stack.enter_context(
+                    open(live_names_path(args.output), "w"))
+                session = LiveProfileSession(
+                    args.output, live_dir,
+                    checkpoint_events=args.checkpoint_events,
+                    checkpoint_seconds=0.5)
+                watcher = threading.Thread(
+                    target=session.run, name="repro-live", daemon=True)
+            writer = BinaryTraceWriter(
+                stream, chunk_events=args.chunk_events,
+                durable=getattr(args, "durable", False),
+                names_stream=names_stream)
+            if watcher is not None:
+                watcher.start()
+            machine = bench.run(tools=writer, threads=args.threads,
+                                scale=args.scale)
+            writer.close()
+            if watcher is not None:
+                watcher.join(timeout=60.0)
+        chunks = f", {len(writer.chunks)} chunks"
+        if session is not None:
+            chunks += (f"; {len(session.checkpoints)} live checkpoint(s) "
+                       f"in {live_dir}")
         record_span.set(events=writer.events_written)
     telemetry.counter("record.events").inc(writer.events_written)
     out.write(f"recorded {writer.events_written} events "
@@ -499,6 +487,7 @@ def _cmd_watch(args, out) -> int:
         directory = args.target
 
     def frame() -> Optional[str]:
+        """The newest checkpoint's dashboard; None while there is none."""
         try:
             manifest, db = load_checkpoint(directory)
         except FileNotFoundError:
@@ -521,7 +510,11 @@ def _cmd_watch(args, out) -> int:
                     out.write(f"warning: {error}\n")
             else:
                 session.checkpoint()
-        text = frame()
+        try:
+            text = frame()
+        except (ValueError, OSError) as error:  # malformed checkpoint directory
+            out.write(f"error: {error}\n")
+            return 2
         if text is None:
             out.write(f"error: no {MANIFEST_NAME} under {directory}\n")
             return 1
@@ -539,7 +532,11 @@ def _cmd_watch(args, out) -> int:
                     out.write(f"warning: {error}\n")
         else:
             consumed = 0
-        text = frame()
+        try:
+            text = frame()
+        except (ValueError, OSError) as error:  # malformed checkpoint directory
+            out.write(f"error: {error}\n")
+            return 2
         if text is not None and text != last:
             out.write(text)
             last = text
@@ -559,8 +556,8 @@ def _cmd_watch(args, out) -> int:
 
 def _cmd_analyze(args, out) -> int:
     from .core import replay
-    from .core.tracefile import TraceFileError, iter_trace
-    from .farm import analyze_file, is_binary_trace, iter_binary_trace, save_profile
+    from .core.tracefile import TraceFileError
+    from .farm import analyze_file, iter_binary_trace, save_profile
 
     databases = {}
     try:
@@ -582,12 +579,8 @@ def _cmd_analyze(args, out) -> int:
                           "rms runs sequentially\n")
             profiler = RmsProfiler(context_sensitive=args.context)
             with telemetry.span("analyze.replay", metric="rms"):
-                if is_binary_trace(args.trace):
-                    with open(args.trace, "rb") as stream:
-                        replay(iter_binary_trace(stream), profiler)
-                else:
-                    with open(args.trace) as stream:
-                        replay(iter_trace(stream), profiler)
+                with open(args.trace, "rb") as stream:
+                    replay(iter_binary_trace(stream), profiler)
             databases["rms"] = profiler.db
     except (TraceFileError, OSError) as error:
         out.write(f"error: {error}\n")
@@ -606,13 +599,10 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_merge(args, out) -> int:
-    from .farm import ProfileDumpError, load_profile, merge_databases, save_profile
+    from .farm import ProfileDumpError, merge_databases, save_profile
 
-    databases = []
     try:
-        for path in args.inputs:
-            with open(path) as stream:
-                databases.append(load_profile(stream))
+        databases = [_load_profile_database(path) for path in args.inputs]
     except (ProfileDumpError, OSError) as error:
         out.write(f"error: {error}\n")
         return 2
@@ -630,14 +620,13 @@ def _cmd_merge(args, out) -> int:
 
 
 def _cmd_fit(args, out) -> int:
-    from .farm import is_profile_dump, load_profile
+    from .farm import ProfileDumpError
 
-    if is_profile_dump(args.dump):
-        with open(args.dump) as stream:
-            db = load_profile(stream)
-    else:
-        with open(args.dump) as stream:
-            db = parse_points(stream)
+    try:
+        db = _load_profile_database(args.dump)
+    except (ProfileDumpError, OSError) as error:
+        out.write(f"error: {error}\n")
+        return 2
     profile = db.merged().get(args.routine)
     if profile is None:
         known = ", ".join(sorted(db.merged())[:8])
@@ -685,14 +674,18 @@ def _cmd_overhead(args, out) -> int:
 
 
 def _load_profile_database(path: str):
-    """A ProfileDatabase from a profile dump or a TSV point dump."""
-    from .farm import is_profile_dump, load_profile
+    """A ProfileDatabase from a ``repro-profile 1`` dump.
 
-    if is_profile_dump(path):
+    Raises :class:`~repro.farm.merge.ProfileDumpError` on anything else,
+    undecodable bytes included, and ``OSError`` on an unreadable path.
+    """
+    from .farm import ProfileDumpError, load_profile
+
+    try:
         with open(path) as stream:
             return load_profile(stream)
-    with open(path) as stream:
-        return parse_points(stream)
+    except UnicodeDecodeError as error:
+        raise ProfileDumpError(f"{path}: not a profile dump ({error})") from None
 
 
 def _parse_fail_on(spec: Optional[str], out) -> Optional[set]:
@@ -719,7 +712,7 @@ def _cmd_diff(args, out) -> int:
     try:
         old_db = _load_profile_database(args.old)
         new_db = _load_profile_database(args.new)
-    except (ProfileDumpError, ValueError, OSError) as error:
+    except (ProfileDumpError, OSError) as error:
         out.write(f"error: {error}\n")
         return 2
     with telemetry.span("diff", old=args.old, new=args.new):

@@ -39,7 +39,6 @@ from .renumber import renumber_timestamps
 from .rms import RmsProfiler
 from .shadow import DictShadow, PackedLatestWrite, ShadowMemory
 from .stack import FlatStack, ShadowStack, StackEntry
-from .tracefile import TRACE_MAGIC, TraceWriter, iter_trace, read_trace, write_trace
 from .trms import KERNEL_WRITER, TrmsProfiler
 
 __all__ = [
@@ -84,11 +83,6 @@ __all__ = [
     "ShadowMemory",
     "FlatStack",
     "ShadowStack",
-    "TRACE_MAGIC",
-    "TraceWriter",
-    "iter_trace",
-    "read_trace",
-    "write_trace",
     "StackEntry",
     "KERNEL_WRITER",
     "TrmsProfiler",

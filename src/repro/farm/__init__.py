@@ -32,8 +32,6 @@ from .binfmt import (
     ChunkMeta,
     TraceMeta,
     TruncatedChunk,
-    convert_v1_to_v2,
-    convert_v2_to_v1,
     is_binary_trace,
     iter_binary_trace,
     live_names_path,
@@ -64,8 +62,6 @@ __all__ = [
     "TraceMeta",
     "TruncatedChunk",
     "live_names_path",
-    "convert_v1_to_v2",
-    "convert_v2_to_v1",
     "is_binary_trace",
     "iter_binary_trace",
     "read_binary_trace",

@@ -1,10 +1,9 @@
 """Trace format v2: compact, chunked, seekable binary traces.
 
-The v1 text format (:mod:`repro.core.tracefile`) is greppable and
-diffable but forces any analysis to scan the whole file front to back.
-The farm needs random access: a worker assigned two threads of a
-32-thread trace should not decode the other thirty.  Format v2 provides
-that with three layers:
+This module is the one reader and writer of recorded traces.  The farm
+needs random access: a worker assigned two threads of a 32-thread trace
+should not decode the other thirty.  Format v2 provides that with three
+layers:
 
 * **records** — one event is a fixed ``<Bqq`` struct (kind byte, thread
   id, argument).  Routine names are interned in a per-file string
@@ -30,8 +29,9 @@ Layout::
     footer:  string table, chunk index
     trailer: footer offset, event count, "RPT2END\\0"
 
-Converters to/from the v1 text format are lossless for the event
-vocabulary both formats share (which is all of it).
+A live writer also keeps a ``.names`` sidecar (:data:`NAMES_SUFFIX`),
+and :func:`read_chunk_header` parses the chunks of a file whose footer
+does not exist yet, so a tailer can follow a trace while it records.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ from array import array
 from typing import IO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.events import Event, EventKind, TraceConsumer, replay
-from ..core.tracefile import MalformedRecord, TraceFileError, TraceWriter, escape_name, iter_trace
+from ..core.tracefile import MalformedRecord, TraceFileError, escape_name
 
 __all__ = [
     "BINARY_MAGIC",
     "NAMES_SUFFIX",
+    "RECORD_BYTES",
     "BinaryTraceError",
     "TruncatedChunk",
     "live_names_path",
@@ -56,6 +57,7 @@ __all__ = [
     "BinaryTraceWriter",
     "write_binary_trace",
     "read_trace_meta",
+    "read_chunk_header",
     "iter_binary_trace",
     "read_binary_trace",
     "iter_positioned",
@@ -64,14 +66,14 @@ __all__ = [
     "decode_chunk_columns",
     "columns_from_events",
     "is_binary_trace",
-    "convert_v1_to_v2",
-    "convert_v2_to_v1",
 ]
 
 BINARY_MAGIC = b"RPTRACE2"
 _TRAILER_MAGIC = b"RPT2END\0"
 
 _RECORD = struct.Struct("<Bqq")
+#: bytes of one record: 1 kind byte + two little-endian i64
+RECORD_BYTES = _RECORD.size
 _CHUNK_FIXED = struct.Struct("<IIQIH")  # payload bytes, events, first pos, writes, n threads
 _THREAD_COUNT = struct.Struct("<qI")    # thread id, events of that thread in the chunk
 _U32 = struct.Struct("<I")
@@ -154,12 +156,11 @@ def _read_exact(stream: IO[bytes], size: int, what: str) -> bytes:
 class BinaryTraceWriter(TraceConsumer):
     """Streams the event vocabulary to a chunked binary file.
 
-    A drop-in stand-in for :class:`~repro.core.tracefile.TraceWriter` on binary
-    streams.  Call :meth:`close` to seal the file with footer and
-    trailer once recording is over; sealing is deliberately *not* tied
-    to ``on_finish``, so several executions can be recorded into one
-    trace (the substrates fire ``on_finish`` after each run).  The
-    underlying stream is left open.
+    Call :meth:`close` to seal the file with footer and trailer once
+    recording is over; sealing is deliberately *not* tied to
+    ``on_finish``, so several executions can be recorded into one trace
+    (the substrates fire ``on_finish`` after each run).  The underlying
+    stream is left open.
 
     Every sealed chunk is flushed to the OS at ``_flush_chunk`` time so
     a concurrent tailer (:mod:`repro.streaming`) sees it immediately —
@@ -356,7 +357,7 @@ def read_trace_meta(stream: IO[bytes]) -> TraceMeta:
     :class:`BinaryTraceError`.
     """
     stream.seek(0)
-    if _read_exact(stream, len(BINARY_MAGIC), "magic") != BINARY_MAGIC:
+    if stream.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
         raise BinaryTraceError("not a binary trace (bad magic)")
     size = stream.seek(0, 2)
     if size < len(BINARY_MAGIC) + _TRAILER.size:
@@ -391,6 +392,46 @@ def read_trace_meta(stream: IO[bytes]) -> TraceMeta:
     return TraceMeta(event_count, names, chunks)
 
 
+def read_chunk_header(
+    stream: IO[bytes], offset: int, size: int, first_pos: int
+) -> Optional[ChunkMeta]:
+    """The chunk whose header starts at ``offset`` of an unsealed file.
+
+    Follows a v2 file that is still being written, before its footer
+    exists: ``size`` is the file size the caller observed and
+    ``first_pos`` the global position the next chunk must start at.
+    Returns ``None`` unless a plausible header *and* its whole payload
+    lie before ``size``; the bytes there may be a chunk still being
+    flushed, the footer being written, or a torn tail, and reading again
+    later tells which.  Plausible means at least one event and one
+    thread, a payload of exactly ``events`` records, the expected first
+    position, and per-thread counts that sum to ``events``.
+    """
+    if offset + _CHUNK_FIXED.size > size:
+        return None
+    stream.seek(offset)
+    fixed = stream.read(_CHUNK_FIXED.size)
+    if len(fixed) != _CHUNK_FIXED.size:
+        return None
+    payload_bytes, events, chunk_first, writes, n_threads = _CHUNK_FIXED.unpack(fixed)
+    if (events <= 0 or n_threads <= 0
+            or payload_bytes != events * RECORD_BYTES
+            or chunk_first != first_pos):
+        return None
+    table_bytes = _THREAD_COUNT.size * n_threads
+    header_size = _CHUNK_FIXED.size + table_bytes
+    if offset + header_size + payload_bytes > size:
+        return None
+    raw = stream.read(table_bytes)
+    if len(raw) != table_bytes:
+        return None
+    counts = {thread: count for thread, count in _THREAD_COUNT.iter_unpack(raw)}
+    if sum(counts.values()) != events:
+        return None
+    return ChunkMeta(offset, offset + header_size, payload_bytes, events,
+                     first_pos, writes, counts)
+
+
 #: every valid kind byte, for the per-chunk ``bytes.translate`` check
 _KIND_BYTES = bytes(int(kind) for kind in EventKind)
 
@@ -413,7 +454,7 @@ def decode_chunk(
     """
     stream.seek(chunk.payload_offset)
     payload = _read_exact(stream, chunk.payload_bytes, "chunk payload")
-    _check_kinds(payload[0::_RECORD_BYTES], chunk.first_pos)
+    _check_kinds(payload[0::RECORD_BYTES], chunk.first_pos)
     position = chunk.first_pos
     call = EventKind.CALL
     ret = EventKind.RETURN
@@ -452,8 +493,7 @@ class ChunkColumns(NamedTuple):
     args: array       #: ``array('q')`` of raw arguments (CALL: name id)
 
 
-#: record layout constants for the strided column decode
-_RECORD_BYTES = _RECORD.size          # 17: 1 kind byte + two little-endian i64
+#: the strided column decode reinterprets i64 bytes in place
 _NATIVE_I64 = sys.byteorder == "little" and array("q").itemsize == 8
 
 
@@ -472,9 +512,9 @@ def decode_chunk_columns(stream: IO[bytes], chunk: ChunkMeta) -> ChunkColumns:
     stream.seek(chunk.payload_offset)
     payload = _read_exact(stream, chunk.payload_bytes, "chunk payload")
     count = chunk.events
-    if count * _RECORD_BYTES != len(payload):
+    if count * RECORD_BYTES != len(payload):
         raise BinaryTraceError("chunk payload size disagrees with event count")
-    kinds = payload[0::_RECORD_BYTES]
+    kinds = payload[0::RECORD_BYTES]
     _check_kinds(kinds, chunk.first_pos)
     threads = array("q")
     args = array("q")
@@ -482,8 +522,8 @@ def decode_chunk_columns(stream: IO[bytes], chunk: ChunkMeta) -> ChunkColumns:
         thread_bytes = bytearray(8 * count)
         arg_bytes = bytearray(8 * count)
         for byte in range(8):
-            thread_bytes[byte::8] = payload[1 + byte::_RECORD_BYTES]
-            arg_bytes[byte::8] = payload[9 + byte::_RECORD_BYTES]
+            thread_bytes[byte::8] = payload[1 + byte::RECORD_BYTES]
+            arg_bytes[byte::8] = payload[9 + byte::RECORD_BYTES]
         threads.frombytes(bytes(thread_bytes))
         args.frombytes(bytes(arg_bytes))
     else:  # pragma: no cover - big-endian / exotic hosts
@@ -554,22 +594,3 @@ def is_binary_trace(path: str) -> bool:
             return stream.read(len(BINARY_MAGIC)) == BINARY_MAGIC
     except OSError:
         return False
-
-
-# -- format conversion --------------------------------------------------------
-
-
-def convert_v1_to_v2(
-    text_stream: IO[str], binary_stream: IO[bytes],
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
-) -> int:
-    """Re-encode a v1 text trace as a v2 binary trace; returns the count."""
-    return write_binary_trace(iter_trace(text_stream), binary_stream,
-                              chunk_events=chunk_events)
-
-
-def convert_v2_to_v1(binary_stream: IO[bytes], text_stream: IO[str]) -> int:
-    """Re-encode a v2 binary trace as a v1 text trace; returns the count."""
-    writer = TraceWriter(text_stream)
-    replay(iter_binary_trace(binary_stream), writer)
-    return writer.events_written

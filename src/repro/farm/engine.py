@@ -1,15 +1,12 @@
 """Farm orchestration: trace file in, merged profile database out.
 
-``analyze_file`` drives the whole pipeline:
+``analyze_file`` drives the whole pipeline over a v2 trace:
 
-1. ensure the trace is format v2 (v1 text traces are converted to a
-   temporary binary file first — the farm only plans over chunk
-   indices);
-2. plan shards from the chunk index (:mod:`repro.farm.shards`);
-3. run :func:`repro.farm.worker.run_shard` for every shard — on a
+1. plan shards from the chunk index (:mod:`repro.farm.shards`);
+2. run :func:`repro.farm.worker.run_shard` for every shard — on a
    ``concurrent.futures`` process pool when ``jobs > 1``, inline
    otherwise;
-4. merge the per-shard databases (:mod:`repro.farm.merge`) into one
+3. merge the per-shard databases (:mod:`repro.farm.merge`) into one
    profile, bit-identical to the online ``TrmsProfiler``.
 
 Failure policy (the part a benchmark never shows): every shard gets up
@@ -22,11 +19,11 @@ performance property.  A malformed trace is the exception: its
 :class:`~repro.core.tracefile.TraceFileError` would recur on every
 attempt, so it propagates at once.
 
-Observability: the run is traced end to end.  Every phase (convert,
-plan, pool, inline fallback, merge) is a telemetry span; workers
-append heartbeats and phase spans to per-shard files the coordinator
-tails while it waits — live progress via the ``progress`` callback,
-worker spans re-emitted into the session's event log.  The farm also
+Observability: the run is traced end to end.  Every phase (plan, pool,
+inline fallback, merge) is a telemetry span; workers append heartbeats
+and phase spans to per-shard files the coordinator tails while it
+waits — live progress via the ``progress`` callback, worker spans
+re-emitted into the session's event log.  The farm also
 keeps its own always-on :class:`~repro.telemetry.MetricsRegistry`
 (mirrored into the session telemetry when one is live): per-shard
 retries, timeouts and fallbacks are *counted there* and surface in
@@ -49,7 +46,7 @@ from .. import telemetry
 from ..core.profile_data import ProfileDatabase
 from ..core.tracefile import TraceFileError
 from ..telemetry import MetricsRegistry
-from .binfmt import DEFAULT_CHUNK_EVENTS, convert_v1_to_v2, is_binary_trace, read_trace_meta
+from .binfmt import DEFAULT_CHUNK_EVENTS, read_trace_meta
 from .merge import merge_databases
 from .shards import ShardPlan, plan_shards
 from .worker import DEFAULT_HEARTBEAT_EVENTS, ShardTask, WorkerResult, run_shard
@@ -320,15 +317,15 @@ def analyze_file(
     keep_activations: bool = False,
     timeout: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
     progress: Optional[Callable[[str], None]] = None,
     faults: Optional[Dict[int, Tuple]] = None,
     heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
 ) -> FarmResult:
-    """Analyse a recorded trace (v1 or v2) with the farm; exact by contract.
+    """Analyse a recorded v2 trace with the farm; exact by contract.
 
     Every shard runs the flat kernel (:mod:`repro.core.flatkernel`);
-    ``jobs=1`` is one inline shard.
+    ``jobs=1`` is one inline shard.  A file that is not a sealed v2
+    trace raises :class:`~repro.farm.binfmt.BinaryTraceError`.
 
     ``faults`` maps shard ids to :class:`~repro.farm.worker.ShardTask`
     fault specs — test hooks for the retry and fallback paths; inline
@@ -347,21 +344,10 @@ def analyze_file(
         jobs = os.cpu_count() or 1
     jobs = max(1, jobs)
 
-    temp_path: Optional[str] = None
     heartbeat_dir = tempfile.mkdtemp(prefix="repro-farm-hb-")
     try:
-        if not is_binary_trace(path):
-            with tele.span("analyze.convert", source=os.path.basename(path)):
-                handle, temp_path = tempfile.mkstemp(suffix=".rpt2")
-                with os.fdopen(handle, "wb") as binary, \
-                        open(path, "r", encoding="utf-8") as text:
-                    convert_v1_to_v2(text, binary, chunk_events=chunk_events)
-            trace_path = temp_path
-        else:
-            trace_path = path
-
         with tele.span("analyze.plan", jobs=jobs):
-            with open(trace_path, "rb") as stream:
+            with open(path, "rb") as stream:
                 meta = read_trace_meta(stream)
             plan: ShardPlan = plan_shards(meta, jobs)
         bump("farm.trace_events", meta.event_count)
@@ -371,7 +357,7 @@ def analyze_file(
 
         tasks = [
             ShardTask(
-                trace_path, shard.shard_id, shard.threads, shard.chunk_indices,
+                path, shard.shard_id, shard.threads, shard.chunk_indices,
                 context_sensitive=context_sensitive,
                 keep_activations=keep_activations,
                 fault=(faults or {}).get(shard.shard_id),
@@ -457,11 +443,6 @@ def analyze_file(
         return FarmResult(merged, stats)
     finally:
         shutil.rmtree(heartbeat_dir, ignore_errors=True)
-        if temp_path is not None:
-            try:
-                os.unlink(temp_path)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
 
 def analyze_events(
@@ -477,7 +458,7 @@ def analyze_events(
     try:
         with os.fdopen(handle, "wb") as stream:
             write_binary_trace(events, stream, chunk_events=chunk_events)
-        return analyze_file(path, jobs=jobs, chunk_events=chunk_events, **kwargs)
+        return analyze_file(path, jobs=jobs, **kwargs)
     finally:
         try:
             os.unlink(path)

@@ -19,12 +19,13 @@ would have built.  The same operation applied to profiles of
 richer cost plot — more distinct sizes, tighter envelopes — which is
 the paper's per-plot aggregation extended across runs.
 
-The dump format (``repro-profile 1``) serialises everything the merge
-needs bit-exactly: unlike the plot-point TSV of
-:mod:`repro.reporting.report`, it carries ``cost_sumsq``, the per-
-profile induced splits, the global induced counters, and the
-lower-bound flag.  Raw activation records are deliberately not stored
-(they are a debugging aid, unbounded in size).
+The dump format (``repro-profile 1``) is the one on-disk profile
+format: ``profile --dump``, ``analyze --dump``, ``merge`` and the
+streaming checkpoints all write it.  It serialises everything the merge
+needs bit-exactly: ``cost_sumsq``, the per-profile induced splits, the
+global induced counters, and the lower-bound flag.  Raw activation
+records are deliberately not stored (they are a debugging aid,
+unbounded in size).
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def save_profile(db: ProfileDatabase, stream: IO[str]) -> int:
 
     Line vocabulary: ``F`` flags, ``G`` global induced counters, ``P``
     opens a (routine, thread) profile, ``S`` one size point of the open
-    profile.  Routine names are escaped like v1 trace routine names.
+    profile.  Routine names are escaped with
+    :func:`~repro.core.tracefile.escape_name`.
     """
     stream.write(PROFILE_MAGIC + "\n")
     stream.write(f"F lower_bound={int(db.sizes_lower_bound)}\n")

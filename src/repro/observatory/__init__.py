@@ -9,9 +9,9 @@ runs, which is what an operator of a long-lived system actually has:
   append-only ``history.jsonl`` replayed into :mod:`repro.minidb`
   tables (runs, fitted curves, raw plot points, run metrics);
 * :mod:`repro.observatory.ingest` — turns ``repro-profile 1`` dumps,
-  TSV point dumps, farm ``FarmStats``, ``telemetry.jsonl`` runs and
-  ``repro-bench/1`` envelopes into store records, idempotently by
-  run id;
+  v2 traces, streaming checkpoints, farm ``FarmStats``,
+  ``telemetry.jsonl`` runs and ``repro-bench/1`` envelopes into store
+  records, idempotently by run id;
 * :mod:`repro.observatory.drift` — per-routine growth-class
   trajectories, changepoint flagging and severity-ranked alerts;
 * :mod:`repro.observatory.dashboards` — the ASCII and HTML dashboards

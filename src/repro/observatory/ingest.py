@@ -3,9 +3,9 @@
 Four sources feed the history store, each reduced to the same
 :class:`~repro.observatory.store.RunRecord` shape:
 
-* ``repro-profile 1`` dumps (``repro analyze --dump`` / ``repro merge``)
-  and ``repro profile --dump`` TSV point files — the rich case: every
-  merged routine's worst-case plot is fitted with
+* ``repro-profile 1`` dumps (``profile --dump``, ``analyze --dump``,
+  ``merge``) — the rich case: every merged routine's worst-case plot
+  is fitted with
   :func:`repro.curvefit.selection.select_model` into a curve row, the
   top-K routines by total cost also keep their raw plot points;
 * farm :class:`~repro.farm.engine.FarmStats` — run-level throughput and
@@ -308,8 +308,8 @@ def ingest_checkpoint(
 ) -> IngestResult:
     """Ingest the newest checkpoint of a stream directory, superseding.
 
-    ``directory`` holds a ``CURRENT.json`` manifest plus the snapshot
-    chain (:mod:`repro.streaming.snapshot`).  Safe to call repeatedly
+    ``directory`` holds a ``CURRENT.json`` manifest plus the checkpoint
+    dumps it names (:mod:`repro.streaming.snapshot`).  Safe to call repeatedly
     while the stream is live: each call replaces the previous partial
     run in place; an unchanged checkpoint is an idempotent no-op.
     """
@@ -330,7 +330,7 @@ def ingest_stream_dump(
     scale: float = 0.0,
     top_k: int = DEFAULT_TOP_K,
 ) -> IngestResult:
-    """Ingest a reassembled checkpoint dump shipped over the wire.
+    """Ingest a checkpoint dump shipped over the wire.
 
     The service's ``put_stream`` op delivers the full ``repro-profile
     1`` bytes plus the manifest fields as ``stream_meta`` — same
@@ -364,13 +364,6 @@ def _looks_like_telemetry(path: str) -> bool:
         return False
 
 
-def _load_points_db(path: str) -> ProfileDatabase:
-    from ..reporting.report import parse_points
-
-    with open(path, "r", encoding="utf-8") as stream:
-        return parse_points(stream)
-
-
 def ingest_path(
     store: ObservatoryStore,
     path: str,
@@ -382,9 +375,8 @@ def ingest_path(
 ) -> IngestResult:
     """Sniff ``path`` and ingest it; see the module docstring.
 
-    Accepts a ``repro-profile 1`` dump, a ``repro profile --dump`` TSV
-    point file, a v2 binary trace (analysed inline through the farm
-    engine first), a ``telemetry.jsonl`` file (or a run directory
+    Accepts a ``repro-profile 1`` dump, a v2 binary trace (analysed
+    inline through the farm engine first), a ``telemetry.jsonl`` file (or a run directory
     holding one), a ``repro-bench/1`` JSON envelope, or a streaming
     checkpoint directory (holding ``CURRENT.json``; ingested with
     superseding semantics — see :func:`ingest_checkpoint`).  Raises
@@ -452,21 +444,12 @@ def ingest_path(
             record = record._replace(run_id=_digest_run_id(path))
         if git_sha:
             record = record._replace(git_sha=git_sha)
+    elif not os.path.exists(path):
+        raise FileNotFoundError(f"{path}: no such file or directory")
     else:
-        try:
-            db = _load_points_db(path)
-        except (ValueError, OSError) as error:
-            raise ValueError(
-                f"{path}: not a profile dump, point dump, telemetry run or "
-                f"bench envelope ({error})") from None
-        record = record_from_profile_db(
-            db,
-            run_id=run_id or _digest_run_id(path),
-            git_sha=git_sha,
-            timestamp=timestamp or _mtime_iso(path),
-            scale=scale,
-            top_k=top_k,
-        )
+        raise ValueError(
+            f"{path}: not a profile dump, v2 trace, telemetry run, bench "
+            f"envelope or checkpoint directory")
     ingested = store.add_run(record)
     detail = (f"{len(record.curves)} curve(s), "
               f"{sum(len(p) for p in record.points.values())} point(s)"

@@ -23,8 +23,6 @@ from .figures import (
     worst_case_series,
 )
 from .report import (
-    dump_points,
-    parse_points,
     render_farm_stats,
     render_report,
     routine_summary,
@@ -43,8 +41,6 @@ __all__ = [
     "thread_input_curve",
     "volume_curve",
     "worst_case_series",
-    "dump_points",
-    "parse_points",
     "render_farm_stats",
     "render_report",
     "render_html_report",

@@ -3,13 +3,14 @@
 The original aprof writes one report file per profiling session; tools
 downstream plot from it.  This module renders the equivalent from a
 :class:`~repro.core.profile_data.ProfileDatabase`: a per-routine summary
-(calls, distinct input sizes, cost envelope, induced-input split) and a
-machine-readable dump of every plot point.
+(calls, distinct input sizes, cost envelope, induced-input split).  The
+machine-readable form is the ``repro-profile 1`` dump of
+:mod:`repro.farm.merge`.
 """
 
 from __future__ import annotations
 
-from typing import List, TextIO
+from typing import List
 
 from ..core.metrics import induced_split
 from ..core.profile_data import ProfileDatabase, RoutineProfile
@@ -18,8 +19,6 @@ from .ascii_charts import table
 __all__ = [
     "routine_summary",
     "render_report",
-    "dump_points",
-    "parse_points",
     "render_farm_stats",
 ]
 
@@ -113,59 +112,3 @@ def render_farm_stats(stats) -> str:
         "('!' marks a shard that exhausted its pool attempts and ran inline)\n"
     )
     return table(headers, rows, title="farm shards") + footer
-
-
-def dump_points(db: ProfileDatabase, stream: TextIO) -> int:
-    """Write every plot point as tab-separated values; return the count.
-
-    Format per line: routine, thread, size, calls, min, max, sum —
-    the information aprof's report files carry per (routine, rms) pair.
-    """
-    count = 0
-    for profile in db:
-        for size in sorted(profile.points):
-            stats = profile.points[size]
-            stream.write(
-                f"{profile.routine}\t{profile.thread}\t{size}\t"
-                f"{stats.calls}\t{stats.cost_min}\t{stats.cost_max}\t{stats.cost_sum}\n"
-            )
-            count += 1
-    return count
-
-
-def parse_points(stream: TextIO) -> ProfileDatabase:
-    """Rebuild a database from :func:`dump_points` output.
-
-    Reconstructs aggregate-equivalent profiles: per (routine, thread,
-    size) the call count and cost envelope survive the round trip; the
-    per-activation induced split does not (the dump format, like
-    aprof's, does not carry it).
-    """
-    db = ProfileDatabase()
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        routine, thread, size, calls, cost_min, cost_max, cost_sum = line.split("\t")
-        calls = int(calls)
-        cost_min = int(cost_min)
-        cost_max = int(cost_max)
-        cost_sum = int(cost_sum)
-        size = int(size)
-        thread = int(thread)
-        # reconstruct the envelope: min and max once, the rest at the mean
-        remaining = calls - 2
-        if calls == 1:
-            db.add_activation(routine, thread, size, cost_max)
-            continue
-        db.add_activation(routine, thread, size, cost_min)
-        db.add_activation(routine, thread, size, cost_max)
-        if remaining > 0:
-            body = cost_sum - cost_min - cost_max
-            base = body // remaining
-            extra = body - base * remaining
-            for index in range(remaining):
-                db.add_activation(
-                    routine, thread, size, base + (1 if index < extra else 0)
-                )
-    return db

@@ -142,10 +142,10 @@ class ServiceClient:
     ) -> Dict:
         """Upload the current checkpoint of a live stream directory.
 
-        Reads ``CURRENT.json`` plus the checkpoint chain written by
-        :class:`repro.streaming.SnapshotWriter`, reassembles the full
-        ``repro-profile 1`` dump and ships it with the stream's lag
-        bookkeeping so the server can expose ``streaming.*`` gauges.
+        Reads ``CURRENT.json`` and the ``repro-profile 1`` checkpoint it
+        names, both written by :class:`repro.streaming.SnapshotWriter`,
+        and ships the dump with the stream's lag bookkeeping so the
+        server can expose ``streaming.*`` gauges.
         """
         from ..streaming import checkpoint_dump_bytes, load_manifest
 

@@ -6,8 +6,8 @@ sockets) that turns the one-shot observatory CLI into
 profiling-as-a-service:
 
 * **write side** — ``put`` uploads any artefact the observatory
-  ingests (``repro-profile 1`` dumps, TSV point dumps, v2 binary
-  traces, ``telemetry.jsonl`` logs, ``repro-bench/1`` envelopes).
+  ingests (``repro-profile 1`` dumps, v2 binary traces,
+  ``telemetry.jsonl`` logs, ``repro-bench/1`` envelopes).
   Uploads are spooled, acknowledged, and analysed *asynchronously* by
   the bounded :class:`~repro.service.jobs.JobQueue` — the client pays
   for a socket write, never for a farm analysis or a curve fit.

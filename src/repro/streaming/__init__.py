@@ -15,8 +15,8 @@ item:
   analyzer and snapshots into one drive-able loop;
 * :mod:`repro.streaming.snapshot` — :class:`SnapshotWriter` emits
   atomic, sequence-numbered partial ``repro-profile 1`` checkpoints
-  (delta-encoded vs the previous snapshot where profitable) plus the
-  ``CURRENT.json`` manifest that carries lag metrics;
+  (each a full dump) plus the ``CURRENT.json`` manifest that carries
+  lag metrics;
 * :mod:`repro.streaming.watch` — the ``repro watch`` ASCII dashboard
   (top routines by fitted growth class, throughput, checkpoint lag).
 
@@ -33,7 +33,6 @@ from .engine import (
     stream_id_for,
 )
 from .snapshot import (
-    DELTA_MAGIC,
     MANIFEST_NAME,
     STREAM_SCHEMA,
     CheckpointInfo,
@@ -48,7 +47,6 @@ from .watch import render_watch, routine_rows
 __all__ = [
     "DEFAULT_CHECKPOINT_EVENTS",
     "DEFAULT_MAX_CHUNKS_PER_POLL",
-    "DELTA_MAGIC",
     "MANIFEST_NAME",
     "STREAM_SCHEMA",
     "CheckpointInfo",

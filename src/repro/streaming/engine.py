@@ -115,7 +115,6 @@ class LiveProfileSession:
         context_sensitive: bool = False,
         max_chunks_per_poll: int = DEFAULT_MAX_CHUNKS_PER_POLL,
         max_held_chunks: int = 256,
-        full_every: int = 8,
     ):
         self.trace_path = trace_path
         self.stream_id = stream_id or stream_id_for(trace_path)
@@ -123,8 +122,7 @@ class LiveProfileSession:
         self.checkpoint_seconds = checkpoint_seconds
         self.tailer = ChunkTailer(trace_path, max_chunks_per_poll=max_chunks_per_poll)
         self.analyzer = StreamingAnalyzer(context_sensitive=context_sensitive)
-        self.snapshots = SnapshotWriter(checkpoint_dir, self.stream_id,
-                                        full_every=full_every)
+        self.snapshots = SnapshotWriter(checkpoint_dir, self.stream_id)
         self.max_held_chunks = max_held_chunks
         self.checkpoints: List[CheckpointInfo] = []
         #: per-checkpoint freshness lag samples (ms) — bench fodder
@@ -196,8 +194,7 @@ class LiveProfileSession:
                     "stalls": self.tailer.stalls + self.hold_stalls,
                 },
             )
-            snap_span.set(seq=info.seq, delta=info.delta,
-                          bytes=info.bytes_written)
+            snap_span.set(seq=info.seq, bytes=info.bytes_written)
         telemetry.gauge("streaming.checkpoint_lag_ms").set(round(lag_ms, 3))
         telemetry.gauge("streaming.events_behind").set(events_behind)
         self.checkpoints.append(info)

@@ -4,45 +4,34 @@ While a trace streams, the incremental engine's
 :class:`~repro.core.profile_data.ProfileDatabase` is a running partial
 profile; this module materialises it for everything downstream (the
 ``repro watch`` dashboard, observatory ingest, ``put_stream`` uploads).
-The design constraints:
 
-* **Atomic + sequenced.**  Every checkpoint is written to a temp file
-  and ``os.replace``\\ d into ``checkpoint-<seq>.profile`` (or
-  ``.delta``); a ``CURRENT.json`` manifest — itself replaced atomically
-  — names the newest sequence, its lag metrics, and the file chain a
-  reader needs.  A reader never observes a half-written snapshot.
-
-* **Delta-encoded where profitable** (Arafa et al.'s redundancy
-  suppression, applied to snapshots): only the ``(routine, thread)``
-  blocks whose stats changed since the previous checkpoint are written,
-  under a ``repro-profile-delta 1`` header naming the base sequence.
-  When the delta would not be smaller — early in a run nearly every
-  block changes — a full ``repro-profile 1`` dump is written instead,
-  and at least every ``full_every`` checkpoints regardless, to bound
-  reader chain length.
-
-* **Byte-compatible.**  Block text is produced by exactly the
-  :func:`repro.farm.merge.save_profile` formatting rules, so
-  :func:`checkpoint_dump_bytes` (base + deltas reassembled) is the very
-  byte string ``save_profile`` would emit for the same database —
-  that's what the streaming differential suite compares against batch
+* **One format.**  Every checkpoint is a full ``repro-profile 1`` dump
+  written by :func:`repro.farm.merge.save_profile`, so
+  :func:`checkpoint_dump_bytes` returns the very byte string
+  ``save_profile`` emits for the same database — that's what the
+  streaming differential suite compares against batch
   ``repro analyze`` output.
+
+* **Atomic + sequenced.**  Every checkpoint is written to a temp file,
+  fsynced and ``os.replace``\\ d into ``checkpoint-<seq>.profile``;
+  then a ``CURRENT.json`` manifest — itself replaced atomically, last —
+  names that file, its sequence number and the lag metrics.  A reader
+  never observes a half-written snapshot.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from ..core.profile_data import ProfileDatabase
-from ..core.tracefile import escape_name, unescape_name
-from ..farm.merge import PROFILE_MAGIC, ProfileDumpError, load_profile
+from ..farm.merge import PROFILE_MAGIC, ProfileDumpError, load_profile, save_profile
 
 __all__ = [
     "MANIFEST_NAME",
     "STREAM_SCHEMA",
-    "DELTA_MAGIC",
     "CheckpointInfo",
     "SnapshotWriter",
     "load_manifest",
@@ -52,9 +41,6 @@ __all__ = [
 
 MANIFEST_NAME = "CURRENT.json"
 STREAM_SCHEMA = "repro-stream/1"
-DELTA_MAGIC = "repro-profile-delta 1"
-
-_BlockKey = Tuple[str, int]
 
 
 class CheckpointInfo(NamedTuple):
@@ -62,46 +48,8 @@ class CheckpointInfo(NamedTuple):
 
     seq: int
     path: str
-    delta: bool            #: True when the file is a delta, not a full dump
+    delta: bool            #: always False (every checkpoint is a full dump); kept for readers
     bytes_written: int
-    blocks_changed: int
-
-
-def _profile_blocks(db: ProfileDatabase) -> Tuple[str, Dict[_BlockKey, str]]:
-    """Split a database into save_profile-formatted text pieces.
-
-    Returns ``(header, blocks)``: the ``F``/``G`` lines and one text
-    block per ``(routine, thread)`` profile.  Concatenating
-    ``PROFILE_MAGIC``, header and the blocks in sorted key order is
-    byte-for-byte :func:`repro.farm.merge.save_profile` output — keep
-    the formatting here in lockstep with that function.
-    """
-    header = (
-        f"F lower_bound={int(db.sizes_lower_bound)}\n"
-        f"G {db.global_induced_thread} {db.global_induced_external}\n"
-    )
-    blocks: Dict[_BlockKey, str] = {}
-    for key, profile in db._profiles.items():
-        lines = [
-            f"P {escape_name(profile.routine)}\t{profile.thread}\t"
-            f"{profile.induced_thread_sum}\t{profile.induced_external_sum}\n"
-        ]
-        for size in sorted(profile.points):
-            stats = profile.points[size]
-            lines.append(
-                f"S {size} {stats.calls} {stats.cost_min} {stats.cost_max} "
-                f"{stats.cost_sum} {stats.cost_sumsq}\n"
-            )
-        blocks[key] = "".join(lines)
-    return header, blocks
-
-
-def _assemble(header: str, blocks: Dict[_BlockKey, str]) -> str:
-    """Full ``repro-profile 1`` text from header + blocks."""
-    parts = [PROFILE_MAGIC + "\n", header]
-    for key in sorted(blocks):
-        parts.append(blocks[key])
-    return "".join(parts)
 
 
 def _atomic_write(path: str, text: str) -> int:
@@ -118,17 +66,10 @@ def _atomic_write(path: str, text: str) -> int:
 class SnapshotWriter:
     """Emit sequence-numbered partial-profile checkpoints into a directory."""
 
-    def __init__(self, directory: str, stream_id: str, full_every: int = 8):
-        if full_every <= 0:
-            raise ValueError("full_every must be positive")
+    def __init__(self, directory: str, stream_id: str):
         self.directory = directory
         self.stream_id = stream_id
-        self.full_every = full_every
         self.seq = 0
-        self._prev_header: Optional[str] = None
-        self._prev_blocks: Dict[_BlockKey, str] = {}
-        self._since_full = 0
-        self._chain: List[str] = []   # files from the last full to the newest
         os.makedirs(directory, exist_ok=True)
 
     def emit(
@@ -144,38 +85,16 @@ class SnapshotWriter:
     ) -> CheckpointInfo:
         """Write checkpoint ``seq+1`` of ``db`` and repoint the manifest."""
         self.seq += 1
-        header, blocks = _profile_blocks(db)
-        changed = {
-            key: text for key, text in blocks.items()
-            if self._prev_blocks.get(key) != text
-        }
-        full_text = _assemble(header, blocks)
-        delta_lines = [DELTA_MAGIC + "\n", f"B {self.seq - 1}\n", header]
-        for key in sorted(changed):
-            delta_lines.append(changed[key])
-        delta_text = "".join(delta_lines)
-        use_delta = (
-            self._prev_header is not None
-            and self._since_full < self.full_every
-            and len(delta_text) < len(full_text)
-        )
-        name = f"checkpoint-{self.seq:06d}." + ("delta" if use_delta else "profile")
+        dump = io.StringIO()
+        save_profile(db, dump)
+        name = f"checkpoint-{self.seq:06d}.profile"
         path = os.path.join(self.directory, name)
-        size = _atomic_write(path, delta_text if use_delta else full_text)
-        if use_delta:
-            self._since_full += 1
-            self._chain.append(name)
-        else:
-            self._since_full = 0
-            self._chain = [name]
-        self._prev_header = header
-        self._prev_blocks = blocks
+        size = _atomic_write(path, dump.getvalue())
         manifest = {
             "schema": STREAM_SCHEMA,
             "stream_id": self.stream_id,
             "seq": self.seq,
             "file": name,
-            "chain": list(self._chain),
             "closed": bool(closed),
             "events_analyzed": int(events_analyzed),
             "events_behind": int(events_behind),
@@ -187,87 +106,66 @@ class SnapshotWriter:
             manifest.update(extra)
         _atomic_write(os.path.join(self.directory, MANIFEST_NAME),
                       json.dumps(manifest, sort_keys=True) + "\n")
-        return CheckpointInfo(self.seq, path, use_delta, size, len(changed))
+        return CheckpointInfo(self.seq, path, False, size)
 
 
 # -- reading ------------------------------------------------------------------
 
 
 def load_manifest(directory: str) -> Dict:
-    """Read and validate ``CURRENT.json`` of a checkpoint directory."""
+    """Read and validate ``CURRENT.json`` of a checkpoint directory.
+
+    Raises :class:`~repro.farm.merge.ProfileDumpError` unless the
+    manifest is a ``repro-stream/1`` JSON object whose ``file`` is a
+    plain file name, so that reading it never leaves ``directory``.
+    A missing manifest raises ``FileNotFoundError``.
+    """
     path = os.path.join(directory, MANIFEST_NAME)
     with open(path, "r", encoding="utf-8") as stream:
-        manifest = json.load(stream)
+        try:
+            manifest = json.load(stream)
+        except ValueError as error:
+            raise ProfileDumpError(f"{path}: not JSON ({error})") from None
+    if not isinstance(manifest, dict):
+        raise ProfileDumpError(f"{path}: manifest is not a JSON object")
     if manifest.get("schema") != STREAM_SCHEMA:
         raise ProfileDumpError(
             f"{path}: not a {STREAM_SCHEMA} manifest "
             f"(schema {manifest.get('schema')!r})")
+    name = manifest.get("file")
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or os.path.basename(name) != name):
+        raise ProfileDumpError(
+            f"{path}: 'file' must be a plain file name, not {name!r}")
     return manifest
 
 
-def _parse_blocks(lines: List[str], what: str) -> Tuple[str, Dict[_BlockKey, str]]:
-    """Split dump body lines back into header text + keyed blocks."""
-    header_lines: List[str] = []
-    blocks: Dict[_BlockKey, str] = {}
-    key: Optional[_BlockKey] = None
-    for line in lines:
-        if not line.strip():
-            continue
-        tag = line[:1]
-        if tag in ("F", "G"):
-            header_lines.append(line)
-        elif tag == "P":
-            name_text, thread_text = line[2:].split("\t")[:2]
-            key = (unescape_name(name_text), int(thread_text))
-            blocks[key] = line
-        elif tag == "S":
-            if key is None:
-                raise ProfileDumpError(f"{what}: size point before any profile")
-            blocks[key] += line
-        else:
-            raise ProfileDumpError(f"{what}: unknown record tag {tag!r}")
-    return "".join(header_lines), blocks
-
-
 def checkpoint_dump_bytes(directory: str, manifest: Optional[Dict] = None) -> bytes:
-    """Reassemble the newest checkpoint as full ``repro-profile 1`` bytes.
+    """The newest checkpoint: the bytes of the file the manifest names.
 
-    Reads the manifest's chain (one full dump plus any deltas layered on
-    it) and returns exactly the bytes :func:`~repro.farm.merge.save_profile`
-    would produce for the checkpointed database.
+    They are exactly what :func:`~repro.farm.merge.save_profile` wrote
+    for the checkpointed database.  A named file that is missing, or
+    whose first line is not ``repro-profile 1`` (such as a delta file
+    left by an older writer), raises
+    :class:`~repro.farm.merge.ProfileDumpError`.
     """
     if manifest is None:
         manifest = load_manifest(directory)
-    chain = manifest.get("chain") or [manifest["file"]]
-    header: Optional[str] = None
-    blocks: Dict[_BlockKey, str] = {}
-    for index, name in enumerate(chain):
-        path = os.path.join(directory, name)
-        with open(path, "r", encoding="utf-8") as stream:
-            first = stream.readline().rstrip("\n")
-            lines = stream.readlines()
-        if index == 0:
-            if first != PROFILE_MAGIC:
-                raise ProfileDumpError(
-                    f"{path}: chain base is not a profile dump ({first!r})")
-            header, blocks = _parse_blocks(lines, path)
-        else:
-            if first != DELTA_MAGIC:
-                raise ProfileDumpError(f"{path}: not a profile delta ({first!r})")
-            if not lines or not lines[0].startswith("B "):
-                raise ProfileDumpError(f"{path}: delta missing base line")
-            delta_header, changed = _parse_blocks(lines[1:], path)
-            header = delta_header
-            blocks.update(changed)
-    if header is None:
-        raise ProfileDumpError(f"{directory}: empty checkpoint chain")
-    return _assemble(header, blocks).encode("utf-8")
+    path = os.path.join(directory, manifest["file"])
+    try:
+        with open(path, "rb") as stream:
+            data = stream.read()
+    except FileNotFoundError:
+        raise ProfileDumpError(
+            f"{path}: checkpoint named by {MANIFEST_NAME} is missing") from None
+    first = data.split(b"\n", 1)[0].decode("utf-8", errors="replace")
+    if first != PROFILE_MAGIC:
+        raise ProfileDumpError(f"{path}: not a profile dump (header {first!r})")
+    return data
 
 
 def load_checkpoint(directory: str) -> Tuple[Dict, ProfileDatabase]:
     """Load the newest checkpoint: ``(manifest, partial ProfileDatabase)``."""
-    import io
-
     manifest = load_manifest(directory)
     dump = checkpoint_dump_bytes(directory, manifest)
     db = load_profile(io.StringIO(dump.decode("utf-8")))

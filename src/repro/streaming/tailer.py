@@ -39,17 +39,15 @@ from .. import telemetry
 from ..core.tracefile import unescape_name
 from ..farm.binfmt import (
     BINARY_MAGIC,
+    RECORD_BYTES,
     BinaryTraceError,
     ChunkColumns,
     ChunkMeta,
     TraceMeta,
     TruncatedChunk,
-    _CHUNK_FIXED,
-    _RECORD_BYTES,
-    _THREAD_COUNT,
-    _TRAILER,
     decode_chunk_columns,
     live_names_path,
+    read_chunk_header,
     read_trace_meta,
 )
 
@@ -147,10 +145,8 @@ class ChunkTailer:
         self._names_offset += consumed
         return added
 
-    def _check_seal(self, stream: IO[bytes], size: int) -> bool:
+    def _check_seal(self, stream: IO[bytes]) -> bool:
         """Look for a valid trailer+footer; adopt it when present."""
-        if size < len(BINARY_MAGIC) + _TRAILER.size:
-            return False
         try:
             meta = read_trace_meta(stream)
         except BinaryTraceError:
@@ -167,34 +163,14 @@ class ChunkTailer:
         """Sequentially parse complete chunks between offset and EOF."""
         fresh: List[ChunkMeta] = []
         while budget > 0:
-            offset = self._offset
-            if offset + _CHUNK_FIXED.size > size:
+            chunk = read_chunk_header(stream, self._offset, size, self._next_pos)
+            if chunk is None:
+                # A partial trailing chunk (re-poll later), the footer
+                # being written (the seal resolves it next poll) or a
+                # torn file (finish() reports that): stop, no progress.
                 break
-            stream.seek(offset)
-            fixed = stream.read(_CHUNK_FIXED.size)
-            if len(fixed) != _CHUNK_FIXED.size:
-                break
-            payload_bytes, events, first_pos, writes, n_threads = _CHUNK_FIXED.unpack(fixed)
-            if (events <= 0 or n_threads <= 0
-                    or payload_bytes != events * _RECORD_BYTES
-                    or first_pos != self._next_pos):
-                # Not a chunk header: either the footer is being written
-                # (the seal will resolve it next poll) or the file is
-                # torn (finish() reports that).  Stop without progress.
-                break
-            header_size = _CHUNK_FIXED.size + _THREAD_COUNT.size * n_threads
-            if offset + header_size + payload_bytes > size:
-                break  # partial trailing chunk: re-poll later
-            raw = stream.read(_THREAD_COUNT.size * n_threads)
-            if len(raw) != _THREAD_COUNT.size * n_threads:
-                break
-            counts = {thread: count for thread, count in _THREAD_COUNT.iter_unpack(raw)}
-            if sum(counts.values()) != events:
-                break  # implausible header: treat like a non-chunk
-            chunk = ChunkMeta(offset, offset + header_size, payload_bytes,
-                              events, first_pos, writes, counts)
             fresh.append(chunk)
-            self._offset = offset + header_size + payload_bytes
+            self._offset = chunk.payload_offset + chunk.payload_bytes
             self._next_pos = chunk.last_pos
             budget -= 1
         return fresh
@@ -223,7 +199,7 @@ class ChunkTailer:
         with telemetry.span("stream.tail", path=os.path.basename(self.path)) as tail_span:
             if not self.sealed:
                 self.refresh_names()
-                if not self._check_seal(stream, size):
+                if not self._check_seal(stream):
                     fresh = self._parse_unsealed(stream, size, budget)
                 else:
                     fresh = []
@@ -251,7 +227,7 @@ class ChunkTailer:
         if self.sealed:
             return sum(chunk.events for chunk in self._pending)
         pending_bytes = max(0, self._tail_size - max(self._offset, len(BINARY_MAGIC)))
-        return pending_bytes // _RECORD_BYTES
+        return pending_bytes // RECORD_BYTES
 
     def finish(self) -> None:
         """Assert end of stream; raise on a torn tail.

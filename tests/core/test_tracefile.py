@@ -1,29 +1,30 @@
-"""Tests for trace persistence."""
+"""Tests for trace persistence: record to a v2 trace, replay it, and the
+routine-name escaping shared by every format that stores names."""
 
 import io
 
 import pytest
 
-from repro.core import (
-    EventBus,
-    RmsProfiler,
-    TraceWriter,
-    TrmsProfiler,
-    iter_trace,
-    read_trace,
-    replay,
-    write_trace,
-)
+from repro.core import EventBus, ProfileDatabase, RmsProfiler, TrmsProfiler, replay
 from repro.core.tracefile import TraceFileError
+from repro.farm import (
+    BinaryTraceWriter,
+    live_names_path,
+    load_profile,
+    read_binary_trace,
+    save_profile,
+)
+from repro.streaming import ChunkTailer
 from repro.vm import programs
 
 from .util import db_snapshot
 
 
 def record_scenario(scenario, **kwargs):
-    buffer = io.StringIO()
-    writer = TraceWriter(buffer)
+    buffer = io.BytesIO()
+    writer = BinaryTraceWriter(buffer)
     scenario.run(tools=writer, **kwargs)
+    writer.close()
     buffer.seek(0)
     return buffer, writer.events_written
 
@@ -35,37 +36,14 @@ def test_roundtrip_preserves_analysis():
     # run the same scenario live
     programs.producer_consumer(12).run(tools=EventBus([live]))
     replayed = TrmsProfiler(keep_activations=True)
-    replay(read_trace(buffer), replayed)
+    replay(read_binary_trace(buffer), replayed)
     assert db_snapshot(live.db) == db_snapshot(replayed.db)
 
 
 def test_event_count_matches():
     buffer, written = record_scenario(programs.buffered_read(6))
-    assert written == len(read_trace(buffer))
+    assert written == len(read_binary_trace(buffer))
     assert written > 0
-
-
-def test_iter_trace_is_lazy_and_equal():
-    buffer, _ = record_scenario(programs.figure_1a())
-    events_eager = read_trace(buffer)
-    buffer.seek(0)
-    events_lazy = list(iter_trace(buffer))
-    assert events_eager == events_lazy
-
-
-def test_bad_header_rejected():
-    with pytest.raises(TraceFileError, match="not a trace file"):
-        read_trace(io.StringIO("something else\nC\t1\tf\n"))
-
-
-def test_bad_line_rejected():
-    with pytest.raises(TraceFileError, match="line 2"):
-        read_trace(io.StringIO("repro-trace 1\ngarbage\n"))
-
-
-def test_bad_argument_rejected():
-    with pytest.raises(TraceFileError, match="bad argument"):
-        read_trace(io.StringIO("repro-trace 1\nr\t1\tnotanumber\n"))
 
 
 @pytest.mark.parametrize("name", [
@@ -77,15 +55,31 @@ def test_bad_argument_rejected():
     "plain_name",
     "unicode·name",
 ])
-def test_awkward_routine_names_roundtrip(name):
-    """Tabs/newlines/backslashes in routine names survive the v1 format."""
-    buffer = io.StringIO()
-    writer = TraceWriter(buffer)
-    writer.on_call(1, name)
-    writer.on_return(1)
-    buffer.seek(0)
-    events = read_trace(buffer)
-    assert events[0].arg == name
+def test_awkward_routine_names_roundtrip(name, tmp_path):
+    """Tabs/newlines/backslashes in routine names survive every format
+    that stores them: the v2 string table, the live ``.names`` sidecar
+    (read back by the tailer before the footer exists) and the
+    ``repro-profile 1`` dump."""
+    trace = str(tmp_path / "t.rpt2")
+    with open(trace, "wb") as stream, \
+            open(live_names_path(trace), "w", encoding="utf-8") as names:
+        writer = BinaryTraceWriter(stream, chunk_events=2, names_stream=names)
+        writer.on_call(1, name)
+        writer.on_return(1)                 # seals the chunk, flushes the name
+        with ChunkTailer(trace) as tailer:
+            assert sum(columns.events for columns in tailer.poll()) == 2
+            assert not tailer.sealed
+            assert tailer.names == [name]
+        writer.close()
+    with open(trace, "rb") as stream:
+        assert read_binary_trace(stream)[0].arg == name
+
+    db = ProfileDatabase()
+    db.add_activation(name, 1, 4, 9)
+    dump = io.StringIO()
+    save_profile(db, dump)
+    dump.seek(0)
+    assert [profile.routine for profile in load_profile(dump)] == [name]
 
 
 def test_escape_name_helpers():
@@ -101,21 +95,11 @@ def test_escape_name_helpers():
         unescape_name("bad\\x")
 
 
-def test_write_trace_helper():
-    buffer, _ = record_scenario(programs.sum_array([1, 2, 3]))
-    events = read_trace(buffer)
-    out = io.StringIO()
-    count = write_trace(events, out)
-    assert count == len(events)
-    out.seek(0)
-    assert read_trace(out) == events
-
-
 def test_kernel_events_roundtrip():
     buffer, _ = record_scenario(programs.buffered_read(4))
     rms = RmsProfiler(keep_activations=True)
     trms = TrmsProfiler(keep_activations=True)
-    replay(read_trace(buffer), EventBus([rms, trms]))
+    replay(read_binary_trace(buffer), EventBus([rms, trms]))
     external = [a for a in trms.db.activations if a.routine == "externalRead"][0]
     assert external.induced_external == 4
     assert [a for a in rms.db.activations if a.routine == "externalRead"][0].size == 1

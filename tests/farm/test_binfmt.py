@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Event, EventKind, write_trace
+from repro.core import Event, EventKind
 from repro.farm import (
     BinaryTraceError,
     BinaryTraceWriter,
-    convert_v1_to_v2,
-    convert_v2_to_v1,
     is_binary_trace,
     iter_binary_trace,
     read_binary_trace,
@@ -36,21 +34,6 @@ def roundtrip(events, chunk_events=64):
 @given(events_strategy(), st.sampled_from([1, 3, 64, 4096]))
 def test_arbitrary_streams_roundtrip(events, chunk_events):
     assert roundtrip(events, chunk_events) == events
-
-
-@settings(max_examples=60, deadline=None)
-@given(events_strategy(max_ops=80))
-def test_v1_v2_v1_conversion_is_lossless(events):
-    v1_original = io.StringIO()
-    write_trace(events, v1_original)
-
-    v1_original.seek(0)
-    v2 = io.BytesIO()
-    convert_v1_to_v2(v1_original, v2, chunk_events=16)
-    v2.seek(0)
-    v1_again = io.StringIO()
-    convert_v2_to_v1(v2, v1_again)
-    assert v1_again.getvalue() == v1_original.getvalue()
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,8 +149,7 @@ def test_is_binary_trace_sniffing(tmp_path):
     with open(v2, "wb") as stream:
         write_binary_trace([Event(EventKind.COST, 1, 5)], stream)
     v1 = tmp_path / "trace.v1"
-    with open(v1, "w") as stream:
-        write_trace([Event(EventKind.COST, 1, 5)], stream)
+    v1.write_text("repro-trace 1\n$\t1\t5\n")    # the retired text format
     assert is_binary_trace(str(v2))
     assert not is_binary_trace(str(v1))
     assert not is_binary_trace(str(tmp_path / "missing"))

@@ -121,19 +121,3 @@ def test_merged_runs_equal_merged_online(tmp_path):
     merged_farm = merge_databases(farm_dbs)
     merged_online = merge_databases(online_dbs)
     assert comparable(merged_farm)[:2] == comparable(merged_online)[:2]
-
-
-def test_v1_trace_is_converted_and_exact(tmp_path):
-    """analyze_file accepts a v1 text trace (converts to v2 internally)."""
-    from repro.core import TraceWriter, read_trace
-    from repro.workloads import benchmark as get_benchmark
-
-    path = tmp_path / "run.trace"
-    with open(path, "w") as stream:
-        writer = TraceWriter(stream)
-        get_benchmark("358.botsalgn").run(tools=writer, threads=4, scale=0.5)
-    with open(path) as stream:
-        events = read_trace(stream)
-    result = analyze_file(str(path), jobs=2, keep_activations=True)
-    assert comparable(result.db) == comparable(online_db(events))
-    assert path.exists()  # the conversion used a temp file, not the input

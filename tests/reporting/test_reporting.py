@@ -1,16 +1,12 @@
 """Tests for ASCII rendering, reports and figure builders."""
 
-import io
-
 import pytest
 
 from repro.core import ProfileDatabase
 from repro.reporting import (
     bars,
-    dump_points,
     external_input_curve,
     induced_breakdown,
-    parse_points,
     render_report,
     richness_curve,
     scatter,
@@ -83,40 +79,6 @@ def test_render_report_per_thread():
     report = render_report(sample_db(), merged=False)
     # per-thread rows: f appears for threads 1 and 2
     assert report.count("f") >= 2
-
-
-def test_dump_and_parse_points_roundtrip():
-    db = sample_db()
-    buffer = io.StringIO()
-    count = dump_points(db, buffer)
-    assert count == 3   # (f,1,2), (f,2,5), (g,1,1)
-    buffer.seek(0)
-    rebuilt = parse_points(buffer)
-    for profile in db:
-        twin = rebuilt.profile(profile.routine, profile.thread)
-        assert twin is not None
-        assert twin.calls == profile.calls
-        for size, stats in profile.points.items():
-            twin_stats = twin.points[size]
-            assert twin_stats.calls == stats.calls
-            assert twin_stats.cost_min == stats.cost_min
-            assert twin_stats.cost_max == stats.cost_max
-            assert twin_stats.cost_sum == stats.cost_sum
-
-
-def test_parse_points_many_calls_preserves_sum():
-    db = ProfileDatabase()
-    for cost in (1, 5, 9, 9, 100):
-        db.add_activation("r", 1, size=3, cost=cost)
-    buffer = io.StringIO()
-    dump_points(db, buffer)
-    buffer.seek(0)
-    rebuilt = parse_points(buffer)
-    stats = rebuilt.profile("r", 1).points[3]
-    assert stats.calls == 5
-    assert stats.cost_min == 1
-    assert stats.cost_max == 100
-    assert stats.cost_sum == 124
 
 
 # -- figures -----------------------------------------------------------------------

@@ -3,7 +3,12 @@
 import filecmp
 import io
 
+import pytest
+
 from repro.cli import main
+from repro.core import ProfileDatabase
+
+from .util import MALFORMED_CHECKPOINTS, dump_bytes, write_checkpoint_dir
 
 
 def run_cli(*argv):
@@ -49,14 +54,32 @@ def test_watch_follows_a_growing_trace(tmp_path):
     assert "checkpoint #" in frame
 
 
-def test_record_live_requires_v2(tmp_path):
-    code, output = run_cli(
-        "record", "376.kdtree", str(tmp_path / "t.trace"), "--format", "v1",
-        "--live", str(tmp_path / "ckpt"))
-    assert code == 2
-    assert "--live" in output
-
-
 def test_watch_without_checkpoints_errors(tmp_path):
     code, output = run_cli("watch", str(tmp_path / "nothere"), "--once")
     assert code != 0
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+def test_watch_reports_malformed_checkpoint_dirs(tmp_path, case):
+    directory = str(tmp_path / "ckpt")
+    write_checkpoint_dir(directory, case)
+    code, output = run_cli("watch", directory, "--once")
+    assert code == 2
+    assert output.startswith("error: ") and output.count("error:") == 1
+
+
+def test_observe_ingest_reports_malformed_checkpoint_dirs_and_goes_on(tmp_path):
+    directories = []
+    for case in sorted(MALFORMED_CHECKPOINTS):
+        directories.append(str(tmp_path / case))
+        write_checkpoint_dir(directories[-1], case)
+    db = ProfileDatabase()
+    for size in (4, 8, 16):
+        db.add_activation("alpha", 1, size, 3 * size)
+    good = tmp_path / "good.profile"
+    good.write_bytes(dump_bytes(db))
+    code, output = run_cli("observe", "ingest", *directories, str(good),
+                           "--store", str(tmp_path / "obs"))
+    assert code == 1
+    assert output.count("error:") == len(directories)
+    assert f"{good}: ingested" in output

@@ -8,6 +8,7 @@ benchmark traces and hypothesis-generated traces through arbitrary
 chunk-arrival schedules and compare dumps byte for byte.
 """
 
+import os
 import tempfile
 
 from hypothesis import given, settings
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 import pytest
 
+from repro.farm import load_profile
 from repro.streaming import (
+    MANIFEST_NAME,
     LiveProfileSession,
     checkpoint_dump_bytes,
     load_manifest,
@@ -86,13 +89,19 @@ def test_hypothesis_traces_any_cuts_byte_identical(events, raw_cuts, chunk_event
         assert checkpoint_dump_bytes(f"{tmp_dir}/ckpt") == expected
 
 
-def test_checkpoint_chain_reassembles_at_every_seq(tmp_path):
-    """Deltas must reassemble: ingest the *final* manifest through the
-    chain reader and get the exact batch dump even when most checkpoints
-    were delta-encoded."""
+def test_every_checkpoint_loads_and_the_last_equals_batch(tmp_path):
+    """Every checkpoint in the directory is a whole ``repro-profile 1``
+    dump that loads on its own, and the final one is the batch dump."""
     events = benchmark_events("376.kdtree", threads=2, scale=0.2)
     cuts = SCHEDULES["trickle"](len(events))
     session, _db = stream_through(str(tmp_path), events, cuts,
-                                  checkpoint_events=200, full_every=5)
-    assert any(info.delta for info in session.checkpoints)
-    assert checkpoint_dump_bytes(str(tmp_path / "ckpt")) == batch_dump_bytes(events)
+                                  checkpoint_events=200)
+    ckpt = tmp_path / "ckpt"
+    names = sorted(name for name in os.listdir(ckpt) if name != MANIFEST_NAME)
+    assert len(names) == len(session.checkpoints) > 1
+    for name in names:
+        with open(ckpt / name, "r", encoding="utf-8") as stream:
+            load_profile(stream)
+    expected = batch_dump_bytes(events)
+    assert (ckpt / names[-1]).read_bytes() == expected
+    assert checkpoint_dump_bytes(str(ckpt)) == expected

@@ -1,4 +1,4 @@
-"""Checkpoint snapshots: delta encoding, atomicity, manifest schema."""
+"""Checkpoint snapshots: full dumps, atomicity, manifest validation."""
 
 import json
 import os
@@ -8,7 +8,6 @@ import pytest
 from repro.core import ProfileDatabase
 from repro.farm import ProfileDumpError
 from repro.streaming import (
-    DELTA_MAGIC,
     MANIFEST_NAME,
     STREAM_SCHEMA,
     SnapshotWriter,
@@ -17,7 +16,7 @@ from repro.streaming import (
     load_manifest,
 )
 
-from .util import dump_bytes
+from .util import MALFORMED_CHECKPOINTS, dump_bytes, write_checkpoint_dir
 
 
 def growing_db(rounds):
@@ -35,43 +34,24 @@ def test_emit_then_reload_is_exact(tmp_path):
     writer = SnapshotWriter(str(tmp_path), "s1")
     db = None
     for db in growing_db(3):
-        writer.emit(db, events_analyzed=100)
+        info = writer.emit(db, events_analyzed=100)
+        # every checkpoint is a whole save_profile dump of its database
+        assert not info.delta
+        with open(info.path, "rb") as stream:
+            assert stream.read() == dump_bytes(db)
+        assert info.bytes_written == len(dump_bytes(db))
     manifest, loaded = load_checkpoint(str(tmp_path))
     assert manifest["seq"] == 3
     assert dump_bytes(loaded) == dump_bytes(db)
     assert checkpoint_dump_bytes(str(tmp_path)) == dump_bytes(db)
 
 
-def test_second_checkpoint_is_a_delta(tmp_path):
-    writer = SnapshotWriter(str(tmp_path), "s1")
-    infos = [writer.emit(db, events_analyzed=1) for db in growing_db(3)]
-    assert not infos[0].delta                 # nothing to diff against
-    assert infos[1].delta and infos[2].delta  # only "hot" blocks changed
-    assert infos[1].blocks_changed < 4        # cold blocks not re-shipped
-    with open(infos[1].path, "r", encoding="utf-8") as stream:
-        first_line = stream.readline().strip()
-    assert first_line == DELTA_MAGIC
-    # deltas beat full rewrites on these mostly-unchanged databases
-    full_size = os.path.getsize(infos[0].path)
-    assert infos[1].bytes_written < full_size
-
-
-def test_full_every_bounds_the_chain(tmp_path):
-    writer = SnapshotWriter(str(tmp_path), "s1", full_every=2)
-    for db in growing_db(7):
-        writer.emit(db, events_analyzed=1)
-    manifest = load_manifest(str(tmp_path))
-    # chain = one full + at most full_every deltas
-    assert 1 <= len(manifest["chain"]) <= 3
-    assert manifest["chain"][0].endswith(".profile")
-
-
 def test_manifest_schema_and_atomicity(tmp_path):
-    writer = SnapshotWriter(str(tmp_path), "abc123", full_every=4)
+    writer = SnapshotWriter(str(tmp_path), "abc123")
     for db in growing_db(4):
         writer.emit(db, events_analyzed=7, events_behind=3, lag_ms=1.25,
                     events_per_s=1000.0, timestamp="2026-08-07T00:00:00")
-    raw = json.load(open(tmp_path / MANIFEST_NAME))
+    raw = json.loads((tmp_path / MANIFEST_NAME).read_text())
     assert raw["schema"] == STREAM_SCHEMA
     assert raw["stream_id"] == "abc123"
     assert raw["seq"] == 4
@@ -86,3 +66,12 @@ def test_wrong_schema_is_rejected(tmp_path):
     (tmp_path / MANIFEST_NAME).write_text(json.dumps({"schema": "bogus/9"}))
     with pytest.raises(ProfileDumpError):
         load_manifest(str(tmp_path))
+    # so is any other malformed manifest, and a manifest naming a file
+    # that is missing, outside the directory, or not a profile dump
+    for case in MALFORMED_CHECKPOINTS:
+        directory = str(tmp_path / case)
+        write_checkpoint_dir(directory, case)
+        with pytest.raises(ProfileDumpError):
+            checkpoint_dump_bytes(directory)
+        with pytest.raises(ProfileDumpError):
+            load_checkpoint(directory)

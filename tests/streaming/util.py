@@ -10,13 +10,48 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
+import os
 
 from repro.core import Event, EventKind, ProfileDatabase, replay
 from repro.core.flatkernel import analyze_events_flat
 from repro.farm import BinaryTraceWriter, live_names_path, read_binary_trace, save_profile
+from repro.streaming import MANIFEST_NAME, STREAM_SCHEMA
 from repro.workloads import benchmark
 
 SIZES = (4, 8, 16, 32, 64, 128)
+
+_EMPTY_DUMP = "repro-profile 1\nF lower_bound=0\nG 0 0\n"
+_MANIFEST = {"schema": STREAM_SCHEMA, "stream_id": "s1", "seq": 1}
+
+#: checkpoint directories every reader must reject with a typed error:
+#: case -> (CURRENT.json text, {file name relative to the directory: text})
+MALFORMED_CHECKPOINTS = {
+    "not-json": ("{", {}),
+    "not-an-object": ("[]", {}),
+    "wrong-schema": (json.dumps({**_MANIFEST, "schema": "bogus/9", "file": "c.profile"}),
+                     {"c.profile": _EMPTY_DUMP}),
+    "no-file": (json.dumps(_MANIFEST), {}),
+    "file-outside-dir": (json.dumps({**_MANIFEST, "file": "../live.profile"}),
+                         {"../live.profile": _EMPTY_DUMP}),
+    "file-is-parent-dir": (json.dumps({**_MANIFEST, "file": ".."}), {}),
+    "missing-file": (json.dumps({**_MANIFEST, "file": "c.profile"}), {}),
+    # named like a file of the retired incremental checkpoint writer;
+    # any first line other than the dump magic is rejected
+    "not-a-dump": (json.dumps({**_MANIFEST, "file": "checkpoint-000002.delta"}),
+                   {"checkpoint-000002.delta": "B 1\nF lower_bound=0\nG 0 0\n"}),
+}
+
+
+def write_checkpoint_dir(directory, case):
+    """Lay out the :data:`MALFORMED_CHECKPOINTS` case ``case`` in ``directory``."""
+    manifest, files = MALFORMED_CHECKPOINTS[case]
+    os.makedirs(directory)
+    with open(os.path.join(directory, MANIFEST_NAME), "w", encoding="utf-8") as stream:
+        stream.write(manifest)
+    for name, text in files.items():
+        with open(os.path.join(directory, name), "w", encoding="utf-8") as stream:
+            stream.write(text)
 
 
 @contextlib.contextmanager

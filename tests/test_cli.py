@@ -65,22 +65,61 @@ def test_profile_context_sensitive():
 
 
 def test_dump_and_fit_roundtrip(tmp_path):
-    dump = tmp_path / "points.tsv"
+    """``profile --dump`` writes the ``save_profile`` bytes of the online
+    TRMS profile, and the file feeds fit, merge, diff and observe ingest."""
+    from repro.core import TrmsProfiler
+    from repro.farm import save_profile
+    from repro.workloads import benchmark
+
+    dump = tmp_path / "p.profile"
     code, _ = run_cli("profile", "376.kdtree", "--threads", "2", "--dump", str(dump))
     assert code == 0
-    assert dump.exists()
+    online = TrmsProfiler()
+    benchmark("376.kdtree").run(tools=online, threads=2, scale=1.0)
+    expected = io.StringIO()
+    save_profile(online.db, expected)
+    assert dump.read_bytes() == expected.getvalue().encode("utf-8")
+
     code, output = run_cli("fit", str(dump), "search")
     assert code == 0
     assert "search:" in output
     assert "R^2" in output
+    code, output = run_cli("merge", "-o", str(tmp_path / "all.profile"),
+                           str(dump), str(dump))
+    assert code == 0 and "merged profile of 2 run(s)" in output
+    code, _ = run_cli("diff", str(dump), str(dump))
+    assert code == 0
+    code, output = run_cli("observe", "ingest", str(dump),
+                           "--store", str(tmp_path / "obs"))
+    assert code == 0 and f"{dump}: ingested" in output
+
+    sampled = tmp_path / "sampled.profile"
+    code, _ = run_cli("profile", "376.kdtree", "--threads", "2", "--sample", "4",
+                      "--dump", str(sampled))
+    assert code == 0
+    assert sampled.read_text().splitlines()[1] == "F lower_bound=1"
 
 
 def test_fit_unknown_routine(tmp_path):
-    dump = tmp_path / "points.tsv"
+    dump = tmp_path / "p.profile"
     run_cli("profile", "376.kdtree", "--threads", "2", "--dump", str(dump))
     code, output = run_cli("fit", str(dump), "ghost")
     assert code == 2
     assert "error" in output
+
+
+@pytest.mark.parametrize("content", [
+    None,                                                   # missing file
+    "repro-profile 1\nF lower_bound=0\nS 4 1 2 2 2 4\n",    # point before a profile
+    "hello\n",                                              # not a dump
+], ids=["missing", "point-before-profile", "plain-text"])
+def test_fit_rejects_bad_input(tmp_path, content):
+    dump = tmp_path / "bad.profile"
+    if content is not None:
+        dump.write_text(content)
+    code, output = run_cli("fit", str(dump), "search")
+    assert code == 2
+    assert output.startswith("error: ") and output.count("error:") == 1
 
 
 def test_profile_with_sampling():
@@ -105,10 +144,12 @@ def test_record_and_analyze_roundtrip(tmp_path):
 
 def test_analyze_rejects_non_trace(tmp_path):
     bogus = tmp_path / "bogus.txt"
-    bogus.write_text("hello\n")
-    code, output = run_cli("analyze", str(bogus))
-    assert code == 2
-    assert "error" in output
+    for content in ("hello\n",
+                    "repro-trace 1\nC\t1\tmain\nR\t1\t0\n"):   # the retired v1 text format
+        bogus.write_text(content)
+        code, output = run_cli("analyze", str(bogus))
+        assert code == 2
+        assert output == "error: not a binary trace (bad magic)\n"
 
 
 def test_record_v2_is_binary_and_analyzable(tmp_path):
@@ -123,12 +164,11 @@ def test_record_v2_is_binary_and_analyzable(tmp_path):
     assert "trms profile" in output and "do_task" in output
 
 
-def test_record_v1_format_still_text(tmp_path):
-    trace = tmp_path / "run.trace"
-    code, _ = run_cli("record", "358.botsalgn", str(trace),
-                      "--threads", "2", "--scale", "0.5", "--format", "v1")
-    assert code == 0
-    assert trace.read_text().startswith("repro-trace 1")
+def test_record_has_no_format_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("record", "376.kdtree", str(tmp_path / "t.rpt2"), "--format", "v1")
+    assert exit_info.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 def test_analyze_jobs_matches_sequential(tmp_path):

@@ -121,6 +121,6 @@ def test_ext_parallel_analysis(benchmark):
 
     # the pooled run really fanned out: several shards, none fell back
     pooled = stats[4]
-    assert len(pooled.outcomes) > 1, pooled.strategy
+    assert len(pooled.outcomes) > 1
     assert all(outcome.where == "pool" for outcome in pooled.outcomes)
     assert pooled.fallbacks == 0

@@ -77,7 +77,7 @@ def measure_kernels(path: str):
     """
     with open(path, "rb") as stream:
         meta = read_trace_meta(stream)
-    shard = plan_shards(meta, 1).shards[0]
+    shard = plan_shards(meta, 1)[0]
     task = ShardTask(path, shard.shard_id, shard.threads, shard.chunk_indices)
     runs = {"naive": lambda: replay_naive(path),
             "flat": lambda: run_shard(task).db}

@@ -10,13 +10,15 @@ text artefacts around it share:
   vocabulary;
 * :func:`escape_name` / :func:`unescape_name` — the routine-name
   escaping of the line-oriented formats: the v2 ``.names`` sidecar and
-  the ``repro-profile 1`` dump (:mod:`repro.farm.merge`).  Tabs,
-  newlines and backslashes are backslash-escaped on write and restored
-  on read, so arbitrary names round-trip.
+  the ``repro-profile 1`` dump (:mod:`repro.farm.merge`).  Backslashes,
+  tabs and every character that ends a line for ``str.splitlines`` or
+  universal-newline reading (``\\r``, ``\\x85``, ``\\u2028``, …) are
+  escaped on write and restored on read, so arbitrary names round-trip.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import List
 
 __all__ = [
@@ -36,19 +38,34 @@ class MalformedRecord(TraceFileError):
     byte, or a ``CALL`` routine id outside the string table."""
 
 
-def escape_name(name: str) -> str:
-    """Make a routine name safe for tab/newline-delimited formats.
+#: what :func:`escape_name` rewrites: the escape character, the two
+#: delimiters, and every other character at which ``str.splitlines`` or
+#: universal-newline reading ends a line — none of them printable, so a
+#: printable name without a backslash passes through untouched
+_ESCAPES = {ord("\\"): "\\\\", ord("\t"): "\\t", ord("\n"): "\\n", ord("\r"): "\\r"}
+_ESCAPES.update({ord(char): f"\\u{ord(char):04x}"
+                 for char in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"})
+_UNESCAPES = {escape: chr(code) for code, escape in _ESCAPES.items()}
 
-    Backslash-escapes the two delimiter characters and the escape
-    character itself; every other character passes through untouched, so
-    escaped names of ordinary routines are byte-identical to the raw
-    ones.
+
+def escape_name(name: str) -> str:
+    """Make a routine name safe for the line-oriented formats.
+
+    Backslash-escapes the escape character itself, tab (``\\t``),
+    newline (``\\n``) and carriage return (``\\r``); the other line
+    separators (``\\x0b \\x0c \\x1c \\x1d \\x1e \\x85 \\u2028 \\u2029``)
+    become ``\\u`` plus four lowercase hex digits.  Every other
+    character passes through untouched, so escaped names of ordinary
+    routines are byte-identical to the raw ones.
     """
-    return name.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    if "\\" not in name and name.isprintable():
+        return name
+    return name.translate(_ESCAPES)
 
 
 def unescape_name(text: str) -> str:
-    """Inverse of :func:`escape_name`."""
+    """Inverse of :func:`escape_name`; any other escape is a
+    :class:`TraceFileError`."""
     if "\\" not in text:
         return text
     out: List[str] = []
@@ -58,15 +75,13 @@ def unescape_name(text: str) -> str:
             out.append(ch)
             continue
         nxt = next(it, None)
-        if nxt == "t":
-            out.append("\t")
-        elif nxt == "n":
-            out.append("\n")
-        elif nxt == "\\":
-            out.append("\\")
-        elif nxt is None:
+        if nxt is None:
             raise TraceFileError(f"dangling escape in name {text!r}")
-        else:
-            bad = "\\" + nxt
-            raise TraceFileError(f"bad escape {bad!r} in name {text!r}")
+        escape = "\\" + nxt
+        if nxt == "u":
+            escape += "".join(islice(it, 4))
+        plain = _UNESCAPES.get(escape)
+        if plain is None:
+            raise TraceFileError(f"bad escape {escape!r} in name {text!r}")
+        out.append(plain)
     return "".join(out)

@@ -11,13 +11,14 @@ cash that in under the GIL.  This package spreads them over processes:
 * :mod:`repro.farm.binfmt` — trace format v2: chunked, struct-packed
   binary traces with a string table and a seekable chunk index;
 * :mod:`repro.farm.shards` — shard planning over the chunk index
-  (whole threads per shard, chunk-range fallback for skewed traces);
+  (longest-processing-time packing of whole threads);
 * :mod:`repro.farm.worker` — the per-process shard analyser;
 * :mod:`repro.farm.merge` — exact, associative profile merging across
   shards and across independent runs, plus the lossless profile dump
   format;
 * :mod:`repro.farm.engine` — orchestration with per-shard timeouts,
-  bounded retries and inline fallback.
+  bounded retries and inline fallback, each shard's tallies kept on
+  its :class:`~repro.farm.engine.ShardOutcome`.
 
 The farm's contract is exactness: its merged output is bit-identical
 to the online :class:`~repro.core.trms.TrmsProfiler` on every
@@ -50,7 +51,7 @@ from .merge import (
     merge_into,
     save_profile,
 )
-from .shards import Shard, ShardPlan, plan_shards
+from .shards import Shard, plan_shards
 from .worker import ShardTask, WorkerResult, run_shard
 
 __all__ = [
@@ -81,7 +82,6 @@ __all__ = [
     "merge_into",
     "save_profile",
     "Shard",
-    "ShardPlan",
     "plan_shards",
     "ShardTask",
     "WorkerResult",

@@ -84,7 +84,7 @@ DEFAULT_CHUNK_EVENTS = 4096
 
 #: suffix of the live names sidecar a streaming writer maintains next to
 #: the trace (``trace.rpt2`` -> ``trace.rpt2.names``): interned routine
-#: names, escaped one per line, flushed with every sealed chunk so a
+#: names, escaped one per line, flushed before every sealed chunk so a
 #: tailer can resolve ``CALL`` ids before the footer exists.
 NAMES_SUFFIX = ".names"
 
@@ -169,8 +169,9 @@ class BinaryTraceWriter(TraceConsumer):
     ``fsync``\\ s after each chunk (and the seal), trading throughput
     for power-loss durability.  ``names_stream`` attaches a live names
     sidecar: newly interned routine names are appended (escaped, one
-    per line) and flushed *with* the chunk that first references them,
-    so a tailer can decode ``CALL`` ids before the footer exists.
+    per line) and flushed — and with ``durable``, fsynced — *before* the
+    chunk that first references them is written, so a tailer that can
+    read a chunk can always resolve its ``CALL`` ids, footer or not.
     """
 
     name = "binary-trace-writer"
@@ -228,6 +229,9 @@ class BinaryTraceWriter(TraceConsumer):
     def _flush_chunk(self) -> None:
         if not self._buf_events:
             return
+        # Sidecar first: by the time the chunk's bytes reach the OS, every
+        # name its CALL records reference must already be readable.
+        self._flush_names()
         offset = self.stream.tell()
         header = _CHUNK_FIXED.pack(
             len(self._buf), self._buf_events, self._buf_first_pos,
@@ -247,9 +251,6 @@ class BinaryTraceWriter(TraceConsumer):
         self._buf_events = 0
         self._buf_writes = 0
         self._buf_threads = {}
-        # Sidecar first: by the time the chunk's bytes hit the OS, every
-        # name its CALL records reference must already be readable.
-        self._flush_names()
         self._sync(self.stream)
 
     def _flush_names(self) -> None:
@@ -293,7 +294,6 @@ class BinaryTraceWriter(TraceConsumer):
             for thread, count in sorted(chunk.thread_counts.items()):
                 out.write(_THREAD_COUNT.pack(thread, count))
         out.write(_TRAILER.pack(footer_offset, self.events_written, _TRAILER_MAGIC))
-        self._flush_names()
         self._sync(out)
         self.closed = True
 
@@ -436,12 +436,24 @@ def read_chunk_header(
 _KIND_BYTES = bytes(int(kind) for kind in EventKind)
 
 
-def _check_kinds(kinds: bytes, first_pos: int) -> None:
-    """Reject a chunk whose kind column holds a byte outside ``EventKind``."""
+def _read_payload(stream: IO[bytes], chunk: ChunkMeta) -> Tuple[bytes, bytes]:
+    """Read ``chunk``'s records; returns ``(payload, kind column)``.
+
+    The one entry of both chunk decoders.  A payload that is not exactly
+    ``events`` records raises :class:`BinaryTraceError` before anything
+    is read; a kind byte outside ``EventKind`` raises
+    :class:`~repro.core.tracefile.MalformedRecord`.
+    """
+    if chunk.payload_bytes != chunk.events * RECORD_BYTES:
+        raise BinaryTraceError("chunk payload size disagrees with event count")
+    stream.seek(chunk.payload_offset)
+    payload = _read_exact(stream, chunk.payload_bytes, "chunk payload")
+    kinds = payload[0::RECORD_BYTES]
     if kinds.translate(None, _KIND_BYTES):
         offset = next(i for i, kind in enumerate(kinds) if kind not in _KIND_BYTES)
         raise MalformedRecord(
-            f"unknown event kind {kinds[offset]} at position {first_pos + offset}")
+            f"unknown event kind {kinds[offset]} at position {chunk.first_pos + offset}")
+    return payload, kinds
 
 
 def decode_chunk(
@@ -449,12 +461,11 @@ def decode_chunk(
 ) -> Iterator[Tuple[int, Event]]:
     """Yield ``(global position, event)`` for every record of ``chunk``.
 
-    Raises :class:`~repro.core.tracefile.MalformedRecord` on an unknown
-    kind byte or a ``CALL`` routine id outside ``names``.
+    Raises :class:`BinaryTraceError` on a payload size that disagrees
+    with the event count, and :class:`~repro.core.tracefile.MalformedRecord`
+    on an unknown kind byte or a ``CALL`` routine id outside ``names``.
     """
-    stream.seek(chunk.payload_offset)
-    payload = _read_exact(stream, chunk.payload_bytes, "chunk payload")
-    _check_kinds(payload[0::RECORD_BYTES], chunk.first_pos)
+    payload, _ = _read_payload(stream, chunk)
     position = chunk.first_pos
     call = EventKind.CALL
     ret = EventKind.RETURN
@@ -505,17 +516,12 @@ def decode_chunk_columns(stream: IO[bytes], chunk: ChunkMeta) -> ChunkColumns:
     from eight strided byte slices into an ``array('q')`` — all C-speed
     bulk copies, ~20x faster than :func:`decode_chunk`.  Hosts whose
     native 64-bit layout differs from the file's little-endian records
-    fall back to ``struct.iter_unpack`` with identical results.  An
-    unknown kind byte raises :class:`~repro.core.tracefile.MalformedRecord`;
+    fall back to ``struct.iter_unpack`` with identical results.  A bad
+    payload size or kind byte is rejected as in :func:`decode_chunk`;
     routine ids are checked where the flat kernel resolves them.
     """
-    stream.seek(chunk.payload_offset)
-    payload = _read_exact(stream, chunk.payload_bytes, "chunk payload")
+    payload, kinds = _read_payload(stream, chunk)
     count = chunk.events
-    if count * RECORD_BYTES != len(payload):
-        raise BinaryTraceError("chunk payload size disagrees with event count")
-    kinds = payload[0::RECORD_BYTES]
-    _check_kinds(kinds, chunk.first_pos)
     threads = array("q")
     args = array("q")
     if _NATIVE_I64:

@@ -23,13 +23,13 @@ Observability: the run is traced end to end.  Every phase (plan, pool,
 inline fallback, merge) is a telemetry span; workers append heartbeats
 and phase spans to per-shard files the coordinator tails while it
 waits — live progress via the ``progress`` callback, worker spans
-re-emitted into the session's event log.  The farm also
-keeps its own always-on :class:`~repro.telemetry.MetricsRegistry`
-(mirrored into the session telemetry when one is live): per-shard
-retries, timeouts and fallbacks are *counted there* and surface in
-:class:`FarmStats` for ``render_farm_stats``.  None of this touches
-profile state — the differential tests run with telemetry on and off
-and demand bit-identical output.
+re-emitted into the session's event log.  The farm's counters
+(``farm.trace_events``, ``farm.shard.retries``, …) go to the session
+telemetry only.  The run's own books are :class:`ShardOutcome`: each
+shard's failed pool attempts, timeouts and inline fallback are tallied
+there once, as they happen, and ``render_farm_stats`` reads nothing
+else.  None of this touches profile state — the differential tests
+run with telemetry on and off and demand bit-identical output.
 """
 
 from __future__ import annotations
@@ -40,16 +40,16 @@ import os
 import shutil
 import tempfile
 import time
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
 from ..core.profile_data import ProfileDatabase
 from ..core.tracefile import TraceFileError
-from ..telemetry import MetricsRegistry
 from .binfmt import DEFAULT_CHUNK_EVENTS, read_trace_meta
 from .merge import merge_databases
-from .shards import ShardPlan, plan_shards
-from .worker import DEFAULT_HEARTBEAT_EVENTS, ShardTask, WorkerResult, run_shard
+from .shards import plan_shards
+from .worker import ShardTask, WorkerResult, run_shard
 
 __all__ = ["ShardOutcome", "FarmStats", "FarmResult", "analyze_file", "analyze_events"]
 
@@ -74,6 +74,7 @@ class ShardOutcome(NamedTuple):
     where: str           #: "pool" | "inline"
     retries: int = 0     #: failed pool attempts of this shard
     timeouts: int = 0    #: of those, how many were per-shard timeouts
+    fell_back: bool = False  #: ran inline: pool attempts exhausted, or no pool
     decode_seconds: float = 0.0
     analyze_seconds: float = 0.0
     max_rss_kb: int = 0  #: worker peak RSS (heartbeat-reported)
@@ -87,7 +88,6 @@ class ShardOutcome(NamedTuple):
 class FarmStats(NamedTuple):
     """Aggregate run report, rendered by ``reporting.render_farm_stats``."""
 
-    strategy: str
     jobs: int
     outcomes: List[ShardOutcome]
     retries: int         #: failed pool attempts that were retried
@@ -95,7 +95,6 @@ class FarmStats(NamedTuple):
     pool_failures: int   #: broken pools / failed pool creations observed
     wall_seconds: float
     event_count: int     #: events in the trace (not per-shard decode work)
-    metrics: Optional[List[Dict]] = None   #: farm registry snapshot
 
 
 class FarmResult(NamedTuple):
@@ -210,8 +209,11 @@ def _run_pool(
     progress: Optional[Callable[[str], None]],
     watcher: Optional[_HeartbeatWatcher] = None,
     on_failure: Optional[Callable[[int, str], None]] = None,
-) -> Tuple[Dict[int, WorkerResult], Dict[int, int], List[ShardTask], int, int]:
-    """Pool phase: returns (results, attempts, leftover-for-inline, retried, pool_failures).
+) -> Tuple[Dict[int, WorkerResult], Dict[int, int], int, int]:
+    """Pool phase: returns (results, attempts, retried, pool_failures).
+
+    A shard missing from ``results`` exhausted its attempts, or never
+    got a pool at all; the caller runs it inline.
 
     Waiting is a poll loop (``concurrent.futures.wait`` in
     :data:`POLL_INTERVAL` quanta) so heartbeats surface while workers
@@ -226,7 +228,6 @@ def _run_pool(
 
     results: Dict[int, WorkerResult] = {}
     attempts: Dict[int, int] = {task.shard_id: 0 for task in tasks}
-    leftover: List[ShardTask] = []
     pending = list(tasks)
     retried = 0
     pool_failures = 0
@@ -239,8 +240,7 @@ def _run_pool(
             pool_failures += 1
             if progress:
                 progress(f"farm: process pool unavailable ({error}); running inline\n")
-            leftover.extend(pending)
-            return results, attempts, leftover, retried, pool_failures
+            return results, attempts, retried, pool_failures
 
         failed: List[ShardTask] = []
         broken = False
@@ -302,12 +302,10 @@ def _run_pool(
                     progress(f"farm: shard {task.shard_id} failed "
                              f"(attempt {attempts[task.shard_id]}), retrying\n")
                 pending.append(task)
-            else:
-                if progress:
-                    progress(f"farm: shard {task.shard_id} exhausted "
-                             f"{attempts[task.shard_id]} attempts; falling back inline\n")
-                leftover.append(task)
-    return results, attempts, leftover, retried, pool_failures
+            elif progress:
+                progress(f"farm: shard {task.shard_id} exhausted "
+                         f"{attempts[task.shard_id]} attempts; falling back inline\n")
+    return results, attempts, retried, pool_failures
 
 
 def analyze_file(
@@ -319,7 +317,6 @@ def analyze_file(
     retries: int = DEFAULT_RETRIES,
     progress: Optional[Callable[[str], None]] = None,
     faults: Optional[Dict[int, Tuple]] = None,
-    heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS,
 ) -> FarmResult:
     """Analyse a recorded v2 trace with the farm; exact by contract.
 
@@ -334,12 +331,6 @@ def analyze_file(
     """
     started = time.perf_counter()
     tele = telemetry.current()
-    farm_metrics = MetricsRegistry()
-
-    def bump(name: str, amount: int = 1, **labels) -> None:
-        farm_metrics.counter(name, **labels).inc(amount)
-        tele.counter(name, **labels).inc(amount)
-
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, jobs)
@@ -349,10 +340,9 @@ def analyze_file(
         with tele.span("analyze.plan", jobs=jobs):
             with open(path, "rb") as stream:
                 meta = read_trace_meta(stream)
-            plan: ShardPlan = plan_shards(meta, jobs)
-        bump("farm.trace_events", meta.event_count)
-        bump("farm.shards", len(plan.shards))
-        farm_metrics.gauge("farm.jobs").set(jobs)
+            shards = plan_shards(meta, jobs)
+        tele.counter("farm.trace_events").inc(meta.event_count)
+        tele.counter("farm.shards").inc(len(shards))
         tele.gauge("farm.jobs").set(jobs)
 
         tasks = [
@@ -363,35 +353,39 @@ def analyze_file(
                 fault=(faults or {}).get(shard.shard_id),
                 heartbeat_path=os.path.join(
                     heartbeat_dir, f"shard-{shard.shard_id}.jsonl"),
-                heartbeat_events=heartbeat_events,
             )
-            for shard in plan.shards
+            for shard in shards
         ]
         watcher = _HeartbeatWatcher(heartbeat_dir, progress)
+        failed: Counter[int] = Counter()
+        timed_out: Counter[int] = Counter()
 
         def on_failure(shard_id: int, kind: str) -> None:
-            bump("farm.shard.retries", shard=shard_id)
+            failed[shard_id] += 1
+            tele.counter("farm.shard.retries", shard=shard_id).inc()
             if kind == "timeout":
-                bump("farm.shard.timeouts", shard=shard_id)
+                timed_out[shard_id] += 1
+                tele.counter("farm.shard.timeouts", shard=shard_id).inc()
 
         results: Dict[int, WorkerResult] = {}
         attempts: Dict[int, int] = {task.shard_id: 0 for task in tasks}
         retried = 0
         pool_failures = 0
         pool_span_id: Optional[int] = None
-        if jobs > 1 and len(tasks) > 1:
+        pooled = jobs > 1 and len(tasks) > 1
+        if pooled:
             with tele.span("analyze.pool", jobs=jobs, shards=len(tasks)) as pool_span:
                 pool_span_id = pool_span.span_id or None
-                results, attempts, _, retried, pool_failures = _run_pool(
+                results, attempts, retried, pool_failures = _run_pool(
                     tasks, jobs, timeout, retries, progress, watcher, on_failure)
-        bump("farm.pool_failures", pool_failures)
+        tele.counter("farm.pool_failures").inc(pool_failures)
 
-        fallbacks = 0
+        fell_back: Set[int] = set()
         for task in tasks:
             if task.shard_id not in results:
-                if jobs > 1 and len(tasks) > 1:
-                    fallbacks += 1
-                    bump("farm.shard.fallbacks", shard=task.shard_id)
+                if pooled:
+                    fell_back.add(task.shard_id)
+                    tele.counter("farm.shard.fallbacks", shard=task.shard_id).inc()
                 with tele.span("analyze.inline", shard=task.shard_id):
                     results[task.shard_id] = _run_inline(task)
 
@@ -408,27 +402,24 @@ def analyze_file(
             if record.get("type") == "span" and pool_span_id is not None:
                 record = {**record, "parent": pool_span_id}
             tele.emit(record)
-        bump("farm.heartbeats",
-             sum(1 for record in watcher.records
-                 if record.get("type") == "heartbeat"))
+        tele.counter("farm.heartbeats").inc(
+            sum(1 for record in watcher.records
+                if record.get("type") == "heartbeat"))
 
         outcomes: List[ShardOutcome] = []
         for task in tasks:
             result = results[task.shard_id]
             where = "pool" if result.pid != os.getpid() else "inline"
             beat = watcher.summary(task.shard_id)
-            bump("farm.shard.events", result.events_decoded, shard=task.shard_id)
-            farm_metrics.histogram("farm.shard_ms").observe(result.seconds * 1000)
+            tele.counter("farm.shard.events", shard=task.shard_id).inc(
+                result.events_decoded)
             tele.histogram("farm.shard_ms").observe(result.seconds * 1000)
             outcomes.append(ShardOutcome(
                 task.shard_id, task.threads, result.events_decoded,
                 result.seconds, attempts[task.shard_id], where,
-                # per-shard failure tallies come from the telemetry
-                # counters the failure callbacks incremented above
-                retries=farm_metrics.counter(
-                    "farm.shard.retries", shard=task.shard_id).value,
-                timeouts=farm_metrics.counter(
-                    "farm.shard.timeouts", shard=task.shard_id).value,
+                retries=failed[task.shard_id],
+                timeouts=timed_out[task.shard_id],
+                fell_back=task.shard_id in fell_back,
                 decode_seconds=result.decode_seconds,
                 analyze_seconds=result.analyze_seconds,
                 max_rss_kb=max(result.max_rss_kb, beat["rss_kb"]),
@@ -436,9 +427,8 @@ def analyze_file(
             ))
 
         stats = FarmStats(
-            plan.strategy, jobs, outcomes, retried, fallbacks, pool_failures,
+            jobs, outcomes, retried, len(fell_back), pool_failures,
             time.perf_counter() - started, meta.event_count,
-            metrics=farm_metrics.snapshot(),
         )
         return FarmResult(merged, stats)
     finally:

@@ -30,7 +30,7 @@ unbounded in size).
 
 from __future__ import annotations
 
-from typing import IO, Iterable, List, Optional
+from typing import IO, Iterable, Optional
 
 from ..core.profile_data import ProfileDatabase, RoutineProfile, SizeStats
 from ..core.tracefile import TraceFileError, escape_name, unescape_name

@@ -12,9 +12,9 @@ that workers share no state and the result is exact by construction.
 
 **Heartbeats.**  A worker is also observable while it runs: given a
 ``heartbeat_path``, it appends one JSON line every
-``heartbeat_events`` decoded events (and at every phase change) with
-its phase (``decode`` / ``analyze``), events processed, peak RSS and
-wall time — the coordinator tails these files to expose live progress
+:data:`HEARTBEAT_EVENTS` decoded events (and at every phase change)
+with its phase (``decode`` / ``analyze``), events processed, peak RSS
+and wall time — the coordinator tails these files to expose live progress
 and to attribute per-shard stalls.  Phase spans (wall + CPU) travel the
 same channel.  Heartbeats are fire-and-forget: any failure to write one
 is swallowed, because observability must never outrank the result.
@@ -40,10 +40,10 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
-__all__ = ["ShardTask", "WorkerResult", "run_shard", "DEFAULT_HEARTBEAT_EVENTS"]
+__all__ = ["ShardTask", "WorkerResult", "run_shard"]
 
 #: decoded events between two heartbeats (plus one per phase change)
-DEFAULT_HEARTBEAT_EVENTS = 25000
+HEARTBEAT_EVENTS = 25000
 
 
 class ShardTask(NamedTuple):
@@ -60,7 +60,6 @@ class ShardTask(NamedTuple):
     fault: Optional[Tuple] = None
     #: JSONL file this worker appends heartbeat/span records to
     heartbeat_path: Optional[str] = None
-    heartbeat_events: int = DEFAULT_HEARTBEAT_EVENTS
 
 
 class WorkerResult(NamedTuple):
@@ -162,12 +161,11 @@ def run_shard(task: ShardTask) -> WorkerResult:
     heart = _Heart(task, started)
     try:
         heart.beat("decode", 0)
-        beat_every = max(1, task.heartbeat_events)
 
         db = ProfileDatabase(keep_activations=task.keep_activations)
         decoded = 0
         decode_seconds = 0.0
-        next_beat = beat_every
+        next_beat = HEARTBEAT_EVENTS
         with open(task.trace_path, "rb") as stream:
             meta = read_trace_meta(stream)
             analyzer = FlatAnalyzer(task.threads, meta.names, db,
@@ -181,7 +179,7 @@ def run_shard(task: ShardTask) -> WorkerResult:
                 decoded += columns.events
                 if decoded >= next_beat:
                     heart.beat("analyze", decoded)
-                    next_beat = decoded + beat_every
+                    next_beat = decoded + HEARTBEAT_EVENTS
             analyzer.finish()
 
         seconds = time.perf_counter() - started

@@ -1,6 +1,6 @@
 """Ingestion: turning pipeline artefacts into observatory run records.
 
-Four sources feed the history store, each reduced to the same
+Three sources feed the history store, each reduced to the same
 :class:`~repro.observatory.store.RunRecord` shape:
 
 * ``repro-profile 1`` dumps (``profile --dump``, ``analyze --dump``,
@@ -8,8 +8,6 @@ Four sources feed the history store, each reduced to the same
   is fitted with
   :func:`repro.curvefit.selection.select_model` into a curve row, the
   top-K routines by total cost also keep their raw plot points;
-* farm :class:`~repro.farm.engine.FarmStats` — run-level throughput and
-  reliability metrics of a distributed analysis;
 * ``telemetry.jsonl`` runs — span totals and counters of one pipeline
   invocation;
 * ``repro-bench/1`` envelopes from ``benchmarks/results/`` — scalar
@@ -37,7 +35,7 @@ import hashlib
 import json
 import os
 from datetime import datetime, timezone
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from ..core.profile_data import ProfileDatabase
 from ..curvefit.fitting import fit_power_law
@@ -48,7 +46,6 @@ __all__ = [
     "IngestResult",
     "MIN_FIT_POINTS",
     "record_from_profile_db",
-    "record_from_farm_stats",
     "record_from_telemetry",
     "record_from_envelope",
     "record_from_checkpoint",
@@ -71,7 +68,7 @@ class IngestResult(NamedTuple):
     """Outcome of ingesting one source."""
 
     run_id: str
-    source: str          #: profile | trace | farm | telemetry | bench
+    source: str          #: profile | trace | stream | telemetry | bench
     ingested: bool       #: False = run_id already present (idempotent skip)
     detail: str
 
@@ -150,38 +147,6 @@ def record_from_profile_db(
         metrics={},
         curves=curves,
         points=raw_points,
-    )
-
-
-def record_from_farm_stats(
-    stats,
-    run_id: str,
-    git_sha: str = "",
-    timestamp: str = "",
-    scale: float = 0.0,
-) -> RunRecord:
-    """Run-level metrics of one farm analysis (``FarmStats``)."""
-    metrics: Dict[str, float] = {
-        "farm.jobs": float(stats.jobs),
-        "farm.shards": float(len(stats.outcomes)),
-        "farm.retries": float(stats.retries),
-        "farm.fallbacks": float(stats.fallbacks),
-        "farm.pool_failures": float(stats.pool_failures),
-        "farm.wall_seconds": float(stats.wall_seconds),
-        "farm.events": float(stats.event_count),
-    }
-    if stats.wall_seconds > 0:
-        metrics["farm.events_per_s"] = stats.event_count / stats.wall_seconds
-    return RunRecord(
-        run_id=run_id,
-        git_sha=git_sha,
-        timestamp=timestamp,
-        scale=scale,
-        source="farm",
-        events=int(stats.event_count),
-        metrics=metrics,
-        curves=[],
-        points={},
     )
 
 

@@ -116,7 +116,7 @@ class RunRecord(NamedTuple):
     git_sha: str
     timestamp: str        #: ISO-8601
     scale: float
-    source: str           #: profile | farm | telemetry | bench
+    source: str           #: profile | trace | stream | telemetry | bench
     events: int
     metrics: Dict[str, float]
     curves: List[CurveRecord]

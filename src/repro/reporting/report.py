@@ -55,36 +55,18 @@ def render_report(db: ProfileDatabase, merged: bool = True, title: str = "profil
     return table(headers, rows, title=title) + footer
 
 
-def _shard_counter(stats, name: str, shard_id: int, fallback: int) -> int:
-    """A per-shard counter value from the farm's telemetry snapshot.
-
-    The engine counts retries/timeouts/fallbacks in its metrics
-    registry as they happen; the snapshot rides along in
-    ``FarmStats.metrics``.  Older/synthetic stats without a snapshot
-    fall back to the value mirrored on the outcome itself.
-    """
-    for entry in stats.metrics or ():
-        if (entry.get("kind") == "counter" and entry.get("name") == name
-                and entry.get("labels", {}).get("shard") == shard_id):
-            return entry["value"]
-    return fallback
-
-
 def render_farm_stats(stats) -> str:
     """Progress/health report of one farm run (``repro.farm.FarmStats``).
 
     One row per shard — where it ran, how many pool attempts it took,
     how the worker split its time between decode and analysis,
-    heartbeat-reported peak RSS and throughput — plus the per-shard
-    failure ledger (retries / timeouts / inline fallback), sourced from
-    the farm's telemetry counters, and a footer with the plan strategy
-    and aggregate tallies.
+    heartbeat-reported peak RSS and throughput — plus the shard's
+    failure ledger (failed attempts, timeouts, inline fallback), all
+    read from its :class:`~repro.farm.engine.ShardOutcome`, and a footer
+    with the run's jobs, trace size, wall time and aggregate tallies.
     """
     rows = []
     for outcome in stats.outcomes:
-        fell_back = _shard_counter(
-            stats, "farm.shard.fallbacks", outcome.shard_id,
-            1 if outcome.where == "inline" and stats.jobs > 1 else 0)
         rows.append([
             outcome.shard_id,
             len(outcome.threads),
@@ -96,17 +78,15 @@ def render_farm_stats(stats) -> str:
             outcome.heartbeats,
             f"{outcome.max_rss_kb / 1024:.0f}M" if outcome.max_rss_kb else "-",
             outcome.attempts,
-            _shard_counter(stats, "farm.shard.retries",
-                           outcome.shard_id, outcome.retries),
-            _shard_counter(stats, "farm.shard.timeouts",
-                           outcome.shard_id, outcome.timeouts),
-            outcome.where + ("!" if fell_back else ""),
+            outcome.retries,
+            outcome.timeouts,
+            outcome.where + ("!" if outcome.fell_back else ""),
         ])
     headers = ["shard", "threads", "events", "time", "dec/ana", "events/s",
                "beats", "rss", "attempts", "retries", "timeouts", "ran"]
     footer = (
-        f"plan: {stats.strategy}   jobs: {stats.jobs}   "
-        f"trace events: {stats.event_count}   wall: {stats.wall_seconds * 1000:.1f}ms\n"
+        f"jobs: {stats.jobs}   trace events: {stats.event_count}   "
+        f"wall: {stats.wall_seconds * 1000:.1f}ms\n"
         f"retries: {stats.retries}   inline fallbacks: {stats.fallbacks}   "
         f"pool failures: {stats.pool_failures}\n"
         "('!' marks a shard that exhausted its pool attempts and ran inline)\n"

@@ -1,8 +1,8 @@
 """Chunk tailer: follow a growing v2 trace, chunk by sealed chunk.
 
 A live recorder (``repro record --live``) flushes every sealed chunk
-to the OS the moment it is full (:meth:`BinaryTraceWriter._flush_chunk`
-now syncs — PR satellite), so the bytes of a growing trace are always
+to the OS the moment it is full (:meth:`BinaryTraceWriter._flush_chunk`),
+so the bytes of a growing trace are always
 ``magic · sealed chunks · [partial tail]`` and, once the writer calls
 ``close``, ``· footer · trailer``.  The tailer turns that into a pull
 API:
@@ -11,9 +11,10 @@ API:
   that appeared since the last poll (bounded per poll — backpressure,
   see below), leaving a partial trailing chunk alone to be re-polled;
 * routine names arrive through the live sidecar
-  (:func:`repro.farm.binfmt.live_names_path`): the writer appends each
-  newly interned name *before* flushing the chunk that first uses it,
-  so :attr:`names` always covers every delivered chunk;
+  (:func:`repro.farm.binfmt.live_names_path`): the writer flushes each
+  newly interned name *before* it writes the chunk that first uses it,
+  and a poll reads the sidecar *after* it parses new chunk headers, so
+  :attr:`names` always covers every delivered chunk;
 * each poll first looks for the seal; once the trailer lands, the
   footer becomes the authoritative chunk index and name table, the
   remaining chunks drain, and :attr:`sealed` flips;
@@ -197,14 +198,12 @@ class ChunkTailer:
             self._offset = len(BINARY_MAGIC)
         budget = self.max_chunks_per_poll
         with telemetry.span("stream.tail", path=os.path.basename(self.path)) as tail_span:
-            if not self.sealed:
+            fresh: List[ChunkMeta] = []
+            if not self.sealed and not self._check_seal(stream):
+                fresh = self._parse_unsealed(stream, size, budget)
+                # names after chunks: the writer flushed every name a
+                # parsed chunk uses before it wrote that chunk
                 self.refresh_names()
-                if not self._check_seal(stream):
-                    fresh = self._parse_unsealed(stream, size, budget)
-                else:
-                    fresh = []
-            else:
-                fresh = []
             if self.sealed and self._pending:
                 take = min(budget, len(self._pending))
                 fresh = self._pending[:take]

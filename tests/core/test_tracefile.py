@@ -54,12 +54,18 @@ def test_event_count_matches():
     "tab\tnewline\nboth\\\t\n",
     "plain_name",
     "unicode·name",
+    "carriage\rreturn",
+    "crlf\r\nline",
+    "next\x85line",
+    "line\u2028separator",
+    "vertical\x0btab",
 ])
 def test_awkward_routine_names_roundtrip(name, tmp_path):
-    """Tabs/newlines/backslashes in routine names survive every format
-    that stores them: the v2 string table, the live ``.names`` sidecar
-    (read back by the tailer before the footer exists) and the
-    ``repro-profile 1`` dump."""
+    """Tabs, line breaks and backslashes in routine names survive every
+    format that stores them: the v2 string table, the live ``.names``
+    sidecar (read back by the tailer before the footer exists) and a
+    ``repro-profile 1`` dump on disk, written and read in text mode the
+    way ``merge``, ``fit`` and ``diff`` do."""
     trace = str(tmp_path / "t.rpt2")
     with open(trace, "wb") as stream, \
             open(live_names_path(trace), "w", encoding="utf-8") as names:
@@ -76,10 +82,11 @@ def test_awkward_routine_names_roundtrip(name, tmp_path):
 
     db = ProfileDatabase()
     db.add_activation(name, 1, 4, 9)
-    dump = io.StringIO()
-    save_profile(db, dump)
-    dump.seek(0)
-    assert [profile.routine for profile in load_profile(dump)] == [name]
+    dump = tmp_path / "t.profile"
+    with open(dump, "w") as stream:
+        save_profile(db, stream)
+    with open(dump) as stream:
+        assert [profile.routine for profile in load_profile(stream)] == [name]
 
 
 def test_escape_name_helpers():
@@ -89,10 +96,19 @@ def test_escape_name_helpers():
     escaped = escape_name("a\tb\nc\\d")
     assert "\t" not in escaped and "\n" not in escaped
     assert unescape_name(escaped) == "a\tb\nc\\d"
+    assert escape_name("cr\r") == "cr\\r"
+    breaks = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+    escaped = escape_name(breaks)
+    assert escaped == "".join(f"\\u{ord(char):04x}" for char in breaks)
+    assert escaped.splitlines() == [escaped]
+    assert unescape_name(escaped) == breaks
     with pytest.raises(TraceFileError):
         unescape_name("dangling\\")
     with pytest.raises(TraceFileError):
         unescape_name("bad\\x")
+    for bad in ("\\u0041", "\\u000B", "\\u00"):
+        with pytest.raises(TraceFileError, match="bad escape"):
+            unescape_name(bad)
 
 
 def test_kernel_events_roundtrip():

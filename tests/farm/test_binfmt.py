@@ -246,3 +246,39 @@ def test_names_sidecar_flushes_before_chunk(tmp_path):
     with open(live_names_path(path), "r", encoding="utf-8") as sidecar:
         flushed = [unescape_name(line.rstrip("\n")) for line in sidecar]
     assert flushed == ["solver solve", "second"]
+
+
+class _NamesFirstStream(io.BytesIO):
+    """A trace stream that, at every write, checks the names sidecar
+    already holds each routine name interned so far."""
+
+    def __init__(self, names, interned):
+        super().__init__()
+        self.names = names
+        self.interned = interned
+        self.early_writes = 0
+
+    def write(self, data):
+        if len(self.names.getvalue().splitlines()) < len(self.interned):
+            self.early_writes += 1
+        return super().write(data)
+
+
+def test_writer_writes_names_before_their_chunk():
+    """No chunk byte reaches the trace stream before the sidecar holds
+    the names its CALL records use: a payload larger than the stream's
+    buffer reaches the OS at once, and a tailer may read it there."""
+    names = io.StringIO()
+    interned = []
+    stream = _NamesFirstStream(names, interned)
+    writer = BinaryTraceWriter(stream, chunk_events=4, names_stream=names)
+    for index in range(15):
+        interned.append(f"routine{index}")
+        writer.on_call(1, interned[-1])
+        writer.on_read(1, index)
+        writer.on_read(1, index + 1)
+        writer.on_return(1)
+    writer.close()
+    assert len(writer.chunks) == 15
+    assert stream.early_writes == 0
+    assert names.getvalue().splitlines() == interned

@@ -1,6 +1,8 @@
-"""Shard-planning properties: exhaustive, disjoint, chunk-complete."""
+"""Shard-planning properties: exhaustive, disjoint, chunk-complete,
+and a dominant thread alone in its shard."""
 
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core import Event, EventKind
 from repro.farm import plan_shards, read_trace_meta, write_binary_trace
 
-from ..core.util import events_strategy
+from ..core.util import THREADS, events_strategy
 
 
 def meta_of(events, chunk_events=8):
@@ -23,12 +25,12 @@ def meta_of(events, chunk_events=8):
 @given(events_strategy(max_ops=100), st.integers(min_value=1, max_value=6))
 def test_plan_covers_every_thread_exactly_once(events, jobs):
     meta = meta_of(events)
-    plan = plan_shards(meta, jobs)
+    shards = plan_shards(meta, jobs)
     seen = []
-    for shard in plan.shards:
+    for shard in shards:
         seen.extend(shard.threads)
     assert sorted(seen) == sorted(meta.thread_totals())
-    assert len(plan.shards) <= jobs
+    assert len(shards) <= jobs
 
 
 @settings(max_examples=60, deadline=None)
@@ -37,8 +39,7 @@ def test_shard_chunks_are_sufficient(events, jobs):
     """A shard's chunk set contains every write chunk and every chunk
     with one of its threads' events — what the worker's exactness needs."""
     meta = meta_of(events, chunk_events=4)
-    plan = plan_shards(meta, jobs)
-    for shard in plan.shards:
+    for shard in plan_shards(meta, jobs):
         mine = set(shard.threads)
         chunk_set = set(shard.chunk_indices)
         for index, chunk in enumerate(meta.chunks):
@@ -48,10 +49,9 @@ def test_shard_chunks_are_sufficient(events, jobs):
 
 def test_single_job_single_shard():
     events = [Event(EventKind.READ, thread, thread) for thread in (1, 2, 3)] * 5
-    plan = plan_shards(meta_of(events), 1)
-    assert len(plan.shards) == 1
-    assert plan.shards[0].threads == (1, 2, 3)
-    assert plan.strategy == "by-thread"
+    shards = plan_shards(meta_of(events), 1)
+    assert len(shards) == 1
+    assert shards[0].threads == (1, 2, 3)
 
 
 def test_balanced_threads_use_thread_strategy():
@@ -59,29 +59,33 @@ def test_balanced_threads_use_thread_strategy():
     for _ in range(30):
         for thread in (1, 2, 3, 4):
             events.append(Event(EventKind.READ, thread, thread))
-    plan = plan_shards(meta_of(events), 2)
-    assert plan.strategy == "by-thread"
-    assert len(plan.shards) == 2
-    loads = sorted(shard.events for shard in plan.shards)
+    shards = plan_shards(meta_of(events), 2)
+    assert len(shards) == 2
+    loads = sorted(shard.events for shard in shards)
     assert loads == [60, 60]
 
 
-def test_skewed_trace_falls_back_to_chunk_ranges():
-    # thread 1 owns ~90% of all events: LPT over threads degenerates
-    events = [Event(EventKind.READ, 1, index) for index in range(180)]
-    for thread in (2, 3, 4):
-        events.append(Event(EventKind.READ, thread, thread))
-    plan = plan_shards(meta_of(events, chunk_events=16), 3)
-    assert plan.strategy == "by-chunks"
-    seen = sorted(thread for shard in plan.shards for thread in shard.threads)
-    assert seen == [1, 2, 3, 4]
+@settings(max_examples=80, deadline=None)
+@given(events_strategy(max_ops=100), st.sampled_from(THREADS),
+       st.integers(min_value=1, max_value=40), st.integers(min_value=2, max_value=6))
+def test_dominant_thread_is_alone_in_its_shard(events, heavy, margin, jobs):
+    """A thread holding more than half of all events goes first into an
+    empty shard, and the rest of the trace together is too light for
+    LPT to put anything next to it: its shard's load is that thread's
+    count, the lower bound of every whole-thread plan."""
+    counts = Counter(event.thread for event in events)
+    others = len(events) - counts[heavy]
+    padding = max(0, others - counts[heavy]) + margin
+    events = events + [Event(EventKind.READ, heavy, 0)] * padding
+    meta = meta_of(events)
+    totals = meta.thread_totals()
+    assert 2 * totals[heavy] > sum(totals.values())
+    shards = plan_shards(meta, jobs)
+    assert [shard.threads for shard in shards if heavy in shard.threads] == [(heavy,)]
 
 
 def test_empty_trace_plans_no_shards():
-    plan = plan_shards(meta_of([]), 4)
-    assert plan.strategy == "empty"
-    assert plan.shards == []
-    assert plan.total_events() == 0
+    assert plan_shards(meta_of([]), 4) == []
 
 
 def test_jobs_must_be_positive():

@@ -8,6 +8,7 @@ import pytest
 
 from repro.farm import analyze_file
 from repro.farm.worker import ShardTask, run_shard
+from repro.reporting import render_farm_stats
 
 from .util import comparable, online_db, record_benchmark_v2
 
@@ -43,6 +44,8 @@ def test_persistent_crash_falls_back_inline(recorded):
     assert result.stats.fallbacks >= 1
     by_id = {outcome.shard_id: outcome for outcome in result.stats.outcomes}
     assert by_id[0].where == "inline"
+    # the shard's books: both pool attempts failed, then it ran inline
+    assert (by_id[0].attempts, by_id[0].retries, by_id[0].fell_back) == (2, 2, True)
 
 
 def test_worker_exception_is_retried_then_falls_back(recorded):
@@ -66,6 +69,8 @@ def test_hung_worker_times_out_and_falls_back(recorded):
     assert comparable(result.db) == reference
     assert result.stats.fallbacks >= 1
     assert result.stats.pool_failures >= 1
+    by_id = {outcome.shard_id: outcome for outcome in result.stats.outcomes}
+    assert (by_id[0].retries, by_id[0].timeouts, by_id[0].fell_back) == (1, 1, True)
 
 
 def test_dead_pool_degrades_to_inline(recorded, monkeypatch):
@@ -81,8 +86,11 @@ def test_dead_pool_degrades_to_inline(recorded, monkeypatch):
     assert comparable(result.db) == reference
     assert result.stats.pool_failures == 1
     assert result.stats.fallbacks == len(result.stats.outcomes)
-    assert all(outcome.where == "inline" for outcome in result.stats.outcomes)
+    assert all(outcome.where == "inline" and outcome.fell_back
+               for outcome in result.stats.outcomes)
     assert any("inline" in message for message in messages)
+    report = render_farm_stats(result.stats)
+    assert report.count("inline!") == len(result.stats.outcomes)
 
 
 def test_inline_execution_strips_faults(recorded, tmp_path):

@@ -62,7 +62,13 @@ def test_farm_stats_report_telemetry_columns(tmp_path):
 
 
 def test_farm_stats_sources_shard_counters_from_metrics(tmp_path):
-    result, _ = _farm_run(tmp_path)
-    snapshot = {entry["name"] for entry in result.stats.metrics}
+    """The farm's shard counters live in the session metrics and agree
+    with the shard books on ``FarmStats``."""
+    result, run = _farm_run(tmp_path)
+    snapshot = {entry["name"] for entry in run.metrics}
     assert "farm.trace_events" in snapshot
     assert "farm.shard.events" in snapshot
+    assert len(result.stats.outcomes) > 1
+    for outcome in result.stats.outcomes:
+        assert run.counter_value(
+            "farm.shard.events", shard=outcome.shard_id) == outcome.events

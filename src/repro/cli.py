@@ -415,6 +415,7 @@ def _cmd_profile(args, out) -> int:
 
 def _cmd_record(args, out) -> int:
     import contextlib
+    import os
 
     from .farm import BinaryTraceWriter, live_names_path
 
@@ -426,23 +427,32 @@ def _cmd_record(args, out) -> int:
     live_dir = getattr(args, "live", None)
     with telemetry.span("record", benchmark=bench.name) as record_span:
         with contextlib.ExitStack() as stack:
-            stream = stack.enter_context(open(args.output, "wb"))
             names_stream = None
             session = None
             watcher = None
-            if live_dir:
-                import threading
+            try:
+                if live_dir:
+                    import threading
 
-                from .streaming import LiveProfileSession
+                    from .streaming import LiveProfileSession
 
-                names_stream = stack.enter_context(
-                    open(live_names_path(args.output), "w"))
-                session = LiveProfileSession(
-                    args.output, live_dir,
-                    checkpoint_events=args.checkpoint_events,
-                    checkpoint_seconds=0.5)
-                watcher = threading.Thread(
-                    target=session.run, name="repro-live", daemon=True)
+                    # before the trace: a DIR that cannot be made leaves no files
+                    session = LiveProfileSession(
+                        args.output, live_dir,
+                        checkpoint_events=args.checkpoint_events,
+                        checkpoint_seconds=0.5)
+                    watcher = threading.Thread(
+                        target=session.run, name="repro-live", daemon=True)
+                else:   # an old recording's sidecar would name this trace's routines
+                    with contextlib.suppress(FileNotFoundError):
+                        os.remove(live_names_path(args.output))
+                stream = stack.enter_context(open(args.output, "wb"))
+                if live_dir:
+                    names_stream = stack.enter_context(
+                        open(live_names_path(args.output), "w"))
+            except OSError as error:
+                out.write(f"error: {error}\n")
+                return 2
             writer = BinaryTraceWriter(
                 stream, chunk_events=args.chunk_events,
                 durable=getattr(args, "durable", False),
@@ -468,7 +478,7 @@ def _cmd_record(args, out) -> int:
 def _cmd_watch(args, out) -> int:
     import time as _time
 
-    from .farm import TruncatedChunk
+    from .core.tracefile import TraceFileError
     from .streaming import (
         MANIFEST_NAME,
         LiveProfileSession,
@@ -478,10 +488,14 @@ def _cmd_watch(args, out) -> int:
 
     session = None
     if args.checkpoints:
-        session = LiveProfileSession(
-            args.target, args.checkpoints,
-            checkpoint_events=args.checkpoint_events,
-            checkpoint_seconds=max(args.interval, 0.1))
+        try:
+            session = LiveProfileSession(
+                args.target, args.checkpoints,
+                checkpoint_events=args.checkpoint_events,
+                checkpoint_seconds=max(args.interval, 0.1))
+        except OSError as error:  # DIR cannot be created
+            out.write(f"error: {error}\n")
+            return 2
         directory = args.checkpoints
     else:
         directory = args.target
@@ -497,61 +511,59 @@ def _cmd_watch(args, out) -> int:
     deadline = (None if args.timeout is None
                 else _time.monotonic() + args.timeout)
 
-    if args.once:
-        if session is not None:
-            # Drain whatever is on disk right now, then cut one
-            # checkpoint of it — mid-flight or final alike.
-            while session.step():
-                pass
-            if session.drained:
-                try:
+    try:
+        if args.once:
+            if session is not None:
+                # Drain whatever is on disk right now, then cut one
+                # checkpoint of it — mid-flight or final alike.
+                while session.step():
+                    pass
+                if session.drained:
                     session.finalize()
-                except TruncatedChunk as error:
-                    out.write(f"warning: {error}\n")
-            else:
-                session.checkpoint()
-        try:
-            text = frame()
-        except (ValueError, OSError) as error:  # malformed checkpoint directory
-            out.write(f"error: {error}\n")
-            return 2
-        if text is None:
-            out.write(f"error: no {MANIFEST_NAME} under {directory}\n")
-            return 1
-        out.write(text)
-        return 0
-
-    last = ""
-    while True:
-        if session is not None:
-            consumed = session.step()
-            if session.drained:
-                try:
-                    session.finalize()
-                except TruncatedChunk as error:
-                    out.write(f"warning: {error}\n")
-        else:
-            consumed = 0
-        try:
-            text = frame()
-        except (ValueError, OSError) as error:  # malformed checkpoint directory
-            out.write(f"error: {error}\n")
-            return 2
-        if text is not None and text != last:
-            out.write(text)
-            last = text
-        done = (session.finalized if session is not None
-                else bool(text) and "· closed" in text.splitlines()[0])
-        if done:
-            return 0
-        if deadline is not None and _time.monotonic() > deadline:
+                else:
+                    session.checkpoint()
+            try:
+                text = frame()
+            except (ValueError, OSError) as error:  # malformed checkpoint directory
+                out.write(f"error: {error}\n")
+                return 2
             if text is None:
-                out.write(f"error: no {MANIFEST_NAME} under {directory} "
-                          f"after {args.timeout:.1f}s\n")
+                out.write(f"error: no {MANIFEST_NAME} under {directory}\n")
                 return 1
+            out.write(text)
             return 0
-        if not consumed:
-            _time.sleep(args.interval if session is None else 0.05)
+
+        last = ""
+        while True:
+            if session is not None:
+                consumed = session.step()
+                if session.drained:
+                    session.finalize()
+            else:
+                consumed = 0
+            try:
+                text = frame()
+            except (ValueError, OSError) as error:  # malformed checkpoint directory
+                out.write(f"error: {error}\n")
+                return 2
+            if text is not None and text != last:
+                out.write(text)
+                last = text
+            done = (session.finalized if session is not None
+                    else bool(text) and "· closed" in text.splitlines()[0])
+            if done:
+                return 0
+            if deadline is not None and _time.monotonic() > deadline:
+                if text is None:
+                    out.write(f"error: no {MANIFEST_NAME} under {directory} "
+                              f"after {args.timeout:.1f}s\n")
+                    return 1
+                return 0
+            if not consumed:
+                _time.sleep(args.interval if session is None else 0.05)
+    except TraceFileError as error:  # e.g. a chunk naming a routine past the names
+        out.write(f"error: {error}\n")
+        return 2
 
 
 def _cmd_analyze(args, out) -> int:

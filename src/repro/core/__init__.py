@@ -37,7 +37,7 @@ from .profile_data import ActivationRecord, ProfileDatabase, RoutineProfile, Siz
 from .profiler import BaseProfiler
 from .renumber import renumber_timestamps
 from .rms import RmsProfiler
-from .shadow import DictShadow, PackedLatestWrite, ShadowMemory
+from .shadow import DictShadow, ShadowMemory
 from .stack import FlatStack, ShadowStack, StackEntry
 from .trms import KERNEL_WRITER, TrmsProfiler
 
@@ -79,7 +79,6 @@ __all__ = [
     "renumber_timestamps",
     "RmsProfiler",
     "DictShadow",
-    "PackedLatestWrite",
     "ShadowMemory",
     "FlatStack",
     "ShadowStack",

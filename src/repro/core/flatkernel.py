@@ -17,8 +17,8 @@ same analysis dramatically cheaper:
    Section 4.4 renumbering, and replaying events in increasing
    position means every write below the current read has already been
    seen: the induced-first-access test is one probe of a running
-   :class:`~repro.core.shadow.PackedLatestWrite` dict that packs the
-   write position and its kernel/thread provenance into one integer.
+   latest-write dict whose values pack the write position and its
+   kernel/thread provenance into one integer.
 
 3. **Shadow stacks flatten to parallel columns.**  A pending activation
    is a row of :class:`~repro.core.stack.FlatStack` — six ``array('q')``
@@ -42,7 +42,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .context import compose_context
 from .events import Event, EventKind
 from .profile_data import ProfileDatabase
-from .shadow import PackedLatestWrite
 from .stack import FlatStack
 from .tracefile import MalformedRecord
 
@@ -125,7 +124,8 @@ class FlatAnalyzer:
         self._order: List[int] = []
         self._assigned = frozenset(threads) if threads is not None else None
         self.events_analyzed = 0
-        self.wts = PackedLatestWrite()
+        #: cell -> latest write so far, packed ``(position << 1) | is_kernel``
+        self.wts: Dict[int, int] = {}
         if threads is not None:
             for thread in threads:
                 self._ensure(thread)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["ShadowMemory", "DictShadow", "PackedLatestWrite"]
+__all__ = ["ShadowMemory", "DictShadow"]
 
 
 class ShadowMemory:
@@ -165,42 +165,6 @@ class DictShadow(dict):
     @property
     def chunks_allocated(self) -> int:
         return 0
-
-    def space_bytes(self) -> int:
-        return len(self) * self.ENTRY_BYTES
-
-
-class PackedLatestWrite(dict):
-    """Running latest-write shadow with the writer packed into the value.
-
-    The flat offline kernel replays events in global-position order, so
-    the induced-first-access test only ever needs the *latest write so
-    far* per cell — one dict probe, no write history.  Each value packs
-    the write's global position with its provenance in a single
-    integer::
-
-        value = (position << 1) | (1 if written by the kernel else 0)
-
-    so the hot path unpacks with one shift and one mask and never
-    allocates a tuple.  Lookups and stores are inherited from ``dict``
-    (C speed); the class only adds the packing vocabulary.
-    """
-
-    ENTRY_BYTES = 8
-
-    KERNEL_BIT = 1
-
-    @staticmethod
-    def pack(position: int, kernel: bool = False) -> int:
-        return (position << 1) | (1 if kernel else 0)
-
-    @staticmethod
-    def position(value: int) -> int:
-        return value >> 1
-
-    @staticmethod
-    def is_kernel(value: int) -> bool:
-        return bool(value & 1)
 
     def space_bytes(self) -> int:
         return len(self) * self.ENTRY_BYTES

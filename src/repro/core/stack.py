@@ -24,7 +24,6 @@ every pending ancestor).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from typing import List, Optional, Tuple
 
 __all__ = ["StackEntry", "ShadowStack", "FlatStack"]
@@ -131,9 +130,9 @@ class FlatStack:
     integer id, resolved to a name only when the activation completes.
 
     The paper's binary search (deepest pending activation whose
-    timestamp does not exceed a given value) becomes a ``bisect_right``
-    over the timestamp column — the column is sorted by construction,
-    exactly like ``StackEntry.ts`` bottom-to-top.
+    timestamp does not exceed a given value) becomes the kernel's inline
+    ``bisect_right`` over the timestamp column — the column is sorted by
+    construction, exactly like ``StackEntry.ts`` bottom-to-top.
     """
 
     __slots__ = ("rtn", "ts", "cost", "partial", "induced_thread", "induced_external")
@@ -167,16 +166,3 @@ class FlatStack:
             self.partial.pop(), self.induced_thread.pop(),
             self.induced_external.pop(),
         )
-
-    def find_latest_not_after(self, ts_value: int) -> int:
-        """Row index of the deepest activation with ``ts <= ts_value``.
-
-        Returns -1 when every pending activation started after
-        ``ts_value`` — the flat analogue of
-        :meth:`ShadowStack.find_latest_not_after` returning None.
-        """
-        return bisect_right(self.ts, ts_value) - 1
-
-    def suffix_partial_sum(self, index: int) -> int:
-        """Invariant 2 helper, mirroring :meth:`ShadowStack.suffix_partial_sum`."""
-        return sum(self.partial[index:])

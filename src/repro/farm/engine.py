@@ -245,11 +245,23 @@ def _run_pool(
         failed: List[ShardTask] = []
         broken = False
         started_at: Dict[int, float] = {}
+
+        def fail(task: ShardTask, reason: str, recycle: bool = True) -> None:
+            """One failed pool attempt; ``recycle`` retires the pool after it."""
+            nonlocal broken
+            broken = broken or recycle
+            failed.append(task)
+            if on_failure:
+                on_failure(task.shard_id, reason)
+
         try:
             futures = {}
             for task in pending:
                 attempts[task.shard_id] += 1
-                futures[executor.submit(run_shard, task)] = task
+                try:
+                    futures[executor.submit(run_shard, task)] = task
+                except BrokenProcessPool:  # a worker died before this submit
+                    fail(task, "error")
             outstanding = set(futures)
             while outstanding:
                 done, _ = wait(outstanding, timeout=POLL_INTERVAL,
@@ -261,16 +273,11 @@ def _run_pool(
                     try:
                         results[task.shard_id] = future.result()
                     except BrokenProcessPool:
-                        broken = True
-                        failed.append(task)
-                        if on_failure:
-                            on_failure(task.shard_id, "error")
+                        fail(task, "error")
                     except TraceFileError:
                         raise  # a malformed trace fails every attempt alike
                     except Exception:
-                        failed.append(task)
-                        if on_failure:
-                            on_failure(task.shard_id, "error")
+                        fail(task, "error", recycle=False)
                 for future in list(outstanding):
                     task = futures[future]
                     if future.running():
@@ -281,10 +288,7 @@ def _run_pool(
                         # future, recycle the whole pool afterwards
                         outstanding.discard(future)
                         future.cancel()
-                        broken = True
-                        failed.append(task)
-                        if on_failure:
-                            on_failure(task.shard_id, "timeout")
+                        fail(task, "timeout")
                 if watcher is not None:
                     watcher.poll()
         finally:

@@ -40,7 +40,7 @@ from typing import Dict, List, NamedTuple, Optional
 from ..core.profile_data import ProfileDatabase
 from ..curvefit.fitting import fit_power_law
 from ..curvefit.selection import select_model
-from .store import CurveRecord, ObservatoryStore, RunRecord
+from .store import CurveRecord, ObservatoryStore, RunRecord, _is_late
 
 __all__ = [
     "IngestResult",
@@ -255,11 +255,17 @@ def _ingest_checkpoint_record(
     store: ObservatoryStore, record: RunRecord, manifest: Dict,
 ) -> IngestResult:
     ingested = store.add_run(record, supersede=True)
-    state = "final" if manifest.get("closed") else "partial"
-    detail = (f"checkpoint #{manifest.get('seq', 0)} ({state}), "
-              f"{len(record.curves)} curve(s)"
-              if ingested else
-              f"checkpoint #{manifest.get('seq', 0)} already known")
+    seq = int(record.metrics["streaming.seq"])
+    if ingested:
+        state = "final" if manifest.get("closed") else "partial"
+        detail = f"checkpoint #{seq} ({state}), {len(record.curves)} curve(s)"
+        return IngestResult(record.run_id, "stream", ingested, detail)
+    stored = store.record_for(record.run_id)
+    detail = f"checkpoint #{seq} already known"
+    if _is_late(stored, record):
+        state = "final" if stored.metrics.get("streaming.closed") else "partial"
+        detail = (f"checkpoint #{seq} is late: stored checkpoint "
+                  f"#{stored.metrics['streaming.seq']:.0f} ({state}) kept; not applied")
     return IngestResult(record.run_id, "stream", ingested, detail)
 
 

@@ -160,6 +160,17 @@ class CurveRow(NamedTuple):
         return model_by_name(self.model).evaluate(n, self.a, self.b)
 
 
+def _is_late(stored: RunRecord, incoming: RunRecord) -> bool:
+    """A partial checkpoint after a closed or higher-``seq`` one (ingest
+    workers finish out of order).  A closed one always applies: a new
+    recording to the same trace path restarts ``seq`` at 1."""
+    if incoming.metrics.get("streaming.closed"):
+        return False
+    return bool(stored.metrics.get("streaming.closed")) or (
+        incoming.metrics.get("streaming.seq", 0.0)
+        < stored.metrics.get("streaming.seq", 0.0))
+
+
 class ObservatoryStore:
     """Persistent run history over a minidb engine (see module docstring).
 
@@ -279,7 +290,7 @@ class ObservatoryStore:
                 if seq is None:
                     index[run.run_id] = len(resolved)
                     resolved.append(run)
-                elif record.get("supersede"):
+                elif record.get("supersede") and not _is_late(resolved[seq], run):
                     resolved[seq] = run
                 # duplicate non-superseding append: first write wins,
                 # matching add_run's idempotency
@@ -301,6 +312,10 @@ class ObservatoryStore:
     def has_run(self, run_id: str) -> bool:
         return run_id in self._run_seq
 
+    def record_for(self, run_id: str) -> RunRecord:
+        """The stored version of a known ``run_id``."""
+        return self._records[self._run_seq[run_id]]
+
     def add_run(self, record: RunRecord, supersede: bool = False) -> bool:
         """Ingest one run; False (and no effect) when run_id is present.
 
@@ -313,14 +328,15 @@ class ObservatoryStore:
         and the replacement is appended to the log with a
         ``supersede`` marker so replay converges to the newest
         version.  Re-ingesting a byte-identical checkpoint stays a
-        no-op, keeping superseding ingestion idempotent too.
+        no-op, keeping superseding ingestion idempotent too, and so is
+        a late one (see :func:`_is_late`).
         """
         if self.has_run(record.run_id):
             if not supersede:
                 return False
             seq = self._run_seq[record.run_id]
-            if self._records[seq] == record:
-                return False    # identical checkpoint re-ingested
+            if self._records[seq] == record or _is_late(self._records[seq], record):
+                return False    # identical checkpoint re-ingested, or a late one
             self._append(record, supersede=True)
             records = list(self._records)
             records[seq] = record

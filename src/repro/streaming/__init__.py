@@ -6,13 +6,15 @@ long.  This package closes the gap, ROADMAP's "streaming analysis"
 item:
 
 * :mod:`repro.streaming.tailer` — :class:`ChunkTailer` follows a
-  growing v2 trace chunk by sealed chunk (live names sidecar, torn
-  tails typed as :class:`~repro.farm.binfmt.TruncatedChunk`,
+  growing v2 trace chunk by sealed chunk and alone owns routine names
+  and end-of-stream (live names sidecar, or the footer when there is
+  none; torn tails typed as :class:`~repro.farm.binfmt.TruncatedChunk`;
   per-poll backpressure bounds);
 * :mod:`repro.streaming.engine` — :class:`StreamingAnalyzer` keeps one
   whole-trace :class:`~repro.core.flatkernel.FlatAnalyzer` alive across
   polls ("merge as you go"); :class:`LiveProfileSession` glues tailer,
-  analyzer and snapshots into one drive-able loop;
+  analyzer and snapshots into one drive-able loop that feeds every
+  delivered chunk at once;
 * :mod:`repro.streaming.snapshot` — :class:`SnapshotWriter` emits
   atomic, sequence-numbered partial ``repro-profile 1`` checkpoints
   (each a full dump) plus the ``CURRENT.json`` manifest that carries

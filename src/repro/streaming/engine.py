@@ -5,20 +5,20 @@ merge (:mod:`repro.farm.merge`) means a prefix of chunks analysed now
 plus the rest analysed later equals the batch run.  Concretely the
 engine keeps one whole-trace :class:`~repro.core.flatkernel.FlatAnalyzer`
 (``threads=None`` lazy mode) alive across polls and feeds it sealed
-``ChunkColumns`` in trace order, so the final database — after
-``finish()`` when the trace seals — is *bit-identical* to
-``repro analyze`` (the streaming differential suite compares the
-dumps byte for byte).
+``ChunkColumns`` in trace order, so the final database — after the
+trace seals and drains — is *bit-identical* to ``repro analyze`` (the
+streaming differential suite compares the dumps byte for byte).
+
+The :class:`~repro.streaming.tailer.ChunkTailer` alone owns routine
+names and end-of-stream; the analyzer holds its ``names`` list, so the
+session feeds each delivered chunk at once and queues nothing.
 
 Bounded memory and backpressure: the analyzer's running state is the
 same per-thread stacks + latest-access tables the batch kernel keeps —
 streaming adds no history.  What *can* grow without bound is the
-backlog between writer and reader; the session caps work per poll
-(``max_chunks_per_poll``), holds back chunks whose routine names have
-not yet arrived through the sidecar (bounded by ``max_held_chunks``,
-after which polling pauses — backpressure), and accounts for all of it
-(:attr:`StreamingAnalyzer.events_fed`, ``events_behind``, stall
-counts) in every checkpoint manifest and the
+backlog between writer and reader; the tailer caps work per poll, and
+the session accounts for it (:attr:`StreamingAnalyzer.events_fed`,
+``events_behind``, stall counts) in every checkpoint manifest and the
 ``streaming.checkpoint_lag_ms`` / ``streaming.events_behind`` gauges.
 """
 
@@ -30,12 +30,11 @@ import time
 from typing import List, Optional
 
 from .. import telemetry
-from ..core.events import EventKind
 from ..core.flatkernel import FlatAnalyzer
 from ..core.profile_data import ProfileDatabase
 from ..farm.binfmt import ChunkColumns, TruncatedChunk
 from .snapshot import CheckpointInfo, SnapshotWriter
-from .tailer import DEFAULT_MAX_CHUNKS_PER_POLL, ChunkTailer
+from .tailer import ChunkTailer
 
 __all__ = [
     "StreamingAnalyzer",
@@ -45,7 +44,6 @@ __all__ = [
 ]
 
 DEFAULT_CHECKPOINT_EVENTS = 65536
-_CALL = int(EventKind.CALL)
 
 
 def stream_id_for(trace_path: str) -> str:
@@ -55,42 +53,23 @@ def stream_id_for(trace_path: str) -> str:
 
 
 class StreamingAnalyzer:
-    """A :class:`FlatAnalyzer` with a growable name table and tallies."""
+    """A :class:`FlatAnalyzer` over the tailer's ``names`` list, with a tally."""
 
-    def __init__(self, context_sensitive: bool = False):
+    def __init__(self, names: List[str], context_sensitive: bool = False):
         self.db = ProfileDatabase()
-        self.names: List[str] = []
-        self.analyzer = FlatAnalyzer(None, self.names, self.db,
+        self.analyzer = FlatAnalyzer(None, names, self.db,
                                      context_sensitive=context_sensitive)
         self.events_fed = 0
-        self.chunks_fed = 0
-        self.finished = False
-
-    def extend_names(self, names: List[str]) -> None:
-        """Adopt a longer prefix-consistent name table from the tailer."""
-        if len(names) > len(self.names):
-            self.names.extend(names[len(self.names):])
-
-    def max_call_id(self, columns: ChunkColumns) -> int:
-        """Largest routine id the chunk's CALL records reference."""
-        worst = -1
-        for kind, arg in zip(columns.kinds, columns.args):
-            if kind == _CALL and arg > worst:
-                worst = arg
-        return worst
 
     def feed(self, columns: ChunkColumns) -> None:
         with telemetry.span("stream.feed", events=columns.events,
                             first_pos=columns.first_pos):
             self.analyzer.feed(columns)
         self.events_fed += columns.events
-        self.chunks_fed += 1
 
     def finish(self) -> ProfileDatabase:
         """Unwind pending activations; the database is now the batch result."""
-        if not self.finished:
-            self.analyzer.finish()
-            self.finished = True
+        self.analyzer.finish()
         return self.db
 
 
@@ -113,71 +92,53 @@ class LiveProfileSession:
         checkpoint_events: int = DEFAULT_CHECKPOINT_EVENTS,
         checkpoint_seconds: float = 2.0,
         context_sensitive: bool = False,
-        max_chunks_per_poll: int = DEFAULT_MAX_CHUNKS_PER_POLL,
-        max_held_chunks: int = 256,
     ):
         self.trace_path = trace_path
         self.stream_id = stream_id or stream_id_for(trace_path)
         self.checkpoint_events = checkpoint_events
         self.checkpoint_seconds = checkpoint_seconds
-        self.tailer = ChunkTailer(trace_path, max_chunks_per_poll=max_chunks_per_poll)
-        self.analyzer = StreamingAnalyzer(context_sensitive=context_sensitive)
+        self.tailer = ChunkTailer(trace_path)
+        self.analyzer = StreamingAnalyzer(self.tailer.names,
+                                          context_sensitive=context_sensitive)
         self.snapshots = SnapshotWriter(checkpoint_dir, self.stream_id)
-        self.max_held_chunks = max_held_chunks
         self.checkpoints: List[CheckpointInfo] = []
         #: per-checkpoint freshness lag samples (ms) — bench fodder
         self.lag_samples_ms: List[float] = []
-        self.hold_stalls = 0
         self.finalized = False
-        self._held: List[ChunkColumns] = []
         self._since_checkpoint = 0
         self._oldest_unsnapshotted: Optional[float] = None
         self._last_checkpoint_at = time.perf_counter()
         self._started = time.perf_counter()
 
+    @property
+    def hold_stalls(self) -> int:
+        """Polls that waited for the seal: the trace has no names sidecar."""
+        return self.tailer.hold_stalls
+
     # -- plumbing ----------------------------------------------------------------
 
-    def _feed_ready(self) -> int:
-        """Feed held chunks whose names have arrived; returns count fed."""
-        fed = 0
-        known = len(self.analyzer.names)
-        while self._held and self.analyzer.max_call_id(self._held[0]) < known:
-            columns = self._held.pop(0)
+    def step(self) -> int:
+        """One poll: tail, feed, checkpoint when due; returns chunks consumed."""
+        polled = self.tailer.poll()
+        for columns in polled:
             self.analyzer.feed(columns)
-            fed += 1
             if self._oldest_unsnapshotted is None:
                 self._oldest_unsnapshotted = time.perf_counter()
             self._since_checkpoint += columns.events
-        return fed
-
-    def step(self) -> int:
-        """One poll: tail, resolve names, feed; returns chunks consumed."""
-        if len(self._held) >= self.max_held_chunks:
-            # Names starved while chunks piled up: stop pulling bytes
-            # until the sidecar (or the footer) catches up.
-            self.hold_stalls += 1
-            self.tailer.refresh_names()
-            polled: List[ChunkColumns] = []
-        else:
-            polled = self.tailer.poll()
-        self.analyzer.extend_names(self.tailer.names)
-        self._held.extend(polled)
-        consumed = self._feed_ready()
         due_events = self._since_checkpoint >= self.checkpoint_events
         due_time = (self._since_checkpoint > 0
                     and time.perf_counter() - self._last_checkpoint_at
                     >= self.checkpoint_seconds)
         if due_events or due_time:
             self.checkpoint()
-        return consumed
+        return len(polled)
 
     def checkpoint(self, closed: bool = False) -> CheckpointInfo:
         """Materialise the current partial profile as the next snapshot."""
         now = time.perf_counter()
         lag_ms = ((now - self._oldest_unsnapshotted) * 1000.0
                   if self._oldest_unsnapshotted is not None else 0.0)
-        events_behind = (self.tailer.pending_events_estimate()
-                         + sum(held.events for held in self._held))
+        events_behind = self.tailer.pending_events_estimate()
         elapsed = max(now - self._started, 1e-9)
         events_per_s = self.analyzer.events_fed / elapsed
         with telemetry.span("stream.snapshot", closed=closed) as snap_span:
@@ -191,7 +152,7 @@ class LiveProfileSession:
                 timestamp=time.strftime("%Y-%m-%dT%H:%M:%S"),
                 extra={
                     "trace": os.path.basename(self.trace_path),
-                    "stalls": self.tailer.stalls + self.hold_stalls,
+                    "stalls": self.tailer.stalls + self.tailer.hold_stalls,
                 },
             )
             snap_span.set(seq=info.seq, bytes=info.bytes_written)
@@ -208,7 +169,12 @@ class LiveProfileSession:
 
     @property
     def drained(self) -> bool:
-        return self.tailer.drained and not self._held
+        """True once the trace is sealed and every chunk was fed."""
+        return self.tailer.drained
+
+    def _drain(self) -> None:
+        while self.step():
+            pass
 
     def finalize(self) -> ProfileDatabase:
         """Drain, unwind, and emit the final ``closed`` checkpoint.
@@ -219,25 +185,15 @@ class LiveProfileSession:
         """
         if self.finalized:
             return self.analyzer.db
-        while True:
-            before = self.analyzer.chunks_fed
-            self.step()
-            if self.drained or self.analyzer.chunks_fed == before:
-                break
-        if self.drained:
-            self.analyzer.finish()
-            self.checkpoint(closed=True)
-            self.finalized = True
-            self.tailer.close()
-            return self.analyzer.db
-        try:
-            self.tailer.finish()   # raises TruncatedChunk with the details
-        except TruncatedChunk:
-            self.checkpoint(closed=False)   # persist the recovered prefix
-            self.tailer.close()
-            raise
-        # Nothing torn after all (e.g. the trace never materialised):
-        # close out with whatever — possibly nothing — was analysed.
+        self._drain()
+        if not self.drained:
+            try:
+                self.tailer.finish()   # raises TruncatedChunk with the details
+            except TruncatedChunk:
+                self.checkpoint(closed=False)   # persist the recovered prefix
+                self.tailer.close()
+                raise
+            self._drain()   # the chunks of a seal finish() just found
         self.analyzer.finish()
         self.checkpoint(closed=True)
         self.finalized = True
@@ -248,11 +204,8 @@ class LiveProfileSession:
             timeout: Optional[float] = None) -> ProfileDatabase:
         """Poll until the trace seals and drains, then finalize."""
         deadline = None if timeout is None else time.perf_counter() + timeout
-        while not (self.tailer.sealed and self.drained):
-            consumed = self.step()
-            if self.tailer.sealed and self.drained:
-                break
-            if not consumed:
+        while not self.drained:
+            if not self.step():
                 if deadline is not None and time.perf_counter() > deadline:
                     break
                 time.sleep(poll_interval)

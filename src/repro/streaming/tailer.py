@@ -14,14 +14,16 @@ API:
   (:func:`repro.farm.binfmt.live_names_path`): the writer flushes each
   newly interned name *before* it writes the chunk that first uses it,
   and a poll reads the sidecar *after* it parses new chunk headers, so
-  :attr:`names` always covers every delivered chunk;
+  :attr:`names` always covers every delivered chunk.  Without a
+  sidecar nothing is delivered before the seal (:attr:`hold_stalls`);
 * each poll first looks for the seal; once the trailer lands, the
-  footer becomes the authoritative chunk index and name table, the
-  remaining chunks drain, and :attr:`sealed` flips;
-* :meth:`finish` is the end-of-stream check: on a file whose writer
-  died mid-flush it raises :class:`~repro.farm.binfmt.TruncatedChunk`
-  — typed and *recoverable*: everything delivered before the tear is a
-  valid prefix.
+  footer becomes the authoritative chunk index, its string table
+  extends :attr:`names` in place, the remaining chunks drain, and
+  :attr:`sealed` flips;
+* :meth:`finish` is the end-of-stream check and delivers nothing: on a
+  file whose writer died mid-flush it raises
+  :class:`~repro.farm.binfmt.TruncatedChunk` — typed and
+  *recoverable*: everything delivered before the tear is a valid prefix.
 
 Backpressure: ``max_chunks_per_poll`` bounds how much a single poll
 may decode, so a tailer that woke up far behind the writer drains in
@@ -44,7 +46,6 @@ from ..farm.binfmt import (
     BinaryTraceError,
     ChunkColumns,
     ChunkMeta,
-    TraceMeta,
     TruncatedChunk,
     decode_chunk_columns,
     live_names_path,
@@ -61,41 +62,33 @@ class ChunkTailer:
     """Incrementally parse a growing v2 trace into sealed chunks.
 
     Args:
-        path: the trace file (may not exist yet).
-        names_path: the live names sidecar; defaults to
-            ``path + ".names"``.  Optional — without it the tailer only
-            learns names when the footer lands.
+        path: the trace file (may not exist yet); its live names
+            sidecar, if any, is ``path + ".names"``.
         max_chunks_per_poll: backpressure bound; at most this many
             chunks are parsed and returned per :meth:`poll`.
     """
 
-    def __init__(
-        self,
-        path: str,
-        names_path: Optional[str] = None,
-        max_chunks_per_poll: int = DEFAULT_MAX_CHUNKS_PER_POLL,
-    ):
+    def __init__(self, path: str, max_chunks_per_poll: int = DEFAULT_MAX_CHUNKS_PER_POLL):
         if max_chunks_per_poll <= 0:
             raise ValueError("max_chunks_per_poll must be positive")
         self.path = path
-        self.names_path = live_names_path(path) if names_path is None else names_path
+        self.names_path = live_names_path(path)
         self.max_chunks_per_poll = max_chunks_per_poll
-        #: routine names seen so far (sidecar prefix, or full footer table)
+        #: routine names: sidecar lines, then the rest of the footer's
+        #: table; only ever extended in place, so a consumer may hold it
         self.names: List[str] = []
-        #: every chunk delivered so far, in trace order
-        self.chunks: List[ChunkMeta] = []
-        #: footer metadata, set once the seal is observed
-        self.meta: Optional[TraceMeta] = None
         self.sealed = False
         self.events_seen = 0
         #: polls that were cut short by ``max_chunks_per_poll``
         self.stalls = 0
+        #: polls before the seal that delivered nothing: no names sidecar
+        self.hold_stalls = 0
         self._stream: Optional[IO[bytes]] = None
         self._offset = 0              # next unparsed byte (0 = magic unchecked)
         self._next_pos = 0            # global position the next chunk must start at
         self._names_offset = 0        # consumed bytes of the sidecar
         self._pending: List[ChunkMeta] = []   # sealed-footer chunks not yet delivered
-        self._tail_size = 0           # file size at the last poll
+        self._tail_size = 0           # file size at the last look
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -118,33 +111,40 @@ class ChunkTailer:
     # -- polling -----------------------------------------------------------------
 
     def _open(self) -> Optional[IO[bytes]]:
+        """The trace stream once its magic is checked; None before that."""
         if self._stream is None:
             try:
                 self._stream = open(self.path, "rb")
             except FileNotFoundError:
                 return None
-        return self._stream
+        stream = self._stream
+        self._tail_size = os.fstat(stream.fileno()).st_size
+        if self._offset == 0:
+            if self._tail_size < len(BINARY_MAGIC):
+                return None
+            stream.seek(0)
+            if stream.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
+                raise BinaryTraceError(f"{self.path}: not a binary trace (bad magic)")
+            self._offset = len(BINARY_MAGIC)
+        return stream
 
-    def refresh_names(self) -> int:
-        """Pull newly flushed names from the sidecar; returns new count."""
+    def refresh_names(self) -> None:
+        """Pull newly flushed names from the sidecar."""
         if self.sealed:
-            return 0
+            return
         try:
             with open(self.names_path, "r", encoding="utf-8") as stream:
                 stream.seek(self._names_offset)
                 block = stream.read()
         except FileNotFoundError:
-            return 0
-        added = 0
+            return
         consumed = 0
         for line in block.splitlines(keepends=True):
             if not line.endswith("\n"):
                 break  # torn tail line: re-read next poll
             self.names.append(unescape_name(line[:-1]))
             consumed += len(line.encode("utf-8"))
-            added += 1
         self._names_offset += consumed
-        return added
 
     def _check_seal(self, stream: IO[bytes]) -> bool:
         """Look for a valid trailer+footer; adopt it when present."""
@@ -152,19 +152,23 @@ class ChunkTailer:
             meta = read_trace_meta(stream)
         except BinaryTraceError:
             return False
+        known = len(self.names)
+        if meta.names[:known] != self.names:
+            raise BinaryTraceError(
+                f"{self.path}: the names sidecar disagrees with the footer's "
+                "string table")
+        self.names.extend(meta.names[known:])
         # The footer's chunk index is authoritative: queue everything we
         # have not yet delivered (matched by global position).
-        self.meta = meta
-        self.names = list(meta.names)
         self._pending = [c for c in meta.chunks if c.first_pos >= self._next_pos]
         self.sealed = True
         return True
 
-    def _parse_unsealed(self, stream: IO[bytes], size: int, budget: int) -> List[ChunkMeta]:
+    def _parse_unsealed(self, stream: IO[bytes], budget: int) -> List[ChunkMeta]:
         """Sequentially parse complete chunks between offset and EOF."""
         fresh: List[ChunkMeta] = []
         while budget > 0:
-            chunk = read_chunk_header(stream, self._offset, size, self._next_pos)
+            chunk = read_chunk_header(stream, self._offset, self._tail_size, self._next_pos)
             if chunk is None:
                 # A partial trailing chunk (re-poll later), the footer
                 # being written (the seal resolves it next poll) or a
@@ -181,40 +185,32 @@ class ChunkTailer:
 
         Returns decoded :class:`ChunkColumns` in trace order (at most
         ``max_chunks_per_poll`` of them).  An empty list means either
-        no new sealed chunk yet (re-poll later) or, if :attr:`drained`,
-        end of stream.
+        no new deliverable chunk yet (re-poll later) or, if
+        :attr:`drained`, end of stream.
         """
         stream = self._open()
         if stream is None:
             return []
-        size = os.fstat(stream.fileno()).st_size
-        self._tail_size = size
-        if self._offset == 0:
-            if size < len(BINARY_MAGIC):
-                return []
-            stream.seek(0)
-            if stream.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
-                raise BinaryTraceError(f"{self.path}: not a binary trace (bad magic)")
-            self._offset = len(BINARY_MAGIC)
         budget = self.max_chunks_per_poll
         with telemetry.span("stream.tail", path=os.path.basename(self.path)) as tail_span:
             fresh: List[ChunkMeta] = []
             if not self.sealed and not self._check_seal(stream):
-                fresh = self._parse_unsealed(stream, size, budget)
-                # names after chunks: the writer flushed every name a
-                # parsed chunk uses before it wrote that chunk
-                self.refresh_names()
+                if os.path.exists(self.names_path):
+                    fresh = self._parse_unsealed(stream, budget)
+                    # names after chunks: the writer flushed every name a
+                    # parsed chunk uses before it wrote that chunk
+                    self.refresh_names()
+                else:
+                    self.hold_stalls += 1   # names come with the footer only
             if self.sealed and self._pending:
-                take = min(budget, len(self._pending))
-                fresh = self._pending[:take]
-                self._pending = self._pending[take:]
-            if len(fresh) == budget and (self._pending or self._offset < size):
+                fresh = self._pending[:budget]
+                self._pending = self._pending[budget:]
+            if len(fresh) == budget and (self._pending or self._offset < self._tail_size):
                 self.stalls += 1
             columns: List[ChunkColumns] = []
             for chunk in fresh:
                 with telemetry.span("stream.decode", events=chunk.events):
                     columns.append(decode_chunk_columns(stream, chunk))
-            self.chunks.extend(fresh)
             self.events_seen += sum(chunk.events for chunk in fresh)
             tail_span.set(chunks=len(columns), sealed=self.sealed)
         return columns
@@ -229,15 +225,17 @@ class ChunkTailer:
         return pending_bytes // RECORD_BYTES
 
     def finish(self) -> None:
-        """Assert end of stream; raise on a torn tail.
+        """Assert end of stream; raise on a torn or unsealed tail.
 
-        Call when the producer is known to be gone.  A clean seal (or a
-        bare magic-only file) passes; leftover bytes that never became
-        a chunk or a seal raise :class:`TruncatedChunk` — the typed,
-        recoverable signal that everything already delivered is a valid
-        prefix of the interrupted run.
+        Call when the producer is known to be gone.  Delivers nothing:
+        a seal it finds leaves its chunks to the next :meth:`poll`.  A
+        clean seal (or a missing or empty file) passes; anything else
+        raises :class:`TruncatedChunk` — the typed, recoverable signal
+        that everything already delivered is a valid prefix.
         """
-        self.poll()
+        stream = self._open()
+        if stream is not None and not self.sealed:
+            self._check_seal(stream)
         if self.sealed:
             return
         leftover = self._tail_size - max(self._offset, len(BINARY_MAGIC))
@@ -245,8 +243,8 @@ class ChunkTailer:
             leftover = self._tail_size  # never even saw a full magic
         if leftover > 0:
             raise TruncatedChunk(
-                f"{self.path}: unsealed trace with {leftover} torn trailing "
-                f"byte(s) after {self.events_seen} delivered event(s) — "
+                f"{self.path}: unsealed trace with {leftover} undelivered "
+                f"trailing byte(s) after {self.events_seen} delivered event(s) — "
                 "writer killed mid-flush?")
         if self.events_seen or self._tail_size:
             raise TruncatedChunk(

@@ -93,6 +93,34 @@ def test_dead_pool_degrades_to_inline(recorded, monkeypatch):
     assert report.count("inline!") == len(result.stats.outcomes)
 
 
+def test_worker_death_during_submission_is_a_failed_attempt(recorded, monkeypatch):
+    """Once a worker has died, ``submit`` itself raises
+    ``BrokenProcessPool``: the shard being submitted has failed one
+    pool attempt, and the pool is recycled like any broken pool."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    class DiesBeforeSecondSubmit(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submits = 0
+
+        def submit(self, *args, **kwargs):
+            self.submits += 1
+            if self.submits == 2:
+                raise BrokenProcessPool("a child process terminated abruptly")
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", DiesBeforeSecondSubmit)
+    path, reference = recorded
+    result = analyze_file(path, jobs=2, keep_activations=True)
+    assert comparable(result.db) == reference
+    assert result.stats.pool_failures >= 1
+    by_id = {outcome.shard_id: outcome for outcome in result.stats.outcomes}
+    assert len(by_id) == 2
+    assert (by_id[1].attempts, by_id[1].retries, by_id[1].where) == (2, 1, "pool")
+
+
 def test_inline_execution_strips_faults(recorded, tmp_path):
     """Fallback execution must never re-trigger the injected fault."""
     path, reference = recorded

@@ -2,11 +2,13 @@
 
 import filecmp
 import io
+import os
 
 import pytest
 
 from repro.cli import main
 from repro.core import ProfileDatabase
+from repro.farm import live_names_path
 
 from .util import MALFORMED_CHECKPOINTS, dump_bytes, write_checkpoint_dir
 
@@ -52,6 +54,59 @@ def test_watch_follows_a_growing_trace(tmp_path):
     code, frame = run_cli("watch", trace, "--checkpoints", ckpt, "--once")
     assert code == 0
     assert "checkpoint #" in frame
+
+
+def test_unusable_output_paths_are_one_error_line(tmp_path):
+    """A trace or checkpoint directory under a regular file cannot be
+    created: one ``error:`` line, exit 2, and no files left behind."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
+    trace = tmp_path / "t.rpt2"
+    for argv in (
+        ("record", "350.md", str(blocker / "t.rpt2"), "--scale", "0.2"),
+        ("record", "350.md", str(trace), "--scale", "0.2",
+         "--live", str(blocker / "ckpt")),
+        ("watch", str(trace), "--checkpoints", str(blocker / "ckpt"), "--once"),
+    ):
+        code, output = run_cli(*argv)
+        assert code == 2, argv
+        assert output.startswith("error: ") and output.count("\n") == 1, output
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker"]
+
+
+def test_plain_record_removes_a_stale_names_sidecar(tmp_path):
+    """An earlier ``--live`` recording's sidecar would name the routines
+    of a plain re-recording wrongly for a co-tailing ``watch``."""
+    trace = str(tmp_path / "t.rpt2")
+    code, _ = run_cli("record", "376.kdtree", trace, "--threads", "2",
+                      "--scale", "0.2", "--live", str(tmp_path / "old"))
+    assert code == 0 and os.path.exists(live_names_path(trace))
+    code, _ = run_cli("record", "350.md", trace, "--scale", "0.2")
+    assert code == 0 and not os.path.exists(live_names_path(trace))
+
+    ckpt = str(tmp_path / "ckpt")
+    code, frame = run_cli("watch", trace, "--checkpoints", ckpt, "--timeout", "60")
+    assert code == 0 and "closed" in frame
+    from repro.streaming import checkpoint_dump_bytes
+
+    batch = tmp_path / "batch.profile"
+    assert run_cli("analyze", trace, "--dump", str(batch))[0] == 0
+    assert checkpoint_dump_bytes(ckpt) == batch.read_bytes()
+
+
+@pytest.mark.parametrize("mode", [("--once",), ("--timeout", "60")])
+def test_watch_reports_a_trace_error_as_one_error_line(tmp_path, mode):
+    """A sidecar that names too few routines for an unsealed trace makes
+    a chunk's CALL id fall outside the table: one ``error:`` line."""
+    trace = str(tmp_path / "t.rpt2")
+    assert run_cli("record", "350.md", trace, "--scale", "0.2")[0] == 0
+    with open(trace, "r+b") as stream:
+        stream.truncate(os.path.getsize(trace) - 1)      # tear the trailer
+    with open(live_names_path(trace), "w") as stream:
+        stream.write("stale\n")
+    code, output = run_cli("watch", trace, "--checkpoints", str(tmp_path / "ckpt"), *mode)
+    assert code == 2
+    assert output.startswith("error: ") and output.count("\n") == 1, output
 
 
 def test_watch_without_checkpoints_errors(tmp_path):

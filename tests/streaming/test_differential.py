@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.farm import load_profile
+from repro.farm import BinaryTraceWriter, load_profile
 from repro.streaming import (
     MANIFEST_NAME,
     LiveProfileSession,
@@ -105,3 +105,28 @@ def test_every_checkpoint_loads_and_the_last_equals_batch(tmp_path):
     expected = batch_dump_bytes(events)
     assert (ckpt / names[-1]).read_bytes() == expected
     assert checkpoint_dump_bytes(str(ckpt)) == expected
+
+
+def test_sidecar_less_trace_streams_whole_at_the_seal(tmp_path):
+    """A trace recorded without a names sidecar (``repro record`` with
+    no ``--live``) delivers nothing before its seal, however many
+    chunks pile up meanwhile; the closed checkpoint is still the batch
+    dump, with every event analysed."""
+    events = benchmark_events("350.md", threads=4, scale=1.0)
+    cuts = SCHEDULES["trickle"](len(events))
+    trace = str(tmp_path / "trace.rpt2")
+    ckpt = str(tmp_path / "ckpt")
+    session = LiveProfileSession(trace, ckpt, checkpoint_events=500,
+                                 checkpoint_seconds=1e9)
+    with open(trace, "wb") as stream:
+        writer = BinaryTraceWriter(stream, chunk_events=16)
+        replay_in_slices(events, writer, cuts, session.step)
+        assert not session.checkpoints          # nothing fed before the seal
+        writer.close()
+    session.finalize()
+    assert len(writer.chunks) > 256 and len(cuts) >= 20
+    manifest = load_manifest(ckpt)
+    assert manifest["closed"] is True
+    assert manifest["events_analyzed"] == len(events)
+    assert checkpoint_dump_bytes(ckpt) == batch_dump_bytes(events)
+    assert session.hold_stalls >= 20

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.core import EventKind, replay
-from repro.farm import TruncatedChunk, live_names_path
+from repro.farm import BinaryTraceError, BinaryTraceWriter, TruncatedChunk, live_names_path
 from repro.streaming import ChunkTailer
 
 from .util import benchmark_events, live_writer, synthetic_events
@@ -90,8 +90,6 @@ def test_unsealed_trace_without_torn_bytes_still_raises(tmp_path):
     events = synthetic_events({"alpha": lambda n: n})
     with open(trace, "wb") as stream, \
             open(live_names_path(trace), "w", encoding="utf-8") as names:
-        from repro.farm import BinaryTraceWriter
-
         writer = BinaryTraceWriter(stream, chunk_events=16, names_stream=names)
         replay(events, writer)
         writer._flush_chunk()
@@ -142,3 +140,58 @@ def test_poll_budget_counts_stalls(tmp_path):
         while tailer.poll():
             pass
         assert tailer.drained
+
+
+def test_finish_leaves_the_chunks_of_a_found_seal_to_poll(tmp_path):
+    """``finish()`` delivers nothing: on a sealed trace nobody polled
+    yet, it finds the seal and every chunk still reaches ``poll()``."""
+    trace = str(tmp_path / "t.rpt2")
+    events = benchmark_events("376.kdtree", threads=2, scale=0.2)
+    with live_writer(trace) as writer:
+        replay(events, writer)
+    with ChunkTailer(trace) as tailer:
+        tailer.finish()
+        assert tailer.sealed and not tailer.drained
+        rows = decode_all(tailer)
+        assert tailer.drained
+    assert len(rows) == len(events)
+
+
+def test_without_a_sidecar_nothing_is_delivered_before_the_seal(tmp_path):
+    """A trace recorded without ``--live`` has no names sidecar: its
+    chunks wait for the footer's string table, and each poll that
+    waited counts as a hold stall."""
+    trace = str(tmp_path / "t.rpt2")
+    events = synthetic_events({"alpha": lambda n: n})
+    with open(trace, "wb") as stream:
+        writer = BinaryTraceWriter(stream, chunk_events=16)
+        replay(events, writer)
+        with ChunkTailer(trace) as tailer:
+            assert tailer.poll() == [] and tailer.poll() == []
+            assert tailer.hold_stalls == 2
+            assert tailer.pending_events_estimate() > 0
+            writer.close()
+            rows = decode_all(tailer)
+    assert len(rows) == len(events)
+    assert tailer.drained and tailer.hold_stalls == 2
+    assert tailer.names == ["alpha"]
+
+
+def test_sidecar_that_disagrees_with_the_footer_raises_at_the_seal(tmp_path):
+    """The footer's string table must start with the names the sidecar
+    delivered; a stale sidecar line is a typed error, not a renamed
+    routine in a profile."""
+    trace = str(tmp_path / "t.rpt2")
+    events = synthetic_events({"alpha": lambda n: n})
+    with open(trace, "wb") as stream, \
+            open(live_names_path(trace), "w", encoding="utf-8") as names:
+        names.write("stale\n")            # left over: the footer never lists it
+        writer = BinaryTraceWriter(stream, chunk_events=16, names_stream=names)
+        replay(events, writer)
+        with ChunkTailer(trace) as tailer:
+            assert tailer.poll()
+            assert tailer.names == ["stale", "alpha"]
+            writer.close()
+            with pytest.raises(BinaryTraceError, match="sidecar disagrees") as caught:
+                tailer.poll()
+            assert not isinstance(caught.value, TruncatedChunk)

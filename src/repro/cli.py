@@ -67,6 +67,17 @@ from .workloads import all_benchmarks, benchmark
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_telemetry_option(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--telemetry", metavar="DIR",
@@ -85,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser("profile", help="profile one benchmark")
     profile.add_argument("benchmark", help="benchmark name (see `repro list`)")
-    profile.add_argument("--threads", type=int, default=4)
+    profile.add_argument("--threads", type=_positive_int, default=4)
     profile.add_argument("--scale", type=float, default=1.0)
     profile.add_argument("--metric", choices=["rms", "trms", "both"], default="both")
     profile.add_argument("--context", action="store_true",
@@ -115,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     record.add_argument("benchmark")
     record.add_argument("output", help="trace file to write")
-    record.add_argument("--threads", type=int, default=4)
+    record.add_argument("--threads", type=_positive_int, default=4)
     record.add_argument("--scale", type=float, default=1.0)
-    record.add_argument("--chunk-events", type=int, default=4096, metavar="N",
+    record.add_argument("--chunk-events", type=_positive_int, default=4096, metavar="N",
                         help="events per v2 chunk (shard planning granularity)")
     record.add_argument("--live", metavar="DIR",
                         help="stream the trace while recording: "
@@ -127,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--durable", action="store_true",
                         help="fsync every sealed chunk (power-loss durable "
                              "streaming at a throughput cost)")
-    record.add_argument("--checkpoint-events", type=int, default=65536,
+    record.add_argument("--checkpoint-events", type=_positive_int, default=65536,
                         metavar="N", help="events between --live checkpoints")
     _add_telemetry_option(record)
 
@@ -146,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="refresh period (default 1s)")
     watch.add_argument("--top", type=int, default=10, metavar="N",
                        help="routines shown (ranked by growth class, then cost)")
-    watch.add_argument("--checkpoint-events", type=int, default=65536,
+    watch.add_argument("--checkpoint-events", type=_positive_int, default=65536,
                        metavar="N",
                        help="events between checkpoints in --checkpoints mode")
     watch.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
@@ -183,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure the profilers' own slowdown/space (Table 1 style)",
     )
     overhead.add_argument("benchmark", help="benchmark name (see `repro list`)")
-    overhead.add_argument("--threads", type=int, default=4)
+    overhead.add_argument("--threads", type=_positive_int, default=4)
     overhead.add_argument("--scale", type=float, default=1.0)
     overhead.add_argument("--repeats", type=int, default=3, metavar="N",
                           help="runs per configuration (best-of-N wall time)")

@@ -29,6 +29,13 @@ Layout::
     footer:  string table, chunk index
     trailer: footer offset, event count, "RPT2END\\0"
 
+Writing is columnar.  :class:`BinaryTraceWriter` appends each event to
+one flat list and encodes a chunk once, when it seals it: the list
+becomes a :class:`ChunkColumns`, the chunk header (write count,
+per-thread counts) is derived from those columns, and
+:func:`encode_chunk_columns` interleaves them into records.  It is the
+exact inverse of :func:`decode_chunk_columns`.
+
 A live writer also keeps a ``.names`` sidecar (:data:`NAMES_SUFFIX`),
 and :func:`read_chunk_header` parses the chunks of a file whose footer
 does not exist yet, so a tailer can follow a trace while it records.
@@ -40,6 +47,7 @@ import os
 import struct
 import sys
 from array import array
+from collections import Counter
 from typing import IO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.events import Event, EventKind, TraceConsumer, replay
@@ -64,6 +72,7 @@ __all__ = [
     "decode_chunk",
     "ChunkColumns",
     "decode_chunk_columns",
+    "encode_chunk_columns",
     "columns_from_events",
     "is_binary_trace",
 ]
@@ -81,6 +90,17 @@ _U64 = struct.Struct("<Q")
 _TRAILER = struct.Struct("<QQ8s")       # footer offset, event count, trailer magic
 
 DEFAULT_CHUNK_EVENTS = 4096
+
+#: kind codes as plain ints: the writer appends one per event, and an
+#: ``EventKind`` member costs an enum attribute lookup each time
+_CALL = int(EventKind.CALL)
+_RETURN = int(EventKind.RETURN)
+_READ = int(EventKind.READ)
+_WRITE = int(EventKind.WRITE)
+_KERNEL_READ = int(EventKind.KERNEL_READ)
+_KERNEL_WRITE = int(EventKind.KERNEL_WRITE)
+_THREAD_SWITCH = int(EventKind.THREAD_SWITCH)
+_COST = int(EventKind.COST)
 
 #: suffix of the live names sidecar a streaming writer maintains next to
 #: the trace (``trace.rpt2`` -> ``trace.rpt2.names``): interned routine
@@ -146,6 +166,14 @@ class TraceMeta(NamedTuple):
         return totals
 
 
+def _chunk_header(chunk: ChunkMeta) -> bytes:
+    """The header of ``chunk``; the footer's chunk index repeats it."""
+    return _CHUNK_FIXED.pack(
+        chunk.payload_bytes, chunk.events, chunk.first_pos, chunk.writes,
+        len(chunk.thread_counts),
+    ) + b"".join(_THREAD_COUNT.pack(*pair) for pair in sorted(chunk.thread_counts.items()))
+
+
 def _read_exact(stream: IO[bytes], size: int, what: str) -> bytes:
     data = stream.read(size)
     if len(data) != size:
@@ -155,6 +183,11 @@ def _read_exact(stream: IO[bytes], size: int, what: str) -> bytes:
 
 class BinaryTraceWriter(TraceConsumer):
     """Streams the event vocabulary to a chunked binary file.
+
+    A column buffer: each event is one append of ``kind, thread, arg``
+    to a flat list.  A chunk is encoded once, when it is sealed: the
+    list becomes :class:`ChunkColumns`, the header is derived from the
+    columns, and :func:`encode_chunk_columns` writes the records.
 
     Call :meth:`close` to seal the file with footer and trailer once
     recording is over; sealing is deliberately *not* tied to
@@ -189,18 +222,21 @@ class BinaryTraceWriter(TraceConsumer):
         self.chunk_events = chunk_events
         self.durable = durable
         self.names_stream = names_stream
-        self.events_written = 0
         self.chunks: List[ChunkMeta] = []
         self.closed = False
         self._name_ids: Dict[str, int] = {}
         self._names: List[str] = []
         self._names_flushed = 0
-        self._buf = bytearray()
-        self._buf_events = 0
-        self._buf_writes = 0
-        self._buf_threads: Dict[int, int] = {}
-        self._buf_first_pos = 0
+        self._sealed_events = 0
+        #: the open chunk, ``kind, thread, arg`` per event
+        self._flat: List[int] = []
+        self._flat_limit = 3 * chunk_events
         stream.write(BINARY_MAGIC)
+
+    @property
+    def events_written(self) -> int:
+        """Events in sealed chunks plus events buffered in the open one."""
+        return self._sealed_events + len(self._flat) // 3
 
     # -- record emission ---------------------------------------------------------
 
@@ -212,45 +248,32 @@ class BinaryTraceWriter(TraceConsumer):
             self._names.append(name)
         return ident
 
-    def _add(self, kind: int, thread: int, arg: int, is_write: bool = False) -> None:
+    def _add(self, kind: int, thread: int, arg: int) -> None:
         if self.closed:
             raise BinaryTraceError("write on a sealed binary trace")
-        if not self._buf_events:
-            self._buf_first_pos = self.events_written
-        self._buf += _RECORD.pack(kind, thread, arg)
-        self._buf_events += 1
-        self._buf_threads[thread] = self._buf_threads.get(thread, 0) + 1
-        if is_write:
-            self._buf_writes += 1
-        self.events_written += 1
-        if self._buf_events >= self.chunk_events:
+        self._flat += (kind, thread, arg)
+        if len(self._flat) >= self._flat_limit:
             self._flush_chunk()
 
     def _flush_chunk(self) -> None:
-        if not self._buf_events:
+        if not self._flat:
             return
+        columns = _columns(self._sealed_events, self._flat)
+        self._flat = []
+        payload = encode_chunk_columns(columns)
+        counts = dict(Counter(columns.threads))
+        writes = columns.kinds.count(_WRITE) + columns.kinds.count(_KERNEL_WRITE)
         # Sidecar first: by the time the chunk's bytes reach the OS, every
         # name its CALL records reference must already be readable.
         self._flush_names()
         offset = self.stream.tell()
-        header = _CHUNK_FIXED.pack(
-            len(self._buf), self._buf_events, self._buf_first_pos,
-            self._buf_writes, len(self._buf_threads),
-        ) + b"".join(
-            _THREAD_COUNT.pack(thread, count)
-            for thread, count in sorted(self._buf_threads.items())
-        )
-        self.stream.write(header)
-        payload_offset = self.stream.tell()
-        self.stream.write(bytes(self._buf))
-        self.chunks.append(ChunkMeta(
-            offset, payload_offset, len(self._buf), self._buf_events,
-            self._buf_first_pos, self._buf_writes, dict(self._buf_threads),
-        ))
-        self._buf = bytearray()
-        self._buf_events = 0
-        self._buf_writes = 0
-        self._buf_threads = {}
+        header_bytes = _CHUNK_FIXED.size + _THREAD_COUNT.size * len(counts)
+        chunk = ChunkMeta(offset, offset + header_bytes, len(payload),
+                          columns.events, columns.first_pos, writes, counts)
+        self.stream.write(_chunk_header(chunk))
+        self.stream.write(payload)
+        self.chunks.append(chunk)
+        self._sealed_events += columns.events
         self._sync(self.stream)
 
     def _flush_names(self) -> None:
@@ -286,13 +309,7 @@ class BinaryTraceWriter(TraceConsumer):
             out.write(raw)
         out.write(_U32.pack(len(self.chunks)))
         for chunk in self.chunks:
-            out.write(_U64.pack(chunk.offset))
-            out.write(_CHUNK_FIXED.pack(
-                chunk.payload_bytes, chunk.events, chunk.first_pos,
-                chunk.writes, len(chunk.thread_counts),
-            ))
-            for thread, count in sorted(chunk.thread_counts.items()):
-                out.write(_THREAD_COUNT.pack(thread, count))
+            out.write(_U64.pack(chunk.offset) + _chunk_header(chunk))
         out.write(_TRAILER.pack(footer_offset, self.events_written, _TRAILER_MAGIC))
         self._sync(out)
         self.closed = True
@@ -300,28 +317,28 @@ class BinaryTraceWriter(TraceConsumer):
     # -- TraceConsumer callbacks -------------------------------------------------
 
     def on_call(self, thread: int, routine: str) -> None:
-        self._add(EventKind.CALL, thread, self._intern(routine))
+        self._add(_CALL, thread, self._intern(routine))
 
     def on_return(self, thread: int) -> None:
-        self._add(EventKind.RETURN, thread, 0)
+        self._add(_RETURN, thread, 0)
 
     def on_read(self, thread: int, addr: int) -> None:
-        self._add(EventKind.READ, thread, addr)
+        self._add(_READ, thread, addr)
 
     def on_write(self, thread: int, addr: int) -> None:
-        self._add(EventKind.WRITE, thread, addr, is_write=True)
+        self._add(_WRITE, thread, addr)
 
     def on_kernel_read(self, thread: int, addr: int) -> None:
-        self._add(EventKind.KERNEL_READ, thread, addr)
+        self._add(_KERNEL_READ, thread, addr)
 
     def on_kernel_write(self, thread: int, addr: int) -> None:
-        self._add(EventKind.KERNEL_WRITE, thread, addr, is_write=True)
+        self._add(_KERNEL_WRITE, thread, addr)
 
     def on_thread_switch(self, thread: int) -> None:
-        self._add(EventKind.THREAD_SWITCH, thread, thread)
+        self._add(_THREAD_SWITCH, thread, thread)
 
     def on_cost(self, thread: int, units: int) -> None:
-        self._add(EventKind.COST, thread, units)
+        self._add(_COST, thread, units)
 
 
 def write_binary_trace(
@@ -532,11 +549,39 @@ def decode_chunk_columns(stream: IO[bytes], chunk: ChunkMeta) -> ChunkColumns:
             arg_bytes[byte::8] = payload[9 + byte::RECORD_BYTES]
         threads.frombytes(bytes(thread_bytes))
         args.frombytes(bytes(arg_bytes))
-    else:  # pragma: no cover - big-endian / exotic hosts
+    else:  # big-endian / exotic hosts
         for _, thread, arg in _RECORD.iter_unpack(payload):
             threads.append(thread)
             args.append(arg)
     return ChunkColumns(chunk.first_pos, count, kinds, threads, args)
+
+
+def encode_chunk_columns(columns: ChunkColumns) -> bytes:
+    """The v2 records of ``columns``: the exact inverse of :func:`decode_chunk_columns`.
+
+    The fast path runs no Python code per record: 17 strided slice
+    assignments write the kind column and the eight byte lanes of each
+    64-bit column into one payload.  Hosts whose native 64-bit layout
+    differs from the file's little-endian records fall back to packing
+    record by record, with identical bytes.
+    """
+    if not _NATIVE_I64:  # big-endian / exotic hosts
+        return b"".join(_RECORD.pack(*record) for record in zip(
+            columns.kinds, columns.threads, columns.args))
+    payload = bytearray(RECORD_BYTES * columns.events)
+    payload[0::RECORD_BYTES] = columns.kinds
+    thread_bytes = columns.threads.tobytes()
+    arg_bytes = columns.args.tobytes()
+    for byte in range(8):
+        payload[1 + byte::RECORD_BYTES] = thread_bytes[byte::8]
+        payload[9 + byte::RECORD_BYTES] = arg_bytes[byte::8]
+    return bytes(payload)
+
+
+def _columns(first_pos: int, flat: List[int]) -> ChunkColumns:
+    """A flat ``[kind, thread, arg, kind, …]`` list as one :class:`ChunkColumns`."""
+    return ChunkColumns(first_pos, len(flat) // 3, bytes(flat[0::3]),
+                        array("q", flat[1::3]), array("q", flat[2::3]))
 
 
 def columns_from_events(
@@ -551,23 +596,18 @@ def columns_from_events(
     """
     name_ids: Dict[str, int] = {}
     names: List[str] = []
-    kinds = bytearray()
-    threads = array("q")
-    args = array("q")
-    call = EventKind.CALL
+    flat: list = []
     for event in events:
-        kinds.append(event.kind)
-        threads.append(event.thread)
-        if event.kind == call:
+        if event.kind == _CALL:
             ident = name_ids.get(event.arg)
             if ident is None:
                 ident = len(names)
                 name_ids[event.arg] = ident
                 names.append(event.arg)
-            args.append(ident)
+            flat += (_CALL, event.thread, ident)
         else:
-            args.append(event.arg or 0)
-    return ChunkColumns(first_pos, len(kinds), bytes(kinds), threads, args), names
+            flat += (event.kind, event.thread, event.arg or 0)
+    return _columns(first_pos, flat), names
 
 
 def iter_positioned(

@@ -1,25 +1,38 @@
 """Property and unit tests for the v2 binary trace format."""
 
+import hashlib
 import io
 import os
+import struct
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Event, EventKind
+from repro.cli import main
+from repro.core import Event, EventKind, replay
 from repro.farm import (
     BinaryTraceError,
     BinaryTraceWriter,
+    binfmt,
     is_binary_trace,
     iter_binary_trace,
     read_binary_trace,
     read_trace_meta,
     write_binary_trace,
 )
-from repro.farm.binfmt import decode_chunk, iter_positioned
+from repro.farm.binfmt import (
+    ChunkColumns,
+    ChunkMeta,
+    decode_chunk,
+    decode_chunk_columns,
+    encode_chunk_columns,
+    iter_positioned,
+)
 
 from ..core.util import events_strategy
+from .util import reference_v2_bytes
 
 
 def roundtrip(events, chunk_events=64):
@@ -282,3 +295,64 @@ def test_writer_writes_names_before_their_chunk():
     assert len(writer.chunks) == 15
     assert stream.early_writes == 0
     assert names.getvalue().splitlines() == interned
+
+
+# -- the column-buffer writer against the record-by-record encoder ------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(events_strategy(), st.sampled_from([1, 2, 3, 5, 4096]), st.booleans())
+def test_writer_bytes_equal_reference_encoder(events, chunk_events, with_names):
+    stream = io.BytesIO()
+    names = io.StringIO() if with_names else None
+    writer = BinaryTraceWriter(stream, chunk_events=chunk_events, names_stream=names)
+    replay(events, writer)
+    writer.close()
+    trace, sidecar = reference_v2_bytes(events, chunk_events)
+    assert stream.getvalue() == trace
+    assert writer.events_written == len(events)
+    if with_names:
+        assert names.getvalue() == sidecar
+
+
+#: SHA-256 of ``repro record NAME --threads 4 --scale S --chunk-events 512``
+#: traces as a record-by-record ``<Bqq`` encoder writes them (Python 3.11
+#: and 3.12 alike)
+PINNED_TRACES = {
+    ("350.md", "0.5"): "5c41d551075832d0258a4e57c14da171b4bc015a57f8dfcd448c3e37fa1a3b63",
+    ("351.bwaves", "0.25"): "b6f9e7499955394c68030bb2efc12d3488d76df92b333974d20000acbf01301a",
+    ("376.kdtree", "1.0"): "f708d2fad11559a1ff3ae96b1670b4eb16d0b64529328571baf526cbc9b9be6b",
+    ("367.imagick", "1.0"): "23d8d843ea0ba9ac0a2246f0bfef44a5d6aef7f27cbeea6fca2182b22cc6244e",
+}
+
+
+@pytest.mark.parametrize("name, scale", sorted(PINNED_TRACES))
+def test_recorded_trace_bytes_are_pinned(name, scale, tmp_path):
+    path = tmp_path / "pinned.rpt2"
+    argv = ["record", name, str(path), "--threads", "4", "--scale", scale,
+            "--chunk-events", "512"]
+    assert main(argv, out=io.StringIO()) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TRACES[(name, scale)]
+
+
+_I64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(list(EventKind)), _I64, _I64), max_size=40),
+       st.integers(0, 2**40))
+def test_encode_decode_columns_round_trip_on_both_paths(records, first_pos):
+    """``decode_chunk_columns`` inverts ``encode_chunk_columns``, and the
+    per-record fallback of both gives the same bytes and columns."""
+    columns = ChunkColumns(
+        first_pos, len(records), bytes(kind for kind, _, _ in records),
+        array("q", [thread for _, thread, _ in records]),
+        array("q", [arg for _, _, arg in records]))
+    payload = encode_chunk_columns(columns)
+    assert payload == b"".join(struct.pack("<Bqq", *record) for record in records)
+    chunk = ChunkMeta(0, 0, len(payload), len(records), first_pos, 0, {})
+    assert decode_chunk_columns(io.BytesIO(payload), chunk) == columns
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(binfmt, "_NATIVE_I64", False)
+        assert encode_chunk_columns(columns) == payload
+        assert decode_chunk_columns(io.BytesIO(payload), chunk) == columns

@@ -359,3 +359,40 @@ def test_record_with_telemetry_counts_events(tmp_path):
     events = int(output.split("recorded ")[1].split(" events")[0])
     assert run.counter_value("record.events") == events
     assert run.spans_named("record")[0]["attrs"]["events"] == events
+
+
+@pytest.mark.parametrize("argv", [
+    ["record", "350.md", "{out}", "--chunk-events", "0"],
+    ["record", "350.md", "{out}", "--threads", "0"],
+    ["record", "350.md", "{out}", "--threads", "-3"],
+    ["record", "350.md", "{out}", "--live", "{out}.d", "--checkpoint-events", "0"],
+    ["profile", "350.md", "--threads", "0", "--dump", "{out}"],
+    ["overhead", "350.md", "--threads", "0", "--telemetry", "{out}"],
+    ["watch", "{trace}", "--checkpoints", "{out}", "--checkpoint-events", "0", "--once"],
+], ids=["record-chunk-events", "record-threads", "record-negative-threads",
+        "record-checkpoint-events", "profile-threads", "overhead-threads",
+        "watch-checkpoint-events"])
+def test_non_positive_counts_exit_2_before_any_file(argv, tmp_path, capsys):
+    """A count below 1 is a usage error at parse time: no traceback, and
+    no trace, sidecar, dump or checkpoint directory is left behind."""
+    trace = tmp_path / "sealed.rpt2"
+    if "{trace}" in argv:
+        assert run_cli("record", "350.md", str(trace), "--scale", "0.2")[0] == 0
+    argv = [arg.format(out=tmp_path / "out", trace=trace) for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+    assert {path.name for path in tmp_path.iterdir()} <= {"sealed.rpt2"}
+
+
+@pytest.mark.parametrize("name", ["350.md", "367.imagick"])
+def test_live_recording_writes_the_plain_trace(name, tmp_path):
+    """``record --live`` adds a sidecar and checkpoints beside the trace
+    but writes the trace itself byte for byte as a plain ``record``."""
+    plain = tmp_path / "plain.rpt2"
+    live = tmp_path / "live.rpt2"
+    assert run_cli("record", name, str(plain), "--chunk-events", "512")[0] == 0
+    assert run_cli("record", name, str(live), "--chunk-events", "512",
+                   "--live", str(tmp_path / "ckpt"))[0] == 0
+    assert live.read_bytes() == plain.read_bytes()

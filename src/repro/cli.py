@@ -78,6 +78,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """argparse type of a duration that must be above 0 and finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (0 < value < float("inf")):
+        raise argparse.ArgumentTypeError(f"must be a positive, finite number, got {text}")
+    return value
+
+
 def _add_telemetry_option(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--telemetry", metavar="DIR",
@@ -170,10 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace", help="v2 trace written by `record`")
     analyze.add_argument("--metric", choices=["rms", "trms", "both"], default="both")
     analyze.add_argument("--context", action="store_true")
-    analyze.add_argument("--jobs", type=int, default=1, metavar="N",
+    analyze.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
                          help="farm the trms analysis out to N worker processes")
-    analyze.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                         help="per-shard worker timeout (with --jobs)")
+    analyze.add_argument("--timeout", type=_positive_float, default=None,
+                         metavar="SECONDS",
+                         help="deadline for the worker processes")
     analyze.add_argument("--dump", metavar="FILE",
                          help="write a mergeable profile dump (see `merge`)")
     analyze.add_argument("--stats", action="store_true",
@@ -196,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     overhead.add_argument("benchmark", help="benchmark name (see `repro list`)")
     overhead.add_argument("--threads", type=_positive_int, default=4)
     overhead.add_argument("--scale", type=float, default=1.0)
-    overhead.add_argument("--repeats", type=int, default=3, metavar="N",
+    overhead.add_argument("--repeats", type=_positive_int, default=3, metavar="N",
                           help="runs per configuration (best-of-N wall time)")
     overhead.add_argument("--tools", default=None, metavar="A,B,…",
                           help="comma-separated tool list, or 'all' "
@@ -284,9 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (default 0 = ephemeral, printed on start)")
-    serve.add_argument("--workers", type=int, default=2, metavar="N",
+    serve.add_argument("--workers", type=_positive_int, default=2, metavar="N",
                        help="ingestion worker threads (default 2)")
-    serve.add_argument("--capacity", type=int, default=64, metavar="N",
+    serve.add_argument("--capacity", type=_positive_int, default=64, metavar="N",
                        help="bounded job-queue capacity (default 64)")
     serve.add_argument("--retries", type=int, default=1, metavar="N",
                        help="extra attempts for a failed ingest job (default 1)")

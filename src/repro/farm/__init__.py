@@ -12,13 +12,15 @@ cash that in under the GIL.  This package spreads them over processes:
   binary traces with a string table and a seekable chunk index;
 * :mod:`repro.farm.shards` — shard planning over the chunk index
   (longest-processing-time packing of whole threads);
-* :mod:`repro.farm.worker` — the per-process shard analyser;
+* :mod:`repro.farm.worker` — the shard analyser, run in a process of
+  its own or inline;
 * :mod:`repro.farm.merge` — exact, associative profile merging across
   shards and across independent runs, plus the lossless profile dump
   format;
-* :mod:`repro.farm.engine` — orchestration with per-shard timeouts,
-  bounded retries and inline fallback, each shard's tallies kept on
-  its :class:`~repro.farm.engine.ShardOutcome`.
+* :mod:`repro.farm.engine` — orchestration: one process and one
+  attempt per shard against one deadline, and an inline rerun of any
+  shard whose process failed, each shard's tallies kept on its
+  :class:`~repro.farm.engine.ShardOutcome`.
 
 The farm's contract is exactness: its merged output is bit-identical
 to the online :class:`~repro.core.trms.TrmsProfiler` on every
@@ -40,7 +42,7 @@ from .binfmt import (
     read_trace_meta,
     write_binary_trace,
 )
-from .engine import FarmResult, FarmStats, ShardOutcome, analyze_events, analyze_file
+from .engine import FarmResult, FarmStats, ShardOutcome, analyze_file
 from .merge import (
     PROFILE_MAGIC,
     ProfileDumpError,
@@ -71,7 +73,6 @@ __all__ = [
     "FarmResult",
     "FarmStats",
     "ShardOutcome",
-    "analyze_events",
     "analyze_file",
     "PROFILE_MAGIC",
     "ProfileDumpError",

@@ -2,83 +2,71 @@
 
 ``analyze_file`` drives the whole pipeline over a v2 trace:
 
-1. plan shards from the chunk index (:mod:`repro.farm.shards`);
-2. run :func:`repro.farm.worker.run_shard` for every shard — on a
-   ``concurrent.futures`` process pool when ``jobs > 1``, inline
-   otherwise;
+1. plan at most ``jobs`` shards from the chunk index
+   (:mod:`repro.farm.shards`);
+2. run :func:`repro.farm.worker.run_shard` for every shard — each in a
+   ``fork``-context process of its own when there are several shards,
+   inline otherwise;
 3. merge the per-shard databases (:mod:`repro.farm.merge`) into one
    profile, bit-identical to the online ``TrmsProfiler``.
 
-Failure policy (the part a benchmark never shows): every shard gets up
-to ``1 + retries`` pool attempts with a per-shard ``timeout``; a worker
-that crashes, raises, or times out is resubmitted on a fresh pool, and
-a shard that exhausts its attempts — or a pool that cannot be created
-at all — degrades to inline execution in the coordinator.  The farm
-therefore *always* returns the exact result; parallelism is strictly a
-performance property.  A malformed trace is the exception: its
-:class:`~repro.core.tracefile.TraceFileError` would recur on every
-attempt, so it propagates at once.
+Failure policy (the part a benchmark never shows): every shard process
+gets one attempt, and all of them share one deadline, ``timeout``
+seconds after they start.  A shard whose process crashes, raises,
+cannot start, or is still running at the deadline (it is killed) is
+rerun inline in the coordinator.  Its threads are whole, so a shard is
+exact wherever it runs: the farm *always* returns the exact result,
+and parallelism is strictly a performance property.  A malformed trace
+is the exception: the worker sends its
+:class:`~repro.core.tracefile.TraceFileError` back, and it propagates
+at once.  Whether ``analyze_file`` returns or raises, every process it
+started has exited.
 
-Observability: the run is traced end to end.  Every phase (plan, pool,
-inline fallback, merge) is a telemetry span; workers append heartbeats
-and phase spans to per-shard files the coordinator tails while it
-waits — live progress via the ``progress`` callback, worker spans
-re-emitted into the session's event log.  The farm's counters
-(``farm.trace_events``, ``farm.shard.retries``, …) go to the session
-telemetry only.  The run's own books are :class:`ShardOutcome`: each
-shard's failed pool attempts, timeouts and inline fallback are tallied
-there once, as they happen, and ``render_farm_stats`` reads nothing
-else.  None of this touches profile state — the differential tests
-run with telemetry on and off and demand bit-identical output.
+Observability: every phase (plan, pool, inline, merge) is a telemetry
+span.  Workers write nothing but their result; from each
+:class:`~repro.farm.worker.WorkerResult` the coordinator emits the
+shard's ``worker.decode`` and ``worker.analyze`` spans and one closing
+``heartbeat`` record into the session's event log, and the farm's
+counters (``farm.trace_events``, ``farm.shard.retries``, …) into the
+session telemetry.  The run's own books are :class:`ShardOutcome`:
+each shard's failed attempt, timeout and inline fallback are tallied
+there once, and ``render_farm_stats`` reads nothing else.  None of
+this touches profile state — the differential tests run with
+telemetry on and off and demand bit-identical output.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
-import shutil
-import tempfile
 import time
-from collections import Counter
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .. import telemetry
 from ..core.profile_data import ProfileDatabase
 from ..core.tracefile import TraceFileError
-from .binfmt import DEFAULT_CHUNK_EVENTS, read_trace_meta
+from .binfmt import read_trace_meta
 from .merge import merge_databases
 from .shards import plan_shards
 from .worker import ShardTask, WorkerResult, run_shard
 
-__all__ = ["ShardOutcome", "FarmStats", "FarmResult", "analyze_file", "analyze_events"]
-
-#: per-shard pool attempts beyond the first
-DEFAULT_RETRIES = 2
-
-#: seconds between heartbeat-driven progress reports
-PROGRESS_INTERVAL = 0.5
-
-#: pool wait quantum: how often heartbeats are polled while blocked
-POLL_INTERVAL = 0.1
+__all__ = ["ShardOutcome", "FarmStats", "FarmResult", "analyze_file"]
 
 
 class ShardOutcome(NamedTuple):
-    """How one shard fared: where it ran, how often, how fast."""
+    """How one shard fared: where it ran, how fast, what failed."""
 
     shard_id: int
     threads: Tuple[int, ...]
     events: int          #: events decoded by the worker (shard chunks)
     seconds: float       #: in-worker analysis wall time
-    attempts: int        #: pool submissions consumed (0 when inline-only)
     where: str           #: "pool" | "inline"
-    retries: int = 0     #: failed pool attempts of this shard
-    timeouts: int = 0    #: of those, how many were per-shard timeouts
-    fell_back: bool = False  #: ran inline: pool attempts exhausted, or no pool
+    retries: int = 0     #: 1 when the shard's process attempt failed
+    timeouts: int = 0    #: 1 when that failure was the deadline
+    fell_back: bool = False  #: ran inline after its process failed
     decode_seconds: float = 0.0
     analyze_seconds: float = 0.0
-    max_rss_kb: int = 0  #: worker peak RSS (heartbeat-reported)
-    heartbeats: int = 0  #: heartbeat records received from this shard
+    max_rss_kb: int = 0  #: worker peak RSS
 
     @property
     def events_per_s(self) -> float:
@@ -90,9 +78,8 @@ class FarmStats(NamedTuple):
 
     jobs: int
     outcomes: List[ShardOutcome]
-    retries: int         #: failed pool attempts that were retried
-    fallbacks: int       #: shards that ended up running inline
-    pool_failures: int   #: broken pools / failed pool creations observed
+    retries: int         #: shards whose one process attempt failed
+    fallbacks: int       #: shards rerun inline after that
     wall_seconds: float
     event_count: int     #: events in the trace (not per-shard decode work)
 
@@ -109,207 +96,101 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-def _run_inline(task: ShardTask) -> WorkerResult:
-    return run_shard(task._replace(fault=None))
+def _shard_process(task: ShardTask, conn) -> None:
+    """Child body: send back the shard's result, or what it raised."""
+    try:
+        result = run_shard(task)
+    except Exception as error:  # the coordinator decides what it means
+        conn.send(error)
+    else:
+        conn.send(result)
 
 
-class _HeartbeatWatcher:
-    """Tails the per-shard heartbeat files the coordinator hands out.
-
-    ``poll`` is called from the pool wait loop: it reads any new JSONL
-    records, keeps per-shard progress state, and (throttled) reports a
-    one-line progress summary through the ``progress`` callback.  All
-    harvested records are kept so worker spans and heartbeats can be
-    re-emitted into the session telemetry once the run settles.
-    """
-
-    def __init__(self, directory: str, progress: Optional[Callable[[str], None]]):
-        self.directory = directory
-        self.progress = progress
-        self.records: List[Dict] = []
-        self.state: Dict[int, Dict] = {}
-        self._offsets: Dict[str, int] = {}
-        self._partial: Dict[str, str] = {}
-        self._last_report = time.perf_counter()
-
-    def _consume(self, record: Dict) -> None:
-        self.records.append(record)
-        if record.get("type") != "heartbeat":
-            return
-        shard = record.get("shard", -1)
-        state = self.state.setdefault(
-            shard, {"phase": "?", "events": 0, "rss_kb": 0, "beats": 0, "wall": 0.0})
-        state["phase"] = record.get("phase", "?")
-        state["events"] = max(state["events"], record.get("events", 0))
-        state["rss_kb"] = max(state["rss_kb"], record.get("rss_kb", 0))
-        state["wall"] = max(state["wall"], record.get("wall", 0.0))
-        state["beats"] += 1
-
-    def poll(self, report: bool = True) -> None:
-        try:
-            names = sorted(os.listdir(self.directory))
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                with open(path, "r", encoding="utf-8") as stream:
-                    stream.seek(self._offsets.get(name, 0))
-                    data = stream.read()
-                    self._offsets[name] = stream.tell()
-            except OSError:
-                continue
-            if not data:
-                continue
-            data = self._partial.pop(name, "") + data
-            lines = data.split("\n")
-            if not data.endswith("\n"):
-                self._partial[name] = lines.pop()
-            for line in lines:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
-                if isinstance(record, dict):
-                    self._consume(record)
-        if report:
-            self._report()
-
-    def _report(self) -> None:
-        now = time.perf_counter()
-        if self.progress is None or not self.state:
-            return
-        if now - self._last_report < PROGRESS_INTERVAL:
-            return
-        self._last_report = now
-        live = [shard for shard in sorted(self.state)
-                if self.state[shard]["phase"] != "done"]
-        if not live:
-            return
-        parts = [f"shard {shard} {self.state[shard]['phase']} "
-                 f"{self.state[shard]['events']:,} events"
-                 for shard in live]
-        self.progress("farm: " + "; ".join(parts) + "\n")
-
-    def summary(self, shard_id: int) -> Dict:
-        return self.state.get(
-            shard_id, {"phase": "?", "events": 0, "rss_kb": 0, "beats": 0, "wall": 0.0})
-
-
-def _run_pool(
+def _run_processes(
     tasks: Sequence[ShardTask],
-    jobs: int,
     timeout: Optional[float],
-    retries: int,
-    progress: Optional[Callable[[str], None]],
-    watcher: Optional[_HeartbeatWatcher] = None,
-    on_failure: Optional[Callable[[int, str], None]] = None,
-) -> Tuple[Dict[int, WorkerResult], Dict[int, int], int, int]:
-    """Pool phase: returns (results, attempts, retried, pool_failures).
+    fail: Callable[[ShardTask, str, bool], None],
+) -> Dict[int, WorkerResult]:
+    """Run every shard in a process of its own, all against one deadline.
 
-    A shard missing from ``results`` exhausted its attempts, or never
-    got a pool at all; the caller runs it inline.
-
-    Waiting is a poll loop (``concurrent.futures.wait`` in
-    :data:`POLL_INTERVAL` quanta) so heartbeats surface while workers
-    run.  The per-shard ``timeout`` clock starts when the shard is
-    *observed running* — a task queued behind a hung sibling is never
-    charged for the wait.  ``on_failure(shard_id, "timeout" | "error")``
-    reports every failed pool attempt as it is classified.
+    Returns the results that came back; ``fail(task, why, timed_out)``
+    reports each shard that did not, as soon as that is known.  A
+    worker's ``TraceFileError`` is raised here.  A process still
+    running at the deadline, or when this returns or raises, is killed,
+    and every started process is joined.
     """
-    from concurrent.futures import FIRST_COMPLETED, wait
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from multiprocessing.connection import wait
 
+    context = _pool_context()
     results: Dict[int, WorkerResult] = {}
-    attempts: Dict[int, int] = {task.shard_id: 0 for task in tasks}
-    pending = list(tasks)
-    retried = 0
-    pool_failures = 0
-
-    while pending:
-        try:
-            executor = ProcessPoolExecutor(
-                max_workers=min(jobs, len(pending)), mp_context=_pool_context())
-        except Exception as error:  # pool cannot even start: degrade fully
-            pool_failures += 1
-            if progress:
-                progress(f"farm: process pool unavailable ({error}); running inline\n")
-            return results, attempts, retried, pool_failures
-
-        failed: List[ShardTask] = []
-        broken = False
-        started_at: Dict[int, float] = {}
-
-        def fail(task: ShardTask, reason: str, recycle: bool = True) -> None:
-            """One failed pool attempt; ``recycle`` retires the pool after it."""
-            nonlocal broken
-            broken = broken or recycle
-            failed.append(task)
-            if on_failure:
-                on_failure(task.shard_id, reason)
-
-        try:
-            futures = {}
-            for task in pending:
-                attempts[task.shard_id] += 1
+    started: List[Tuple[Any, Any]] = []  # (reader, process) of every started shard
+    running: Dict[Any, Tuple[ShardTask, Any]] = {}  # reader -> (task, process)
+    try:
+        for task in tasks:
+            reader, writer = context.Pipe(duplex=False)
+            process = context.Process(target=_shard_process, args=(task, writer))
+            try:
+                process.start()
+            except OSError as error:  # e.g. fork: no memory or process slots
+                reader.close()
+                fail(task, f"process could not start ({error})", False)
+                continue
+            finally:
+                writer.close()  # the child's copy alone: its exit is our EOF
+            started.append((reader, process))
+            running[reader] = (task, process)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while running:
+            remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
+            ready = wait(list(running), remaining)
+            if not ready:
+                break
+            for reader in ready:
+                task, process = running.pop(reader)
                 try:
-                    futures[executor.submit(run_shard, task)] = task
-                except BrokenProcessPool:  # a worker died before this submit
-                    fail(task, "error")
-            outstanding = set(futures)
-            while outstanding:
-                done, _ = wait(outstanding, timeout=POLL_INTERVAL,
-                               return_when=FIRST_COMPLETED)
-                now = time.perf_counter()
-                for future in done:
-                    task = futures[future]
-                    outstanding.discard(future)
-                    try:
-                        results[task.shard_id] = future.result()
-                    except BrokenProcessPool:
-                        fail(task, "error")
-                    except TraceFileError:
-                        raise  # a malformed trace fails every attempt alike
-                    except Exception:
-                        fail(task, "error", recycle=False)
-                for future in list(outstanding):
-                    task = futures[future]
-                    if future.running():
-                        started_at.setdefault(task.shard_id, now)
-                    ran_for = now - started_at.get(task.shard_id, now)
-                    if timeout is not None and ran_for > timeout:
-                        # a hung worker poisons its slot: abandon the
-                        # future, recycle the whole pool afterwards
-                        outstanding.discard(future)
-                        future.cancel()
-                        fail(task, "timeout")
-                if watcher is not None:
-                    watcher.poll()
-        finally:
-            if broken:
-                pool_failures += 1
-                executor.shutdown(wait=False, cancel_futures=True)
-            else:
-                executor.shutdown(wait=True)
+                    reply = reader.recv()
+                except (EOFError, OSError):  # it died before its whole reply
+                    process.join()
+                    fail(task, f"process exited with code {process.exitcode}", False)
+                    continue
+                if isinstance(reply, TraceFileError):
+                    raise reply
+                if isinstance(reply, Exception):
+                    fail(task, f"raised {type(reply).__name__}: {reply}", False)
+                else:
+                    results[task.shard_id] = reply
+        for task, _process in running.values():
+            fail(task, f"timed out after {timeout:g}s", True)
+    finally:
+        for _task, process in running.values():
+            process.kill()
+        for reader, process in started:
+            process.join()
+            reader.close()
+    return results
 
-        pending = []
-        for task in failed:
-            if attempts[task.shard_id] <= retries:
-                retried += 1
-                if progress:
-                    progress(f"farm: shard {task.shard_id} failed "
-                             f"(attempt {attempts[task.shard_id]}), retrying\n")
-                pending.append(task)
-            elif progress:
-                progress(f"farm: shard {task.shard_id} exhausted "
-                         f"{attempts[task.shard_id]} attempts; falling back inline\n")
-    return results, attempts, retried, pool_failures
+
+def _emit_shard_records(tele, task: ShardTask, result: WorkerResult,
+                        parent: Optional[int]) -> None:
+    """The shard's worker spans and its closing heartbeat, from its result."""
+    cpu = result.cpu_seconds
+    spans = (
+        ("worker.decode", result.decode_seconds, min(result.decode_seconds, cpu),
+         {"events": result.events_decoded, "chunks": len(task.chunk_indices)}),
+        ("worker.analyze", result.analyze_seconds,
+         max(0.0, cpu - result.decode_seconds), {"threads": len(task.threads)}),
+    )
+    for name, wall, span_cpu, attrs in spans:
+        tele.emit({
+            "type": "span", "name": name, "shard": task.shard_id,
+            "wall": round(wall, 6), "cpu": round(span_cpu, 6), "ok": True,
+            "attrs": attrs, "parent": parent,
+        })
+    tele.emit({
+        "type": "heartbeat", "shard": task.shard_id, "phase": "done",
+        "events": result.events_decoded, "rss_kb": result.max_rss_kb,
+        "pid": result.pid, "wall": round(result.seconds, 6),
+    })
 
 
 def analyze_file(
@@ -318,20 +199,15 @@ def analyze_file(
     context_sensitive: bool = False,
     keep_activations: bool = False,
     timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
     progress: Optional[Callable[[str], None]] = None,
-    faults: Optional[Dict[int, Tuple]] = None,
 ) -> FarmResult:
     """Analyse a recorded v2 trace with the farm; exact by contract.
 
     Every shard runs the flat kernel (:mod:`repro.core.flatkernel`);
-    ``jobs=1`` is one inline shard.  A file that is not a sealed v2
-    trace raises :class:`~repro.farm.binfmt.BinaryTraceError`.
-
-    ``faults`` maps shard ids to :class:`~repro.farm.worker.ShardTask`
-    fault specs — test hooks for the retry and fallback paths; inline
-    (fallback) execution always strips faults, so an injected fault can
-    delay but never corrupt the result.
+    ``jobs=1`` is one inline shard.  ``timeout`` is the deadline of the
+    shard processes; ``progress`` receives one note per shard whose
+    process failed.  A file that is not a sealed v2 trace raises
+    :class:`~repro.farm.binfmt.BinaryTraceError`.
     """
     started = time.perf_counter()
     tele = telemetry.current()
@@ -339,122 +215,71 @@ def analyze_file(
         jobs = os.cpu_count() or 1
     jobs = max(1, jobs)
 
-    heartbeat_dir = tempfile.mkdtemp(prefix="repro-farm-hb-")
-    try:
-        with tele.span("analyze.plan", jobs=jobs):
-            with open(path, "rb") as stream:
-                meta = read_trace_meta(stream)
-            shards = plan_shards(meta, jobs)
-        tele.counter("farm.trace_events").inc(meta.event_count)
-        tele.counter("farm.shards").inc(len(shards))
-        tele.gauge("farm.jobs").set(jobs)
+    with tele.span("analyze.plan", jobs=jobs):
+        with open(path, "rb") as stream:
+            meta = read_trace_meta(stream)
+        shards = plan_shards(meta, jobs)
+    tele.counter("farm.trace_events").inc(meta.event_count)
+    tele.counter("farm.shards").inc(len(shards))
+    tele.gauge("farm.jobs").set(jobs)
 
-        tasks = [
-            ShardTask(
-                path, shard.shard_id, shard.threads, shard.chunk_indices,
-                context_sensitive=context_sensitive,
-                keep_activations=keep_activations,
-                fault=(faults or {}).get(shard.shard_id),
-                heartbeat_path=os.path.join(
-                    heartbeat_dir, f"shard-{shard.shard_id}.jsonl"),
-            )
-            for shard in shards
-        ]
-        watcher = _HeartbeatWatcher(heartbeat_dir, progress)
-        failed: Counter[int] = Counter()
-        timed_out: Counter[int] = Counter()
+    tasks = [
+        ShardTask(path, shard.shard_id, shard.threads, shard.chunk_indices,
+                  context_sensitive=context_sensitive,
+                  keep_activations=keep_activations)
+        for shard in shards
+    ]
+    failed: Set[int] = set()
+    timed_out: Set[int] = set()
 
-        def on_failure(shard_id: int, kind: str) -> None:
-            failed[shard_id] += 1
-            tele.counter("farm.shard.retries", shard=shard_id).inc()
-            if kind == "timeout":
-                timed_out[shard_id] += 1
-                tele.counter("farm.shard.timeouts", shard=shard_id).inc()
+    def fail(task: ShardTask, why: str, late: bool) -> None:
+        failed.add(task.shard_id)
+        tele.counter("farm.shard.retries", shard=task.shard_id).inc()
+        tele.counter("farm.shard.fallbacks", shard=task.shard_id).inc()
+        if late:
+            timed_out.add(task.shard_id)
+            tele.counter("farm.shard.timeouts", shard=task.shard_id).inc()
+        if progress:
+            progress(f"farm: shard {task.shard_id} {why}; falling back inline\n")
 
-        results: Dict[int, WorkerResult] = {}
-        attempts: Dict[int, int] = {task.shard_id: 0 for task in tasks}
-        retried = 0
-        pool_failures = 0
-        pool_span_id: Optional[int] = None
-        pooled = jobs > 1 and len(tasks) > 1
-        if pooled:
-            with tele.span("analyze.pool", jobs=jobs, shards=len(tasks)) as pool_span:
-                pool_span_id = pool_span.span_id or None
-                results, attempts, retried, pool_failures = _run_pool(
-                    tasks, jobs, timeout, retries, progress, watcher, on_failure)
-        tele.counter("farm.pool_failures").inc(pool_failures)
+    results: Dict[int, WorkerResult] = {}
+    parents: Dict[int, Optional[int]] = {}
+    if len(tasks) > 1:
+        with tele.span("analyze.pool", jobs=jobs, shards=len(tasks)) as pool_span:
+            results = _run_processes(tasks, timeout, fail)
+        parents = dict.fromkeys(results, pool_span.span_id or None)
+    for task in tasks:
+        if task.shard_id not in results:
+            with tele.span("analyze.inline", shard=task.shard_id) as inline_span:
+                results[task.shard_id] = run_shard(task)
+            parents[task.shard_id] = inline_span.span_id or None
 
-        fell_back: Set[int] = set()
-        for task in tasks:
-            if task.shard_id not in results:
-                if pooled:
-                    fell_back.add(task.shard_id)
-                    tele.counter("farm.shard.fallbacks", shard=task.shard_id).inc()
-                with tele.span("analyze.inline", shard=task.shard_id):
-                    results[task.shard_id] = _run_inline(task)
-
-        with tele.span("analyze.merge", shards=len(tasks)):
-            merged = merge_databases(
-                (results[task.shard_id].db for task in tasks),
-                keep_activations=keep_activations,
-            )
-
-        # settle the heartbeat channel: final poll, re-emit worker
-        # records into the session event log, account the totals
-        watcher.poll(report=False)
-        for record in watcher.records:
-            if record.get("type") == "span" and pool_span_id is not None:
-                record = {**record, "parent": pool_span_id}
-            tele.emit(record)
-        tele.counter("farm.heartbeats").inc(
-            sum(1 for record in watcher.records
-                if record.get("type") == "heartbeat"))
-
-        outcomes: List[ShardOutcome] = []
-        for task in tasks:
-            result = results[task.shard_id]
-            where = "pool" if result.pid != os.getpid() else "inline"
-            beat = watcher.summary(task.shard_id)
-            tele.counter("farm.shard.events", shard=task.shard_id).inc(
-                result.events_decoded)
-            tele.histogram("farm.shard_ms").observe(result.seconds * 1000)
-            outcomes.append(ShardOutcome(
-                task.shard_id, task.threads, result.events_decoded,
-                result.seconds, attempts[task.shard_id], where,
-                retries=failed[task.shard_id],
-                timeouts=timed_out[task.shard_id],
-                fell_back=task.shard_id in fell_back,
-                decode_seconds=result.decode_seconds,
-                analyze_seconds=result.analyze_seconds,
-                max_rss_kb=max(result.max_rss_kb, beat["rss_kb"]),
-                heartbeats=beat["beats"],
-            ))
-
-        stats = FarmStats(
-            jobs, outcomes, retried, len(fell_back), pool_failures,
-            time.perf_counter() - started, meta.event_count,
+    with tele.span("analyze.merge", shards=len(tasks)):
+        merged = merge_databases(
+            (results[task.shard_id].db for task in tasks),
+            keep_activations=keep_activations,
         )
-        return FarmResult(merged, stats)
-    finally:
-        shutil.rmtree(heartbeat_dir, ignore_errors=True)
 
+    outcomes: List[ShardOutcome] = []
+    for task in tasks:
+        result = results[task.shard_id]
+        _emit_shard_records(tele, task, result, parents[task.shard_id])
+        tele.counter("farm.shard.events", shard=task.shard_id).inc(
+            result.events_decoded)
+        tele.histogram("farm.shard_ms").observe(result.seconds * 1000)
+        outcomes.append(ShardOutcome(
+            task.shard_id, task.threads, result.events_decoded, result.seconds,
+            "pool" if result.pid != os.getpid() else "inline",
+            retries=int(task.shard_id in failed),
+            timeouts=int(task.shard_id in timed_out),
+            fell_back=task.shard_id in failed,
+            decode_seconds=result.decode_seconds,
+            analyze_seconds=result.analyze_seconds,
+            max_rss_kb=result.max_rss_kb,
+        ))
 
-def analyze_events(
-    events,
-    jobs: Optional[int] = None,
-    chunk_events: int = DEFAULT_CHUNK_EVENTS,
-    **kwargs,
-) -> FarmResult:
-    """Farm-analyse an in-memory event stream (spools to a temp v2 file)."""
-    from .binfmt import write_binary_trace
-
-    handle, path = tempfile.mkstemp(suffix=".rpt2")
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            write_binary_trace(events, stream, chunk_events=chunk_events)
-        return analyze_file(path, jobs=jobs, **kwargs)
-    finally:
-        try:
-            os.unlink(path)
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
+    stats = FarmStats(
+        jobs, outcomes, len(failed), len(failed),
+        time.perf_counter() - started, meta.event_count,
+    )
+    return FarmResult(merged, stats)

@@ -58,12 +58,11 @@ def render_report(db: ProfileDatabase, merged: bool = True, title: str = "profil
 def render_farm_stats(stats) -> str:
     """Progress/health report of one farm run (``repro.farm.FarmStats``).
 
-    One row per shard — where it ran, how many pool attempts it took,
-    how the worker split its time between decode and analysis,
-    heartbeat-reported peak RSS and throughput — plus the shard's
-    failure ledger (failed attempts, timeouts, inline fallback), all
-    read from its :class:`~repro.farm.engine.ShardOutcome`, and a footer
-    with the run's jobs, trace size, wall time and aggregate tallies.
+    One row per shard — where it ran, how the worker split its time
+    between decode and analysis, peak RSS and throughput — plus the
+    shard's failure ledger (failed process, timeout, inline fallback),
+    all read from its :class:`~repro.farm.engine.ShardOutcome`, and a
+    footer with the run's jobs, trace size, wall time and tallies.
     """
     rows = []
     for outcome in stats.outcomes:
@@ -75,20 +74,17 @@ def render_farm_stats(stats) -> str:
             f"{outcome.decode_seconds * 1000:.0f}/"
             f"{outcome.analyze_seconds * 1000:.0f}ms",
             f"{outcome.events_per_s:,.0f}",
-            outcome.heartbeats,
             f"{outcome.max_rss_kb / 1024:.0f}M" if outcome.max_rss_kb else "-",
-            outcome.attempts,
             outcome.retries,
             outcome.timeouts,
             outcome.where + ("!" if outcome.fell_back else ""),
         ])
     headers = ["shard", "threads", "events", "time", "dec/ana", "events/s",
-               "beats", "rss", "attempts", "retries", "timeouts", "ran"]
+               "rss", "retries", "timeouts", "ran"]
     footer = (
         f"jobs: {stats.jobs}   trace events: {stats.event_count}   "
         f"wall: {stats.wall_seconds * 1000:.1f}ms\n"
-        f"retries: {stats.retries}   inline fallbacks: {stats.fallbacks}   "
-        f"pool failures: {stats.pool_failures}\n"
-        "('!' marks a shard that exhausted its pool attempts and ran inline)\n"
+        f"retries: {stats.retries}   inline fallbacks: {stats.fallbacks}\n"
+        "('!' marks a shard whose process failed and that ran inline)\n"
     )
     return table(headers, rows, title="farm shards") + footer

@@ -47,9 +47,14 @@ DEFAULT_CHECKPOINT_EVENTS = 65536
 
 
 def stream_id_for(trace_path: str) -> str:
-    """A stable stream id for a trace path (stable run ids downstream)."""
+    """A new stream id for one recording of ``trace_path``.
+
+    The path digest groups the streams of one trace path; the random
+    suffix keeps two recordings to that path apart, so each is a run of
+    its own downstream (``stream-<id>``).
+    """
     digest = hashlib.sha256(os.path.abspath(trace_path).encode("utf-8"))
-    return digest.hexdigest()[:12]
+    return f"{digest.hexdigest()[:12]}-{os.urandom(4).hex()}"
 
 
 class StreamingAnalyzer:
@@ -81,7 +86,10 @@ class LiveProfileSession:
     :meth:`finalize`, or let :meth:`run` loop until the trace seals.
     Checkpoints are cut every ``checkpoint_events`` fed events or
     ``checkpoint_seconds`` of wall time, whichever comes first, and
-    once more — ``closed`` — after the final ``finish()``.
+    once more — ``closed`` — after the final ``finish()``.  Without an
+    explicit ``stream_id`` each session mints its own
+    (:func:`stream_id_for`), so two recordings to one path never share
+    a run downstream.
     """
 
     def __init__(

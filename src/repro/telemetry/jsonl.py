@@ -6,7 +6,8 @@ directory.  One JSON object per line, every record carrying a ``type``:
 * ``meta`` — first line: format version, epoch, pid, argv;
 * ``span`` — one completed span: name, ids, start offset, wall/CPU
   seconds, attributes, ok/error status;
-* ``heartbeat`` — periodic worker progress (shard, phase, events, RSS);
+* ``heartbeat`` — one closing record per farm shard (shard, phase,
+  events, RSS), written by the coordinator;
 * ``event`` — point-in-time annotations;
 * ``metrics`` — the registry snapshot, written when the run closes.
 
@@ -14,8 +15,8 @@ Appending lines is crash-tolerant: a run that dies mid-flight leaves a
 readable prefix (the reader skips a torn last line), unlike a single
 JSON document.  The sink is lock-guarded and **pid-fenced**: a file
 handle inherited across ``fork`` into a farm worker silently refuses to
-write, so worker telemetry can only arrive through the heartbeat
-channel the coordinator owns.
+write, so a worker's telemetry reaches the log only through the
+coordinator, which builds it from the result the worker sends back.
 """
 
 from __future__ import annotations

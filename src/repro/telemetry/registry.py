@@ -1,15 +1,11 @@
 """Lock-safe metrics registry: counters, gauges, log-bucket histograms.
 
 The registry is the telemetry layer's aggregation primitive.  It is
-deliberately tiny and dependency-free so it can live in two very
-different places at once:
-
-* inside the *online* profiler and the farm coordinator, where it must
-  never perturb the profiled computation (no I/O on the hot path, one
-  short-held lock per update);
-* inside farm worker processes, whose registries never cross the
-  process boundary directly — workers report through heartbeat files
-  and the coordinator re-aggregates.
+deliberately tiny and dependency-free so it can live inside the
+*online* profiler and the farm coordinator, where it must never
+perturb the profiled computation (no I/O on the hot path, one
+short-held lock per update).  Farm worker processes keep no registry:
+the coordinator counts for each shard from the result it sends back.
 
 Metrics are identified by ``(name, labels)``; labels are arbitrary
 keyword arguments (``registry.counter("farm.retries", shard=3)``), so

@@ -327,8 +327,8 @@ class Telemetry:
     def emit(self, record: Dict) -> None:
         """Write one raw record to the sink (no-op without a sink).
 
-        The farm coordinator uses this to re-emit span and heartbeat
-        records harvested from worker heartbeat files.
+        The farm coordinator uses this for the worker spans and the
+        closing heartbeat it builds from each shard's result.
         """
         if self.sink is not None:
             self.sink.write(record)

@@ -7,16 +7,18 @@ profiles must equal the merge of the online results.
 """
 
 import io
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.farm import (
-    analyze_events,
     analyze_file,
     merge_databases,
     save_profile,
+    write_binary_trace,
 )
 from repro.workloads import all_benchmarks
 
@@ -100,8 +102,11 @@ def test_skewed_plan_is_exact(tmp_path):
 @settings(max_examples=60, deadline=None)
 @given(events_strategy(max_ops=100), st.sampled_from([4, 64]))
 def test_farm_equals_online_on_arbitrary_streams(events, chunk_events):
-    result = analyze_events(events, jobs=1, chunk_events=chunk_events,
-                            keep_activations=True)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "stream.rpt2")
+        with open(path, "wb") as stream:
+            write_binary_trace(events, stream, chunk_events=chunk_events)
+        result = analyze_file(path, jobs=1, keep_activations=True)
     assert comparable(result.db) == comparable(online_db(events))
 
 

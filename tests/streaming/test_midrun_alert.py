@@ -93,3 +93,46 @@ def test_checkpoint_reingest_is_idempotent(tmp_path):
     again = ingest_checkpoint(store, ckpt)
     assert not again.ingested              # identical checkpoint: no-op
     assert "already known" in again.detail
+
+
+def test_sessions_on_one_trace_path_get_their_own_stream_ids(tmp_path):
+    trace = str(tmp_path / "t.rpt2")
+    first = LiveProfileSession(trace, str(tmp_path / "a"))
+    second = LiveProfileSession(trace, str(tmp_path / "b"))
+    assert first.stream_id != second.stream_id
+    pinned = LiveProfileSession(trace, str(tmp_path / "c"), stream_id="shared")
+    assert pinned.stream_id == "shared"
+
+
+def test_second_recording_to_one_path_is_a_run_of_its_own(tmp_path):
+    """Recording A to a path closes and is ingested; recording B to the
+    same path then cuts its first, partial checkpoint.  B's checkpoint
+    starts a run of its own and is applied, instead of being taken for
+    a late checkpoint of A."""
+    store = ObservatoryStore(str(tmp_path / "obs"))
+    trace = str(tmp_path / "t.rpt2")
+    linear = synthetic_events({"victim": lambda n: 10 * n}, SIZES)
+    padding = synthetic_events({"stable": lambda n: 5 * n}, (8,) * 24)
+
+    first = LiveProfileSession(trace, str(tmp_path / "a"), checkpoint_events=10 ** 9,
+                               checkpoint_seconds=10 ** 9)
+    with live_writer(trace, chunk_events=16) as writer:
+        replay(linear, writer)
+    first.finalize()
+    closed = ingest_checkpoint(store, str(tmp_path / "a"))
+    assert closed.ingested
+
+    second = LiveProfileSession(trace, str(tmp_path / "b"), checkpoint_events=10 ** 9,
+                                checkpoint_seconds=10 ** 9)
+    with live_writer(trace, chunk_events=16) as writer:
+        replay(linear + padding, writer)
+        while second.step():
+            pass
+        assert second.checkpoint().seq == 1
+        partial = ingest_checkpoint(store, str(tmp_path / "b"))
+    second.finalize()
+    assert partial.ingested, partial.detail
+    assert partial.run_id != closed.run_id
+    assert len(store.runs()) == 2
+    stream = next(run for run in store.runs() if run.run_id == partial.run_id)
+    assert store.metrics_for(stream.seq)["streaming.closed"] == 0.0

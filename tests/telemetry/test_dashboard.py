@@ -25,7 +25,7 @@ def test_ascii_dashboard_sections(tmp_path):
     dashboard = render_telemetry_dashboard(run)
     assert "span tree" in dashboard
     assert "analyze.pool" in dashboard
-    # worker spans harvested from heartbeat files nest under the pool
+    # worker spans rebuilt from the shard results nest under the pool
     assert "\n  worker.decode" in dashboard or "  worker.decode" in dashboard
     assert "worker heartbeats" in dashboard
     assert "events/s" in dashboard
@@ -54,7 +54,7 @@ def test_dashboard_of_empty_run_renders():
 def test_farm_stats_report_telemetry_columns(tmp_path):
     result, _ = _farm_run(tmp_path)
     report = render_farm_stats(result.stats)
-    for column in ("dec/ana", "beats", "rss", "retries", "timeouts", "ran"):
+    for column in ("dec/ana", "rss", "retries", "timeouts", "ran"):
         assert column in report
     assert "pool" in report
     # healthy run: no shard fell back inline

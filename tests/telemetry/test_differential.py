@@ -45,6 +45,31 @@ def test_farm_identical_with_telemetry_enabled(tmp_path):
     for beats in shards.values():
         assert beats[-1]["phase"] == "done"
     assert run.counter_value("farm.trace_events") == len(events)
+    # one closing heartbeat and two worker spans per shard, under the pool
+    assert all(len(beats) == 1 for beats in shards.values())
+    (pool,) = run.spans_named("analyze.pool")
+    for name in ("worker.decode", "worker.analyze"):
+        spans = run.spans_named(name)
+        assert sorted(span["shard"] for span in spans) == sorted(shards)
+        assert all(span["parent"] == pool["id"] for span in spans)
+
+
+def test_inline_shard_spans_nest_under_its_inline_span(tmp_path):
+    """At ``jobs=1`` the one shard runs inline: its worker spans and its
+    heartbeat are rebuilt from the result, under ``analyze.inline``."""
+    path = tmp_path / "run.rpt2"
+    record_benchmark_v2("350.md", path, threads=3, scale=0.4)
+    with telemetry.session(str(tmp_path / "tele")):
+        result = analyze_file(str(path), jobs=1)
+    run = TelemetryRun.load(str(tmp_path / "tele"))
+    (inline,) = run.spans_named("analyze.inline")
+    assert "analyze.pool" not in run.span_names()
+    for name in ("worker.decode", "worker.analyze"):
+        (span,) = run.spans_named(name)
+        assert (span["shard"], span["parent"]) == (0, inline["id"])
+    (beat,) = run.heartbeats
+    assert (beat["shard"], beat["phase"], beat["events"]) == \
+        (0, "done", result.stats.outcomes[0].events)
 
 
 def test_farm_stats_equal_with_and_without_session(tmp_path):
@@ -56,7 +81,7 @@ def test_farm_stats_equal_with_and_without_session(tmp_path):
         with_tele = analyze_file(str(path), jobs=2)
 
     def tallies(stats):
-        return [(o.shard_id, o.attempts, o.where, o.retries, o.timeouts, o.fell_back)
+        return [(o.shard_id, o.where, o.retries, o.timeouts, o.fell_back)
                 for o in stats.outcomes]
 
     assert len(without.stats.outcomes) > 1

@@ -396,3 +396,31 @@ def test_live_recording_writes_the_plain_trace(name, tmp_path):
     assert run_cli("record", name, str(live), "--chunk-events", "512",
                    "--live", str(tmp_path / "ckpt"))[0] == 0
     assert live.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{trace}", "--jobs", "0", "--dump", "{out}"],
+    ["analyze", "{trace}", "--jobs", "-2", "--dump", "{out}"],
+    ["analyze", "{trace}", "--jobs", "2", "--timeout", "0", "--dump", "{out}"],
+    ["analyze", "{trace}", "--jobs", "2", "--timeout", "-1", "--dump", "{out}"],
+    ["serve", "--root", "{out}", "--workers", "0"],
+    ["serve", "--root", "{out}", "--capacity", "0"],
+    ["overhead", "352.nab", "--threads", "2", "--scale", "0.1", "--repeats", "0",
+     "--telemetry", "{out}"],
+], ids=["analyze-jobs-0", "analyze-jobs-negative", "analyze-timeout-0",
+        "analyze-timeout-negative", "serve-workers", "serve-capacity",
+        "overhead-repeats"])
+def test_non_positive_options_exit_2_before_any_work(argv, tmp_path, capsys):
+    """A count below 1 or a duration of 0 or less is a usage error at
+    parse time: no profile dump, tenant root or telemetry log is
+    written, and no server is started."""
+    trace = tmp_path / "sealed.rpt2"
+    if "{trace}" in argv:
+        assert run_cli("record", "350.md", str(trace), "--scale", "0.2")[0] == 0
+    argv = [arg.format(out=tmp_path / "out", trace=trace) for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "must be a positive" in err
+    assert {path.name for path in tmp_path.iterdir()} <= {"sealed.rpt2"}

@@ -1,11 +1,10 @@
 """Flat-array kernel throughput: the columnar hot loop, measured.
 
-The farm made the offline TRMS analysis parallel; the flat kernel makes
-each worker *fast*.  This bench measures exactly the quantity the kernel
-was built for — single-shard analysis throughput (events/s) of
-``run_shard`` — against a :class:`~repro.core.naive.NaiveTrms` replay
-(the paper's Figure 10 reference algorithm) of the same recorded v2
-traces:
+This bench measures exactly the quantity the flat kernel was built
+for — the analysis throughput (events/s) of the one pass
+``repro.farm.analyze_file`` runs over a trace file — against a
+:class:`~repro.core.naive.NaiveTrms` replay (the paper's Figure 10
+reference algorithm) of the same recorded v2 traces:
 
 * exactness first: for every workload both profile dumps must be
   byte-identical (their SHA-256 digests are recorded in the result
@@ -28,10 +27,8 @@ import tempfile
 import time
 
 from repro.core import NaiveTrms, replay
-from repro.farm import BinaryTraceWriter, iter_binary_trace, save_profile
+from repro.farm import BinaryTraceWriter, analyze_file, iter_binary_trace, save_profile
 from repro.farm.binfmt import read_trace_meta
-from repro.farm.shards import plan_shards
-from repro.farm.worker import ShardTask, run_shard
 from repro.reporting import table
 from repro.workloads import benchmark as get_benchmark
 
@@ -68,7 +65,7 @@ def replay_naive(path: str):
 
 
 def measure_kernels(path: str):
-    """Best-of-N wall time and profile digest: naive replay vs flat shard.
+    """Best-of-N wall time and profile digest: naive replay vs flat pass.
 
     The rounds are *interleaved* (naive, flat, naive, …) so a frequency
     step or a noisy neighbour hits both alike — the gate compares the
@@ -77,10 +74,8 @@ def measure_kernels(path: str):
     """
     with open(path, "rb") as stream:
         meta = read_trace_meta(stream)
-    shard = plan_shards(meta, 1)[0]
-    task = ShardTask(path, shard.shard_id, shard.threads, shard.chunk_indices)
     runs = {"naive": lambda: replay_naive(path),
-            "flat": lambda: run_shard(task).db}
+            "flat": lambda: analyze_file(path).db}
     seconds = {kernel: float("inf") for kernel in KERNELS}
     digests = {}
     for kernel, run in runs.items():  # warm page cache and allocator
@@ -134,7 +129,7 @@ def test_kernel_throughput(benchmark, scale):
     print(table(
         ["workload", "kernel", "events", "time", "events/s", "speedup"],
         rows,
-        title=f"Analysis-kernel throughput — single shard, best of {ROUNDS}",
+        title=f"Analysis-kernel throughput — one pass, best of {ROUNDS}",
     ))
 
     # exactness is unconditional: the dumps must be byte-identical

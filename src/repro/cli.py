@@ -11,19 +11,18 @@ Commands:
   routine's growth class;
 * ``record <benchmark> <file>`` — record one execution's event trace
   in the chunked binary v2 format;
-* ``analyze <trace>`` — run the profilers over a recorded trace;
-  ``--jobs N`` farms the flat-kernel TRMS analysis out to N worker
-  processes (exact: identical to the online profiler, see
-  ``docs/KERNEL.md``), ``--dump`` writes a mergeable profile dump;
+* ``analyze <trace>`` — run the profilers over a recorded trace; the
+  TRMS side is one pass of the flat kernel (exact: identical to the
+  online profiler, see ``docs/KERNEL.md``), ``--dump`` writes a
+  mergeable profile dump;
 * ``merge -o out.profile a.profile b.profile …`` — associatively merge
-  profile dumps of several shards or several independent runs into one
-  richer profile;
+  profile dumps of several independent runs into one richer profile;
 * ``overhead <benchmark>`` — measure the profilers' own slowdown and
   space against a native run (the paper's Table 1 discipline) and
   report from telemetry data alone;
 * ``stats <run>`` — render the dashboard of a recorded telemetry run
-  (span tree, worker heartbeats, metrics, overhead table), optionally
-  as a self-contained HTML file;
+  (span tree, metrics, overhead table), optionally as a self-contained
+  HTML file;
 * ``diff <old> <new>`` — classify per-routine asymptotic regressions
   between two profile dumps (``regressed``/``slower``/… — the cost-
   function diff of ``reporting.diffing``);
@@ -43,10 +42,14 @@ Commands:
   render cross-process request waterfalls (``--slowest N`` picks the
   worst uploads; ``--html`` writes SVG timelines).
 
-Every pipeline command accepts ``--telemetry DIR``: spans, heartbeats
-and metrics of that invocation land in ``DIR/telemetry.jsonl`` for
-``repro stats`` (see ``docs/TELEMETRY.md``).  Telemetry never changes
-profile output — only observes it.
+Every pipeline command accepts ``--telemetry DIR``: spans and metrics
+of that invocation land in ``DIR/telemetry.jsonl`` for ``repro stats``
+(see ``docs/TELEMETRY.md``).  Telemetry never changes profile output —
+only observes it.
+
+An output file that cannot be opened (``--dump``, ``--html``,
+``merge -o``, ``slap --json``) ends the command with one ``error:``
+line and exit status 2.
 
 The CLI works on the VM benchmark registry; profiling arbitrary Python
 programs goes through the library API (see ``examples/quickstart.py``).
@@ -55,8 +58,9 @@ programs goes through the library API (see ``examples/quickstart.py``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional, TextIO
 
 from . import telemetry
 from .core import EventBus, RmsProfiler, TrmsProfiler
@@ -89,10 +93,29 @@ def _positive_float(text: str) -> float:
     return value
 
 
+class _UnusableOutput(Exception):
+    """An output file of the command could not be opened (exit 2)."""
+
+
+@contextlib.contextmanager
+def _output_file(path: str) -> Iterator[TextIO]:
+    """Open one output file of a command for writing.
+
+    Failing to open it raises :class:`_UnusableOutput`, which
+    :func:`_dispatch` turns into one ``error:`` line and exit status 2.
+    """
+    try:
+        stream = open(path, "w", encoding="utf-8")
+    except OSError as error:
+        raise _UnusableOutput(error) from None
+    with stream:
+        yield stream
+
+
 def _add_telemetry_option(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--telemetry", metavar="DIR",
-        help="record spans/heartbeats/metrics to DIR/telemetry.jsonl "
+        help="record spans/metrics to DIR/telemetry.jsonl "
              "(render with `repro stats DIR`)")
 
 
@@ -119,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--dump", metavar="FILE",
                          help="write a repro-profile 1 dump (of the trms "
                               "profile when there is one)")
-    profile.add_argument("--sample", type=int, default=1, metavar="K",
+    profile.add_argument("--sample", type=_positive_int, default=1, metavar="K",
                          help="burst-sample 1 of every K memory reads "
                               "(sizes become lower bounds)")
     profile.add_argument("--html", metavar="FILE",
@@ -140,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     record.add_argument("--threads", type=_positive_int, default=4)
     record.add_argument("--scale", type=float, default=1.0)
     record.add_argument("--chunk-events", type=_positive_int, default=4096, metavar="N",
-                        help="events per v2 chunk (shard planning granularity)")
+                        help="events per v2 chunk (the decode and streaming unit)")
     record.add_argument("--live", metavar="DIR",
                         help="stream the trace while recording: "
                              "flush every sealed chunk + names sidecar and "
@@ -164,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "into DIR while watching")
     watch.add_argument("--once", action="store_true",
                        help="render a single frame and exit")
-    watch.add_argument("--interval", type=float, default=1.0, metavar="SECONDS",
+    watch.add_argument("--interval", type=_positive_float, default=1.0, metavar="SECONDS",
                        help="refresh period (default 1s)")
-    watch.add_argument("--top", type=int, default=10, metavar="N",
+    watch.add_argument("--top", type=_positive_int, default=10, metavar="N",
                        help="routines shown (ranked by growth class, then cost)")
     watch.add_argument("--checkpoint-events", type=_positive_int, default=65536,
                        metavar="N",
                        help="events between checkpoints in --checkpoints mode")
-    watch.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    watch.add_argument("--timeout", type=_positive_float, default=None, metavar="SECONDS",
                        help="give up waiting for new data after this long")
     _add_telemetry_option(watch)
 
@@ -181,19 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("trace", help="v2 trace written by `record`")
     analyze.add_argument("--metric", choices=["rms", "trms", "both"], default="both")
     analyze.add_argument("--context", action="store_true")
-    analyze.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                         help="farm the trms analysis out to N worker processes")
-    analyze.add_argument("--timeout", type=_positive_float, default=None,
-                         metavar="SECONDS",
-                         help="deadline for the worker processes")
     analyze.add_argument("--dump", metavar="FILE",
                          help="write a mergeable profile dump (see `merge`)")
     analyze.add_argument("--stats", action="store_true",
-                         help="print the farm shard/throughput report")
+                         help="print the trms pass report (events, time, rss)")
     _add_telemetry_option(analyze)
 
     merge = commands.add_parser(
-        "merge", help="merge profile dumps of several shards or runs"
+        "merge", help="merge profile dumps of several runs"
     )
     merge.add_argument("inputs", nargs="+",
                        help="profile dumps produced by `analyze --dump`")
@@ -420,14 +438,14 @@ def _cmd_profile(args, out) -> int:
     if args.dump:
         from .farm import save_profile
 
-        with open(args.dump, "w") as stream:
+        with _output_file(args.dump) as stream:
             count = save_profile(reference.db, stream)
         out.write(f"wrote {count} profile points to {args.dump}\n")
     if args.html:
         from .reporting import render_html_report
 
         metric = "trms" if "trms" in profilers else "rms"
-        with open(args.html, "w") as stream:
+        with _output_file(args.html) as stream:
             stream.write(render_html_report(
                 reference.db, title=f"{bench.name} — input-sensitive profile",
                 metric=metric,
@@ -437,7 +455,6 @@ def _cmd_profile(args, out) -> int:
 
 
 def _cmd_record(args, out) -> int:
-    import contextlib
     import os
 
     from .farm import BinaryTraceWriter, live_names_path
@@ -597,11 +614,7 @@ def _cmd_analyze(args, out) -> int:
     databases = {}
     try:
         if args.metric in ("trms", "both"):
-            # --jobs 1 is one inline shard of the flat kernel
-            result = analyze_file(
-                args.trace, jobs=args.jobs, context_sensitive=args.context,
-                timeout=args.timeout, progress=out.write,
-            )
+            result = analyze_file(args.trace, context_sensitive=args.context)
             databases["trms"] = result.db
             if args.stats:
                 from .reporting import render_farm_stats
@@ -609,9 +622,6 @@ def _cmd_analyze(args, out) -> int:
                 out.write(render_farm_stats(result.stats))
                 out.write("\n")
         if args.metric in ("rms", "both"):
-            if args.jobs > 1:
-                out.write("note: --jobs farms the trms analysis; "
-                          "rms runs sequentially\n")
             profiler = RmsProfiler(context_sensitive=args.context)
             with telemetry.span("analyze.replay", metric="rms"):
                 with open(args.trace, "rb") as stream:
@@ -627,7 +637,7 @@ def _cmd_analyze(args, out) -> int:
             out.write("\n")
     if args.dump:
         reference = databases.get("trms") or databases["rms"]
-        with open(args.dump, "w") as stream:
+        with _output_file(args.dump) as stream:
             count = save_profile(reference, stream)
         out.write(f"wrote {count} profile points to {args.dump}\n")
     return 0
@@ -643,7 +653,7 @@ def _cmd_merge(args, out) -> int:
         return 2
     with telemetry.span("merge", inputs=len(databases)):
         merged = merge_databases(databases)
-    with open(args.output, "w") as stream:
+    with _output_file(args.output) as stream:
         count = save_profile(merged, stream)
     out.write(render_report(
         merged, title=f"merged profile of {len(databases)} run(s)"))
@@ -815,7 +825,7 @@ def _cmd_observe(args, out) -> int:
             out.write(render_observatory_report(
                 store, tolerance=args.tolerance, limit=args.limit))
         if args.html:
-            with open(args.html, "w") as stream:
+            with _output_file(args.html) as stream:
                 stream.write(render_observatory_html(
                     store, tolerance=args.tolerance,
                     title=f"profile observatory: {args.store}"))
@@ -903,7 +913,7 @@ def _cmd_slap(args, out) -> int:
     if args.json:
         import json as json_module
 
-        with open(args.json, "w", encoding="utf-8") as stream:
+        with _output_file(args.json) as stream:
             json_module.dump(build_envelope(report), stream, indent=2,
                              sort_keys=True)
             stream.write("\n")
@@ -947,7 +957,7 @@ def _cmd_trace(args, out) -> int:
         out.write(render_trace_waterfall(trace_item))
         out.write("\n")
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as stream:
+        with _output_file(args.html) as stream:
             stream.write(render_traces_html(chosen))
         out.write(f"wrote HTML timelines to {args.html}\n")
     if args.assert_linked is not None:
@@ -972,47 +982,41 @@ def _cmd_stats(args, out) -> int:
     except OSError as error:
         out.write(f"error: {error}\n")
         return 2
-    if not (run.spans or run.heartbeats or run.metrics or run.events):
+    if not (run.spans or run.metrics or run.events):
         out.write(f"error: no telemetry records in {args.run}\n")
         return 2
     out.write(render_telemetry_dashboard(run))
     if args.html:
-        with open(args.html, "w") as stream:
+        with _output_file(args.html) as stream:
             stream.write(render_telemetry_html(run, title=f"telemetry: {args.run}"))
         out.write(f"wrote HTML dashboard to {args.html}\n")
     return 0
 
 
+_COMMANDS = {
+    "list": lambda args, out: _cmd_list(out),
+    "profile": _cmd_profile,
+    "fit": _cmd_fit,
+    "record": _cmd_record,
+    "watch": _cmd_watch,
+    "analyze": _cmd_analyze,
+    "merge": _cmd_merge,
+    "overhead": _cmd_overhead,
+    "stats": _cmd_stats,
+    "diff": _cmd_diff,
+    "observe": _cmd_observe,
+    "serve": _cmd_serve,
+    "slap": _cmd_slap,
+    "trace": _cmd_trace,
+}
+
+
 def _dispatch(args, out) -> int:
-    if args.command == "list":
-        return _cmd_list(out)
-    if args.command == "profile":
-        return _cmd_profile(args, out)
-    if args.command == "fit":
-        return _cmd_fit(args, out)
-    if args.command == "record":
-        return _cmd_record(args, out)
-    if args.command == "watch":
-        return _cmd_watch(args, out)
-    if args.command == "analyze":
-        return _cmd_analyze(args, out)
-    if args.command == "merge":
-        return _cmd_merge(args, out)
-    if args.command == "overhead":
-        return _cmd_overhead(args, out)
-    if args.command == "stats":
-        return _cmd_stats(args, out)
-    if args.command == "diff":
-        return _cmd_diff(args, out)
-    if args.command == "observe":
-        return _cmd_observe(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "slap":
-        return _cmd_slap(args, out)
-    if args.command == "trace":
-        return _cmd_trace(args, out)
-    return 2  # pragma: no cover - argparse enforces the choices
+    try:
+        return _COMMANDS[args.command](args, out)
+    except _UnusableOutput as error:
+        out.write(f"error: {error}\n")
+        return 2
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:

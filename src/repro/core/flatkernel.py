@@ -25,12 +25,11 @@ same analysis dramatically cheaper:
    columns the kernel binds to locals, so the per-event work is integer
    compares, dict probes and in-place column updates.
 
-The kernel analyses all of a shard's threads in a *single interleaved
+The kernel analyses every thread of the trace in a *single interleaved
 pass*, keeping per-thread stacks and latest-access tables exactly like
-the online profiler keeps per-thread states.  Events of threads outside
-the shard contribute only their writes, so disjoint shards merge
-exactly.  Its output is **bit-identical** to the online
-:class:`~repro.core.trms.TrmsProfiler` — enforced by the farm
+the online profiler keeps per-thread states; a thread's state is made
+when its first event arrives.  Its output is **bit-identical** to the
+online :class:`~repro.core.trms.TrmsProfiler` — enforced by the farm
 differential tests and the property-based kernel differentials.
 """
 
@@ -84,10 +83,6 @@ class FlatAnalyzer:
     """Single-pass flat-array TRMS analysis over event columns.
 
     Args:
-        threads: the threads to analyse (a shard's assignment).  Events
-            of other threads contribute only their writes.  ``None``
-            analyses every thread that appears — the whole-trace mode
-            of :func:`analyze_events_flat` and of streaming.
         names: the trace string table ``CALL`` arguments index into;
             an id outside it raises
             :class:`~repro.core.tracefile.MalformedRecord`.
@@ -102,7 +97,6 @@ class FlatAnalyzer:
 
     def __init__(
         self,
-        threads: Optional[Sequence[int]],
         names: Sequence[str],
         db: ProfileDatabase,
         context_sensitive: bool = False,
@@ -118,17 +112,11 @@ class FlatAnalyzer:
         self.names: List[str] = names if isinstance(names, list) else list(names)
         self._extra: List[str] = []
         self._ctx_ids: Dict[Tuple[int, int], int] = {}
+        #: thread -> state, in first-appearance order (:meth:`finish` unwinds in it)
         self.states: Dict[int, _FlatThreadState] = {}
-        #: thread order for :meth:`finish` unwinding (assignment order,
-        #: or first-appearance order when analysing every thread)
-        self._order: List[int] = []
-        self._assigned = frozenset(threads) if threads is not None else None
         self.events_analyzed = 0
         #: cell -> latest write so far, packed ``(position << 1) | is_kernel``
         self.wts: Dict[int, int] = {}
-        if threads is not None:
-            for thread in threads:
-                self._ensure(thread)
 
     def _ensure(self, thread: int) -> _FlatThreadState:
         state = _FlatThreadState(thread)
@@ -136,7 +124,6 @@ class FlatAnalyzer:
         self._extra.append(_ROOT_NAME.format(thread=thread))
         state.stack.push(root_id, 0, 0)
         self.states[thread] = state
-        self._order.append(thread)
         return state
 
     def _name_of(self, ident: int) -> str:
@@ -158,7 +145,6 @@ class FlatAnalyzer:
         ctx_ids = self._ctx_ids
         context_sensitive = self.context_sensitive
         states = self.states
-        lazy = self._assigned is None
         wts = self.wts
         wts_get = wts.get
         add_activation = db.add_activation
@@ -166,34 +152,23 @@ class FlatAnalyzer:
         induced_external = 0
         position = columns.first_pos
         current_thread: Optional[int] = None
-        state: Optional[_FlatThreadState] = None
+        state: _FlatThreadState  # bound by the first event: current_thread starts as None
         s_last = s_last_get = s_rtn = s_ts = s_cost = None
         s_partial = s_ind_thread = s_ind_external = None
 
         for kind, thread, arg in zip(columns.kinds, columns.threads, columns.args):
             if thread != current_thread:
                 current_thread = thread
-                state = states.get(thread)
-                if state is None and lazy:
-                    state = self._ensure(thread)
-                if state is not None:
-                    stack = state.stack
-                    s_last = state.last
-                    s_last_get = s_last.get
-                    s_rtn = stack.rtn
-                    s_ts = stack.ts
-                    s_cost = stack.cost
-                    s_partial = stack.partial
-                    s_ind_thread = stack.induced_thread
-                    s_ind_external = stack.induced_external
-            if state is None:
-                # Foreign thread: only its writes are visible to us.
-                if kind == _WRITE:
-                    wts[arg] = position << 1
-                elif kind == _KERNEL_WRITE:
-                    wts[arg] = (position << 1) | 1
-                position += 1
-                continue
+                state = states.get(thread) or self._ensure(thread)
+                stack = state.stack
+                s_last = state.last
+                s_last_get = s_last.get
+                s_rtn = stack.rtn
+                s_ts = stack.ts
+                s_cost = stack.cost
+                s_partial = stack.partial
+                s_ind_thread = stack.induced_thread
+                s_ind_external = stack.induced_external
             if kind == _READ or kind == _KERNEL_READ:
                 last = s_last_get(arg, -1)
                 packed = wts_get(arg)
@@ -272,8 +247,7 @@ class FlatAnalyzer:
         """Unwind every pending activation, including implicit roots."""
         name_of = self._name_of
         add_activation = self.db.add_activation
-        for thread in self._order:
-            state = self.states[thread]
+        for thread, state in self.states.items():
             stack = state.stack
             while stack:
                 rtn_id, _, entry_cost, partial, ind_thread, ind_external = stack.pop()
@@ -289,7 +263,6 @@ class FlatAnalyzer:
 
 def analyze_columns_flat(
     column_blocks: Iterable,
-    threads: Optional[Sequence[int]],
     names: Sequence[str],
     db: ProfileDatabase,
     context_sensitive: bool = False,
@@ -297,10 +270,9 @@ def analyze_columns_flat(
     """Run the flat kernel over column blocks; returns events analysed.
 
     ``column_blocks`` must arrive in increasing global-position order
-    (chunks in trace order) — the farm's shard plans and the offline
-    columnariser both guarantee this.
+    (chunks in trace order), as the offline columnariser delivers them.
     """
-    analyzer = FlatAnalyzer(threads, names, db, context_sensitive=context_sensitive)
+    analyzer = FlatAnalyzer(names, db, context_sensitive=context_sensitive)
     for columns in column_blocks:
         analyzer.feed(columns)
     analyzer.finish()
@@ -317,4 +289,4 @@ def analyze_events_flat(
 
     columns, names = columns_from_events(events)
     return analyze_columns_flat(
-        [columns], None, names, db, context_sensitive=context_sensitive)
+        [columns], names, db, context_sensitive=context_sensitive)

@@ -1,30 +1,23 @@
-"""Distributed trace-analysis farm.
+"""Recorded-trace analysis.
 
-The paper's closing future-work item asks for "a fully scalable and
-concurrent dynamic instrumentation framework … to exploit parallelism
-to leverage the slowdown of our profiler".  Over a recorded trace the
-flat kernel (:mod:`repro.core.flatkernel`) analyses any subset of
-threads exactly from their own events plus everyone's writes, so
-per-thread analyses share no mutable state — but Python threads cannot
-cash that in under the GIL.  This package spreads them over processes:
+The paper's closing future-work item asks for parallelism "to leverage
+the slowdown of our profiler".  This package analyses a recorded trace
+after the run, off the profiled program's clock:
 
 * :mod:`repro.farm.binfmt` — trace format v2: chunked, struct-packed
   binary traces with a string table and a seekable chunk index;
-* :mod:`repro.farm.shards` — shard planning over the chunk index
-  (longest-processing-time packing of whole threads);
-* :mod:`repro.farm.worker` — the shard analyser, run in a process of
-  its own or inline;
+* :mod:`repro.farm.engine` — ``analyze_file``: one in-process pass that
+  decodes every chunk and feeds one flat kernel
+  (:mod:`repro.core.flatkernel`) over every thread;
+* :mod:`repro.farm.worker` — the name the pass decodes chunks through;
 * :mod:`repro.farm.merge` — exact, associative profile merging across
-  shards and across independent runs, plus the lossless profile dump
-  format;
-* :mod:`repro.farm.engine` — orchestration: one process and one
-  attempt per shard against one deadline, and an inline rerun of any
-  shard whose process failed, each shard's tallies kept on its
-  :class:`~repro.farm.engine.ShardOutcome`.
+  independent runs, plus the lossless profile dump format.
 
-The farm's contract is exactness: its merged output is bit-identical
-to the online :class:`~repro.core.trms.TrmsProfiler` on every
-workload; parallel speed is never allowed to change a profile.
+The contract is exactness: ``analyze_file``'s output is bit-identical
+to the online :class:`~repro.core.trms.TrmsProfiler` on every workload.
+A process pool over whole-thread shards once ran the pass in parallel;
+it never beat the one pass on a measured host and is gone (see
+``docs/FARM.md``).
 """
 
 from .binfmt import (
@@ -42,7 +35,7 @@ from .binfmt import (
     read_trace_meta,
     write_binary_trace,
 )
-from .engine import FarmResult, FarmStats, ShardOutcome, analyze_file
+from .engine import FarmResult, FarmStats, analyze_file
 from .merge import (
     PROFILE_MAGIC,
     ProfileDumpError,
@@ -53,8 +46,6 @@ from .merge import (
     merge_into,
     save_profile,
 )
-from .shards import Shard, plan_shards
-from .worker import ShardTask, WorkerResult, run_shard
 
 __all__ = [
     "BINARY_MAGIC",
@@ -72,7 +63,6 @@ __all__ = [
     "write_binary_trace",
     "FarmResult",
     "FarmStats",
-    "ShardOutcome",
     "analyze_file",
     "PROFILE_MAGIC",
     "ProfileDumpError",
@@ -82,9 +72,4 @@ __all__ = [
     "merge_databases",
     "merge_into",
     "save_profile",
-    "Shard",
-    "plan_shards",
-    "ShardTask",
-    "WorkerResult",
-    "run_shard",
 ]

@@ -1,9 +1,8 @@
 """Trace format v2: compact, chunked, seekable binary traces.
 
-This module is the one reader and writer of recorded traces.  The farm
-needs random access: a worker assigned two threads of a 32-thread trace
-should not decode the other thirty.  Format v2 provides that with three
-layers:
+This module is the one reader and writer of recorded traces.  Format
+v2 is chunked and seekable, so a reader can decode any chunk on its own
+or tail a growing trace chunk by chunk.  It has three layers:
 
 * **records** — one event is a fixed ``<Bqq`` struct (kind byte, thread
   id, argument).  Routine names are interned in a per-file string
@@ -13,9 +12,6 @@ layers:
   events.  Each chunk is prefixed by a header carrying its payload
   size, event count, the *global position* of its first event, its
   write-event count (plain + kernel), and per-thread event counts.
-  That metadata is what shard planning consumes: it tells a worker
-  which chunks contain its threads' events and which chunks it may
-  skip entirely (no writes, no assigned threads).
 * **footer** — after the last chunk the writer emits the string table
   and a copy of every chunk's metadata (with file offsets), then a
   fixed-size trailer pointing back at the footer.  Readers seek to the
@@ -146,9 +142,6 @@ class ChunkMeta(NamedTuple):
         """Global position one past the chunk's final event."""
         return self.first_pos + self.events
 
-    def threads(self) -> frozenset:
-        return frozenset(self.thread_counts)
-
 
 class TraceMeta(NamedTuple):
     """Everything the footer knows: the key to random-access decoding."""
@@ -156,14 +149,6 @@ class TraceMeta(NamedTuple):
     event_count: int
     names: List[str]
     chunks: List[ChunkMeta]
-
-    def thread_totals(self) -> Dict[int, int]:
-        """Whole-trace per-thread event counts (summed over chunks)."""
-        totals: Dict[int, int] = {}
-        for chunk in self.chunks:
-            for thread, count in chunk.thread_counts.items():
-                totals[thread] = totals.get(thread, 0) + count
-        return totals
 
 
 def _chunk_header(chunk: ChunkMeta) -> bytes:

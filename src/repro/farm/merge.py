@@ -12,12 +12,13 @@ two :class:`~repro.core.profile_data.ProfileDatabase` objects exact:
   activation records concatenate, and the sampling lower-bound flag
   ORs (one sampled constituent makes every merged size a lower bound).
 
-Because the per-thread databases a farm run produces are key-disjoint,
-merging them reconstructs exactly what a single sequential analysis
-would have built.  The same operation applied to profiles of
+Because the databases of disjoint thread sets of one run are
+key-disjoint, merging them reconstructs exactly what a whole-run
+analysis would have built.  The same operation applied to profiles of
 *independent executions* of one program folds many runs into a single,
 richer cost plot — more distinct sizes, tighter envelopes — which is
-the paper's per-plot aggregation extended across runs.
+the paper's per-plot aggregation extended across runs (``repro
+merge``).
 
 The dump format (``repro-profile 1``) is the one on-disk profile
 format: ``profile --dump``, ``analyze --dump``, ``merge`` and the
@@ -91,9 +92,9 @@ def merge_databases(
 ) -> ProfileDatabase:
     """Merge any number of databases into a fresh one.
 
-    Works for the two farm cases alike: per-shard databases of one run
-    (key-disjoint — the result equals the sequential analysis) and
-    databases of independent runs (overlapping keys — points merge).
+    Works for both cases alike: databases of disjoint thread sets of
+    one run (key-disjoint — the result equals the whole-run analysis)
+    and databases of independent runs (overlapping keys — points merge).
     """
     merged = ProfileDatabase(keep_activations=keep_activations)
     for db in databases:

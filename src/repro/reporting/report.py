@@ -56,35 +56,16 @@ def render_report(db: ProfileDatabase, merged: bool = True, title: str = "profil
 
 
 def render_farm_stats(stats) -> str:
-    """Progress/health report of one farm run (``repro.farm.FarmStats``).
-
-    One row per shard — where it ran, how the worker split its time
-    between decode and analysis, peak RSS and throughput — plus the
-    shard's failure ledger (failed process, timeout, inline fallback),
-    all read from its :class:`~repro.farm.engine.ShardOutcome`, and a
-    footer with the run's jobs, trace size, wall time and tallies.
-    """
-    rows = []
-    for outcome in stats.outcomes:
-        rows.append([
-            outcome.shard_id,
-            len(outcome.threads),
-            outcome.events,
-            f"{outcome.seconds * 1000:.1f}ms",
-            f"{outcome.decode_seconds * 1000:.0f}/"
-            f"{outcome.analyze_seconds * 1000:.0f}ms",
-            f"{outcome.events_per_s:,.0f}",
-            f"{outcome.max_rss_kb / 1024:.0f}M" if outcome.max_rss_kb else "-",
-            outcome.retries,
-            outcome.timeouts,
-            outcome.where + ("!" if outcome.fell_back else ""),
-        ])
-    headers = ["shard", "threads", "events", "time", "dec/ana", "events/s",
-               "rss", "retries", "timeouts", "ran"]
-    footer = (
-        f"jobs: {stats.jobs}   trace events: {stats.event_count}   "
-        f"wall: {stats.wall_seconds * 1000:.1f}ms\n"
-        f"retries: {stats.retries}   inline fallbacks: {stats.fallbacks}\n"
-        "('!' marks a shard whose process failed and that ran inline)\n"
-    )
-    return table(headers, rows, title="farm shards") + footer
+    """Report of one analysis pass (``repro.farm.FarmStats``): trace
+    events and chunks, wall time, its decode/analyse split, events/s and
+    peak RSS."""
+    row = [
+        stats.events,
+        stats.chunks,
+        f"{stats.wall_seconds * 1000:.1f}ms",
+        f"{stats.decode_seconds * 1000:.0f}/{stats.analyze_seconds * 1000:.0f}ms",
+        f"{stats.events_per_s:,.0f}",
+        f"{stats.max_rss_kb / 1024:.0f}M" if stats.max_rss_kb else "-",
+    ]
+    headers = ["events", "chunks", "wall", "dec/ana", "events/s", "rss"]
+    return table(headers, [row], title="analysis pass")

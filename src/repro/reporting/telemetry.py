@@ -4,9 +4,8 @@ Two renderers over one loaded :class:`~repro.telemetry.TelemetryRun`:
 
 * :func:`render_telemetry_dashboard` — the terminal view, built from
   the ASCII primitives (:mod:`repro.reporting.ascii_charts`): the span
-  tree with wall/CPU timings, per-shard heartbeat progress, metric
-  tables, histogram bars, and the self-overhead table when an
-  ``repro overhead`` run wrote one;
+  tree with wall/CPU timings, metric tables, histogram bars, and the
+  self-overhead table when an ``repro overhead`` run wrote one;
 * :func:`render_telemetry_html` — the same content as one
   self-contained HTML file (no external assets), with the span log
   rendered as an SVG timeline (:func:`repro.reporting.html.svg_timeline`).
@@ -43,7 +42,7 @@ def _span_rows(run: TelemetryRun) -> List[List]:
     for span in run.spans:
         parent = span.get("parent")
         if parent is not None and parent not in ids:
-            parent = None  # orphan (e.g. harvested worker span): top level
+            parent = None  # orphan (its parent span was never written): top level
         children.setdefault(parent, []).append(span)
 
     rows: List[List] = []
@@ -77,31 +76,6 @@ def _span_rows(run: TelemetryRun) -> List[List]:
     return rows
 
 
-def _heartbeat_section(run: TelemetryRun) -> str:
-    shards = run.heartbeats_by_shard()
-    if not shards:
-        return ""
-    rows = []
-    series = []
-    for shard in sorted(shards):
-        beats = shards[shard]
-        events = max(beat.get("events", 0) for beat in beats)
-        wall = max(beat.get("wall", 0.0) for beat in beats)
-        rss = max(beat.get("rss_kb", 0) for beat in beats)
-        phase = beats[-1].get("phase", "?")
-        rows.append([
-            shard, len(beats), phase, events,
-            f"{events / wall:,.0f}" if wall > 0 else "-",
-            f"{rss / 1024:.0f}M" if rss else "-",
-        ])
-        series.append((f"shard {shard}", float(events)))
-    section = table(
-        ["shard", "beats", "phase", "events", "events/s", "peak rss"],
-        rows, title="worker heartbeats")
-    section += bars(series, title="events processed per shard", unit=" events")
-    return section + "\n"
-
-
 def _metric_sections(run: TelemetryRun) -> str:
     counters = [entry for entry in run.metrics if entry["kind"] == "counter"]
     gauges = [entry for entry in run.metrics if entry["kind"] == "gauge"]
@@ -132,15 +106,12 @@ def render_telemetry_dashboard(run: TelemetryRun) -> str:
                      if span.get("parent") is None)
     lines.append(
         f"telemetry run: {run.path or '(in-memory)'}   "
-        f"spans: {len(run.spans)}   heartbeats: {len(run.heartbeats)}   "
-        f"metrics: {len(run.metrics)}   top-level wall: {total_wall * 1000:.1f}ms\n")
+        f"spans: {len(run.spans)}   metrics: {len(run.metrics)}   "
+        f"top-level wall: {total_wall * 1000:.1f}ms\n")
     if run.spans:
         lines.append(table(["span", "calls", "wall", "cpu", "errors"],
                            _span_rows(run), title="span tree (wall-ordered)",
                            left=(0,)))
-    beats = _heartbeat_section(run)
-    if beats:
-        lines.append(beats)
     metrics = _metric_sections(run)
     if metrics:
         lines.append(metrics)
@@ -184,18 +155,6 @@ def render_telemetry_html(run: TelemetryRun, title: str = "telemetry run") -> st
         "<h2>Span tree</h2>" + _html_table(
             ["span", "calls", "wall", "cpu", "errors"], span_rows),
     ]
-    shards = run.heartbeats_by_shard()
-    if shards:
-        rows = []
-        for shard in sorted(shards):
-            beats = shards[shard]
-            events = max(beat.get("events", 0) for beat in beats)
-            wall = max(beat.get("wall", 0.0) for beat in beats)
-            rows.append([shard, len(beats), beats[-1].get("phase", "?"), events,
-                         f"{events / wall:,.0f}" if wall > 0 else "-",
-                         f"{max(beat.get('rss_kb', 0) for beat in beats) / 1024:.0f}M"])
-        sections.append("<h2>Worker heartbeats</h2>" + _html_table(
-            ["shard", "beats", "phase", "events", "events/s", "peak rss"], rows))
     if run.metrics:
         rows = []
         for entry in run.metrics:
@@ -215,8 +174,7 @@ def render_telemetry_html(run: TelemetryRun, title: str = "telemetry run") -> st
         sections.append("<h2>Self-overhead (Table 1 style)</h2>" + _html_table(
             ["tool", "best wall", "slowdown", "analysis state", "blocks"], rows))
 
-    meta = (f"{len(run.spans)} spans &middot; {len(run.heartbeats)} heartbeats "
-            f"&middot; {len(run.metrics)} metrics")
+    meta = f"{len(run.spans)} spans &middot; {len(run.metrics)} metrics"
     return f"""<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>{escape(title)}</title>
 <style>{PAGE_STYLE}</style></head><body>

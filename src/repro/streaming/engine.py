@@ -3,11 +3,11 @@
 Streaming is "merge as you go": the exact associativity of the profile
 merge (:mod:`repro.farm.merge`) means a prefix of chunks analysed now
 plus the rest analysed later equals the batch run.  Concretely the
-engine keeps one whole-trace :class:`~repro.core.flatkernel.FlatAnalyzer`
-(``threads=None`` lazy mode) alive across polls and feeds it sealed
-``ChunkColumns`` in trace order, so the final database — after the
-trace seals and drains — is *bit-identical* to ``repro analyze`` (the
-streaming differential suite compares the dumps byte for byte).
+engine keeps one :class:`~repro.core.flatkernel.FlatAnalyzer` alive
+across polls and feeds it sealed ``ChunkColumns`` in trace order, so
+the final database — after the trace seals and drains — is
+*bit-identical* to ``repro analyze`` (the streaming differential suite
+compares the dumps byte for byte).
 
 The :class:`~repro.streaming.tailer.ChunkTailer` alone owns routine
 names and end-of-stream; the analyzer holds its ``names`` list, so the
@@ -62,8 +62,7 @@ class StreamingAnalyzer:
 
     def __init__(self, names: List[str], context_sensitive: bool = False):
         self.db = ProfileDatabase()
-        self.analyzer = FlatAnalyzer(None, names, self.db,
-                                     context_sensitive=context_sensitive)
+        self.analyzer = FlatAnalyzer(names, self.db, context_sensitive=context_sensitive)
         self.events_fed = 0
 
     def feed(self, columns: ChunkColumns) -> None:

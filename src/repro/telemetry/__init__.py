@@ -7,7 +7,7 @@ every run instead of once per paper:
 
 * :mod:`repro.telemetry.registry` — lock-safe counters, gauges and
   fixed log-bucket histograms, usable from the online profiler and
-  from farm workers alike;
+  from the server's worker threads alike;
 * :mod:`repro.telemetry.spans` — nested span tracing (wall + CPU) and
   the process-wide current telemetry (``configure`` / ``session`` /
   no-op ``NULL`` default);

@@ -6,17 +6,18 @@ directory.  One JSON object per line, every record carrying a ``type``:
 * ``meta`` — first line: format version, epoch, pid, argv;
 * ``span`` — one completed span: name, ids, start offset, wall/CPU
   seconds, attributes, ok/error status;
-* ``heartbeat`` — one closing record per farm shard (shard, phase,
-  events, RSS), written by the coordinator;
 * ``event`` — point-in-time annotations;
 * ``metrics`` — the registry snapshot, written when the run closes.
+
+The reader skips record types it does not know, so logs that carry the
+``heartbeat`` records older versions wrote still load.
 
 Appending lines is crash-tolerant: a run that dies mid-flight leaves a
 readable prefix (the reader skips a torn last line), unlike a single
 JSON document.  The sink is lock-guarded and **pid-fenced**: a file
-handle inherited across ``fork`` into a farm worker silently refuses to
-write, so a worker's telemetry reaches the log only through the
-coordinator, which builds it from the result the worker sends back.
+handle inherited across ``fork`` by a child of a library caller
+silently refuses to write, so only the process that opened the log
+writes to it.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class TelemetryRun:
         self.records = records
         self.meta: Dict = {}
         self.spans: List[Dict] = []
-        self.heartbeats: List[Dict] = []
         self.events: List[Dict] = []
         self.metrics: List[Dict] = []
         for record in records:
@@ -112,8 +112,6 @@ class TelemetryRun:
                 self.meta = record
             elif kind == "span":
                 self.spans.append(record)
-            elif kind == "heartbeat":
-                self.heartbeats.append(record)
             elif kind == "event":
                 self.events.append(record)
             elif kind == "metrics":
@@ -165,11 +163,3 @@ class TelemetryRun:
     def counter_value(self, name: str, **labels) -> int:
         return sum(entry["value"]
                    for entry in self.find_metrics(name, kind="counter", **labels))
-
-    # -- heartbeat access ---------------------------------------------------
-
-    def heartbeats_by_shard(self) -> Dict[int, List[Dict]]:
-        shards: Dict[int, List[Dict]] = {}
-        for beat in self.heartbeats:
-            shards.setdefault(beat.get("shard", -1), []).append(beat)
-        return shards

@@ -2,14 +2,14 @@
 
 The registry is the telemetry layer's aggregation primitive.  It is
 deliberately tiny and dependency-free so it can live inside the
-*online* profiler and the farm coordinator, where it must never
-perturb the profiled computation (no I/O on the hot path, one
-short-held lock per update).  Farm worker processes keep no registry:
-the coordinator counts for each shard from the result it sends back.
+*online* profiler and the trace analysis, where it must never perturb
+the profiled computation (no I/O on the hot path, one short-held lock
+per update).
 
 Metrics are identified by ``(name, labels)``; labels are arbitrary
-keyword arguments (``registry.counter("farm.retries", shard=3)``), so
-per-shard and per-tool series coexist under one metric name.
+keyword arguments (``registry.counter("profiler.timestamps",
+tool="aprof-trms")``), so per-tool and per-tenant series coexist under
+one metric name.
 
 Histograms use **fixed log-scale buckets**: bucket ``i`` counts
 observations in ``(2**(i-1), 2**i]`` (bucket 0 is ``(-inf, 1]``, the
@@ -256,8 +256,7 @@ class MetricsRegistry:
 def merge_snapshots(snapshots) -> List[Dict]:
     """Merge metric snapshot lists (counters/sums add, gauges take max).
 
-    The coordinator uses this to fold worker-reported metrics into the
-    run's registry view; fixed histogram buckets make the merge exact.
+    Fixed histogram buckets make the merge exact.
     """
     merged: Dict[Tuple[str, str, LabelItems], Dict] = {}
     for snapshot in snapshots:

@@ -5,19 +5,18 @@ hot loop over columnar event batches — packed latest-write shadow, flat
 array stacks, single interleaved pass.  Its contract is *bit identity*:
 on any trace hypothesis can dream up, it must produce exactly the
 database of the online :class:`~repro.core.trms.TrmsProfiler` —
-including under timestamp renumbering (Section 4.4), context
-sensitivity, and sharded thread assignments.
+including under timestamp renumbering (Section 4.4) and context
+sensitivity.
 """
 
 import io
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import Event, EventKind, ProfileDatabase, TrmsProfiler, replay
-from repro.core.flatkernel import FlatAnalyzer, analyze_events_flat
+from repro.core.flatkernel import analyze_events_flat
 
-from .util import THREADS, db_snapshot, events_strategy
+from .util import db_snapshot, events_strategy
 
 
 def flat_db(events, **kwargs):
@@ -68,32 +67,6 @@ def test_flat_kernel_dumps_are_byte_identical(events):
     save_profile(flat_db(events), flat_dump)
     save_profile(online_db(events), online_dump)
     assert flat_dump.getvalue() == online_dump.getvalue()
-
-
-@settings(max_examples=100, deadline=None)
-@given(events_strategy(), st.integers(min_value=1, max_value=len(THREADS)))
-def test_flat_kernel_sharded_threads_merge_to_whole(events, split):
-    """Analysing disjoint thread subsets with separate FlatAnalyzers
-    (the farm's sharding) and merging must equal the whole-trace run —
-    foreign threads contribute exactly their writes, nothing else."""
-    from repro.farm import merge_databases
-    from repro.farm.binfmt import columns_from_events
-
-    whole = ProfileDatabase(keep_activations=True)
-    analyze_events_flat(events, whole)
-
-    threads_seen = sorted({event.thread for event in events})
-    shards = [threads_seen[:split], threads_seen[split:]]
-    columns, names = columns_from_events(events)
-    partials = []
-    for shard_threads in shards:
-        db = ProfileDatabase(keep_activations=True)
-        analyzer = FlatAnalyzer(shard_threads, names, db)
-        analyzer.feed(columns)
-        analyzer.finish()
-        partials.append(db)
-    merged = merge_databases(partials, keep_activations=True)
-    assert db_snapshot(merged) == db_snapshot(whole)
 
 
 def test_flat_kernel_on_real_vm_trace():

@@ -72,11 +72,14 @@ def test_chunk_metadata_invariants(events, chunk_events):
         assert chunk.writes == expected_writes
         position += chunk.events
     assert position == len(events)
-    # whole-trace thread totals match the event stream
-    totals = {}
+    # per-thread counts, summed over the chunks, match the event stream
+    totals, summed = {}, {}
     for event in events:
         totals[event.thread] = totals.get(event.thread, 0) + 1
-    assert meta.thread_totals() == totals
+    for chunk in meta.chunks:
+        for thread, count in chunk.thread_counts.items():
+            summed[thread] = summed.get(thread, 0) + count
+    assert summed == totals
 
 
 @settings(max_examples=40, deadline=None)

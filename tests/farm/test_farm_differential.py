@@ -1,13 +1,15 @@
-"""Differential tests: the farm's contract is bit-exactness.
+"""Differential tests: ``analyze_file``'s contract is bit-exactness.
 
-Farm-analysed profiles (any shard plan, in-process or multiprocess)
-must equal the online ``TrmsProfiler`` on every registered workload
-suite, down to the bytes of their profile dumps, and merged per-run
-profiles must equal the merge of the online results.
+Profiles from the one analysis pass over a v2 trace must equal the
+online ``TrmsProfiler`` on every registered workload suite, down to
+the bytes of their profile dumps, and merged per-run profiles must
+equal the merge of the online results.
 """
 
 import io
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -26,8 +28,6 @@ from ..core.util import events_strategy
 from .util import comparable, online_db, record_benchmark_v2
 
 ALL_NAMES = [bench.name for bench in all_benchmarks()]
-#: one entry per kernel family, both suites — the multiprocess subset
-POOLED_NAMES = ["350.md", "367.imagick", "376.kdtree", "dedup", "canneal", "vips"]
 
 
 def flat_ids(names):
@@ -35,12 +35,18 @@ def flat_ids(names):
     return [f"{name}-flat" for name in names]
 
 
+def dump(db):
+    stream = io.StringIO()
+    save_profile(db, stream)
+    return stream.getvalue()
+
+
 @pytest.mark.parametrize("name", ALL_NAMES, ids=flat_ids(ALL_NAMES))
 def test_farm_equals_online_on_every_benchmark(name, tmp_path):
-    """In-process farm (full shard/decode/merge machinery) vs online."""
+    """The whole pass (file, chunk decode, flat kernel) vs online."""
     path = tmp_path / f"{name}.rpt2"
     events = record_benchmark_v2(name, path, threads=4, scale=0.4)
-    result = analyze_file(str(path), jobs=1, keep_activations=True)
+    result = analyze_file(str(path), keep_activations=True)
     assert comparable(result.db) == comparable(online_db(events))
 
 
@@ -50,52 +56,52 @@ def test_kernel_dumps_byte_identical_on_every_benchmark(name, tmp_path):
     their profile dumps — the equality the CI gate re-checks via SHA-256."""
     path = tmp_path / f"{name}.rpt2"
     events = record_benchmark_v2(name, path, threads=4, scale=0.4)
-
-    def dump(db):
-        stream = io.StringIO()
-        save_profile(db, stream)
-        return stream.getvalue()
-
-    assert dump(analyze_file(str(path), jobs=1).db) == dump(online_db(events))
-
-
-@pytest.mark.parametrize("name", POOLED_NAMES, ids=flat_ids(POOLED_NAMES))
-def test_multiprocess_farm_equals_online(name, tmp_path):
-    path = tmp_path / f"{name}.rpt2"
-    events = record_benchmark_v2(name, path, threads=6, scale=0.5)
-    result = analyze_file(str(path), jobs=3, keep_activations=True)
-    assert comparable(result.db) == comparable(online_db(events))
-    # every shard really ran on the pool, no silent degradation
-    assert all(outcome.where == "pool" for outcome in result.stats.outcomes)
-    assert result.stats.fallbacks == 0
+    assert dump(analyze_file(str(path)).db) == dump(online_db(events))
 
 
 def test_farm_exact_under_any_jobs_count(tmp_path):
-    """Shard plans differ with the job count; the profile must not."""
+    """``jobs`` is accepted and ignored: every count gives the same bytes."""
     path = tmp_path / "md.rpt2"
     events = record_benchmark_v2("350.md", path, threads=6, scale=0.5)
-    reference = comparable(online_db(events))
-    for jobs in (1, 2, 5, 16):
-        result = analyze_file(str(path), jobs=jobs, keep_activations=True)
-        assert comparable(result.db) == reference, f"jobs={jobs}"
+    reference = dump(online_db(events))
+    for jobs in (1, 2, 16):
+        assert dump(analyze_file(str(path), jobs=jobs).db) == reference, f"jobs={jobs}"
+
+
+def test_record_and_analyze_start_no_process(tmp_path):
+    """The analysis is one in-process pass: a fresh interpreter that
+    records and analyzes a trace never imports ``multiprocessing``."""
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        f"trace = {str(tmp_path / 'md.rpt2')!r}\n"
+        "assert main(['record', '350.md', trace, '--scale', '0.3']) == 0\n"
+        "assert main(['analyze', trace, '--stats']) == 0\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    completed = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 0, completed.stderr[-2000:]
 
 
 def test_farm_context_sensitive_equals_online(tmp_path):
     path = tmp_path / "kdtree.rpt2"
     events = record_benchmark_v2("376.kdtree", path, threads=4, scale=0.5)
-    result = analyze_file(str(path), jobs=2, context_sensitive=True,
-                          keep_activations=True)
+    result = analyze_file(str(path), context_sensitive=True, keep_activations=True)
     assert comparable(result.db) == \
         comparable(online_db(events, context_sensitive=True))
 
 
 def test_skewed_plan_is_exact(tmp_path):
-    """dedup's pipeline stages are uneven; force tiny chunks so every
-    shard decodes a scattered chunk subset, then check the output."""
+    """dedup's pipeline stages are uneven; force tiny chunks so thread
+    runs and activations span many chunk boundaries, then check the
+    output."""
     path = tmp_path / "dedup.rpt2"
     events = record_benchmark_v2("dedup", path, threads=4, scale=0.5,
                                  chunk_events=32)
-    result = analyze_file(str(path), jobs=3, keep_activations=True)
+    result = analyze_file(str(path), keep_activations=True)
     assert comparable(result.db) == comparable(online_db(events))
 
 
@@ -106,7 +112,7 @@ def test_farm_equals_online_on_arbitrary_streams(events, chunk_events):
         path = os.path.join(directory, "stream.rpt2")
         with open(path, "wb") as stream:
             write_binary_trace(events, stream, chunk_events=chunk_events)
-        result = analyze_file(path, jobs=1, keep_activations=True)
+        result = analyze_file(path, keep_activations=True)
     assert comparable(result.db) == comparable(online_db(events))
 
 
@@ -116,7 +122,7 @@ def test_merged_runs_equal_merged_online(tmp_path):
     for index, scale in enumerate((0.4, 0.7)):
         path = tmp_path / f"run{index}.rpt2"
         events = record_benchmark_v2("372.smithwa", path, threads=4, scale=scale)
-        farm_dbs.append(analyze_file(str(path), jobs=2).db)
+        farm_dbs.append(analyze_file(str(path)).db)
         online_dbs.append(online_db(events))
     merged_farm = merge_databases(farm_dbs)
     merged_online = merge_databases(online_dbs)

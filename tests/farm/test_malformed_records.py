@@ -102,7 +102,7 @@ def test_flat_path_rejects_malformed_record(malformed):
     case, path = malformed
     with open(path, "rb") as stream:
         meta = read_trace_meta(stream)
-        analyzer = FlatAnalyzer(None, meta.names, ProfileDatabase())
+        analyzer = FlatAnalyzer(meta.names, ProfileDatabase())
         with pytest.raises(ERRORS.get(case, MalformedRecord), match=MESSAGES[case]):
             for chunk in meta.chunks:
                 columns = decode_chunk_columns(stream, chunk)
@@ -113,8 +113,7 @@ def test_flat_path_rejects_malformed_record(malformed):
 @pytest.mark.parametrize("argv", [
     ("--metric", "trms"),
     ("--metric", "rms"),
-    ("--metric", "trms", "--jobs", "2"),
-], ids=["trms", "rms", "trms-jobs2"])
+], ids=["trms", "rms"])
 def test_analyze_exits_2_on_malformed_record(malformed, argv):
     case, path = malformed
     out = io.StringIO()

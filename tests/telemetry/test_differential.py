@@ -25,64 +25,38 @@ def test_online_profiler_identical_with_telemetry(tmp_path):
 def test_farm_identical_with_telemetry_enabled(tmp_path):
     """The acceptance gate: farm profiles with a live telemetry session
     equal both the telemetry-off farm run and the online profiler, and
-    the session leaves a parseable event log with farm spans and
-    worker heartbeats."""
+    the session leaves a parseable event log with one span for the
+    pass, carrying its numbers, and no heartbeat records."""
     path = tmp_path / "run.rpt2"
     events = record_benchmark_v2("dedup", path, threads=4, scale=0.5)
-    without = analyze_file(str(path), jobs=2, keep_activations=True)
+    without = analyze_file(str(path), keep_activations=True)
     with telemetry.session(str(tmp_path / "tele")):
-        with_tele = analyze_file(str(path), jobs=2, keep_activations=True)
+        with_tele = analyze_file(str(path), keep_activations=True)
     assert comparable(with_tele.db) == comparable(without.db)
     assert comparable(with_tele.db) == comparable(online_db(events))
 
     run = TelemetryRun.load(str(tmp_path / "tele"))
-    assert {"analyze.plan", "analyze.pool", "analyze.merge"} <= \
-        set(run.span_names())
-    assert run.heartbeats, "workers reported no heartbeats"
-    shards = run.heartbeats_by_shard()
-    assert set(shards) == {outcome.shard_id
-                           for outcome in with_tele.stats.outcomes}
-    for beats in shards.values():
-        assert beats[-1]["phase"] == "done"
+    assert run.span_names() == ["analyze.pass"]
+    (span,) = run.spans
+    stats = with_tele.stats
+    assert span["attrs"]["events"] == stats.events == len(events)
+    assert span["attrs"]["chunks"] == stats.chunks > 1
+    assert span["attrs"]["decode_s"] == round(stats.decode_seconds, 6)
+    assert span["attrs"]["analyze_s"] == round(stats.analyze_seconds, 6)
     assert run.counter_value("farm.trace_events") == len(events)
-    # one closing heartbeat and two worker spans per shard, under the pool
-    assert all(len(beats) == 1 for beats in shards.values())
-    (pool,) = run.spans_named("analyze.pool")
-    for name in ("worker.decode", "worker.analyze"):
-        spans = run.spans_named(name)
-        assert sorted(span["shard"] for span in spans) == sorted(shards)
-        assert all(span["parent"] == pool["id"] for span in spans)
-
-
-def test_inline_shard_spans_nest_under_its_inline_span(tmp_path):
-    """At ``jobs=1`` the one shard runs inline: its worker spans and its
-    heartbeat are rebuilt from the result, under ``analyze.inline``."""
-    path = tmp_path / "run.rpt2"
-    record_benchmark_v2("350.md", path, threads=3, scale=0.4)
-    with telemetry.session(str(tmp_path / "tele")):
-        result = analyze_file(str(path), jobs=1)
-    run = TelemetryRun.load(str(tmp_path / "tele"))
-    (inline,) = run.spans_named("analyze.inline")
-    assert "analyze.pool" not in run.span_names()
-    for name in ("worker.decode", "worker.analyze"):
-        (span,) = run.spans_named(name)
-        assert (span["shard"], span["parent"]) == (0, inline["id"])
-    (beat,) = run.heartbeats
-    assert (beat["shard"], beat["phase"], beat["events"]) == \
-        (0, "done", result.stats.outcomes[0].events)
+    assert all(record.get("type") != "heartbeat" for record in run.records)
 
 
 def test_farm_stats_equal_with_and_without_session(tmp_path):
-    """The shard books on ``FarmStats`` do not depend on a live session."""
+    """The pass's counts on ``FarmStats`` do not depend on a live session."""
     path = tmp_path / "run.rpt2"
     record_benchmark_v2("canneal", path, threads=3, scale=0.4)
-    without = analyze_file(str(path), jobs=2)
+    without = analyze_file(str(path))
     with telemetry.session(str(tmp_path / "tele")):
-        with_tele = analyze_file(str(path), jobs=2)
+        with_tele = analyze_file(str(path))
 
-    def tallies(stats):
-        return [(o.shard_id, o.where, o.retries, o.timeouts, o.fell_back)
-                for o in stats.outcomes]
+    def counts(stats):
+        return stats.events, stats.chunks, stats.retries, stats.fallbacks
 
-    assert len(without.stats.outcomes) > 1
-    assert tallies(with_tele.stats) == tallies(without.stats)
+    assert counts(with_tele.stats) == counts(without.stats)
+    assert without.stats.events > 0 and without.stats.retries == without.stats.fallbacks == 0

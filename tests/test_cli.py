@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import io
 
 import pytest
@@ -171,24 +172,13 @@ def test_record_has_no_format_option(tmp_path, capsys):
     assert "--format" in capsys.readouterr().err
 
 
-def test_analyze_jobs_matches_sequential(tmp_path):
-    trace = tmp_path / "run.rpt2"
-    run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
-    code, sequential = run_cli("analyze", str(trace), "--metric", "trms")
-    assert code == 0
-    code, farmed = run_cli("analyze", str(trace), "--metric", "trms",
-                           "--jobs", "2")
-    assert code == 0
-    assert farmed == sequential  # identical rendered report: exactness
-
-
 @pytest.mark.parametrize("name, induced", [
     ("350.md", 0),        # induced thread reads
     ("367.imagick", 1),   # kernel I/O: induced external reads
 ])
 def test_analyze_dump_bytes_equal_online_profiler(name, induced, tmp_path):
-    """``analyze --dump`` writes, at any ``--jobs``, exactly the bytes
-    ``save_profile`` writes for the online profiler on the same trace."""
+    """``analyze --dump`` writes exactly the bytes ``save_profile``
+    writes for the online profiler on the same trace."""
     from repro.core import TrmsProfiler, replay
     from repro.farm import iter_binary_trace, save_profile
 
@@ -201,12 +191,10 @@ def test_analyze_dump_bytes_equal_online_profiler(name, induced, tmp_path):
     assert online.db.total_induced()[induced] > 0
     expected = io.StringIO()
     save_profile(online.db, expected)
-    for jobs in ("1", "2"):
-        dump = tmp_path / f"jobs{jobs}.profile"
-        code, _ = run_cli("analyze", str(trace), "--metric", "trms",
-                          "--jobs", jobs, "--dump", str(dump))
-        assert code == 0
-        assert dump.read_bytes() == expected.getvalue().encode("utf-8"), jobs
+    dump = tmp_path / "analyzed.profile"
+    code, _ = run_cli("analyze", str(trace), "--metric", "trms", "--dump", str(dump))
+    assert code == 0
+    assert dump.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("name", ["350.md", "367.imagick"])
@@ -228,13 +216,14 @@ def test_analyze_rms_dump_equals_online_profile(name, tmp_path):
 
 
 def test_analyze_jobs_stats_report(tmp_path):
+    """``--stats`` reports the one pass; ``--jobs`` is no longer an option."""
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
-    code, output = run_cli("analyze", str(trace), "--metric", "trms",
-                           "--jobs", "2", "--stats")
+    code, output = run_cli("analyze", str(trace), "--metric", "trms", "--stats")
     assert code == 0
-    assert "farm shards" in output
-    assert "events/s" in output
+    assert "analysis pass" in output
+    assert "events/s" in output and "dec/ana" in output
+    assert "shard" not in output
 
 
 def test_record_analyze_merge_fit_pipeline(tmp_path):
@@ -247,7 +236,7 @@ def test_record_analyze_merge_fit_pipeline(tmp_path):
         assert code == 0
         dump = tmp_path / f"run{index}.profile"
         code, output = run_cli("analyze", str(trace), "--metric", "trms",
-                               "--jobs", "2", "--dump", str(dump))
+                               "--dump", str(dump))
         assert code == 0
         assert "profile points" in output
         dumps.append(dump)
@@ -269,15 +258,6 @@ def test_merge_rejects_non_profile(tmp_path):
     assert "error" in output
 
 
-def test_analyze_rms_with_jobs_notes_sequential(tmp_path):
-    trace = tmp_path / "run.rpt2"
-    run_cli("record", "350.md", str(trace), "--threads", "2", "--scale", "0.5")
-    code, output = run_cli("analyze", str(trace), "--jobs", "2")
-    assert code == 0
-    assert "rms runs sequentially" in output
-    assert "rms profile" in output and "trms profile" in output
-
-
 def test_profile_html_report(tmp_path):
     html_file = tmp_path / "report.html"
     code, output = run_cli("profile", "376.kdtree", "--threads", "2",
@@ -295,33 +275,31 @@ def test_analyze_with_telemetry_writes_log_and_identical_profile(tmp_path):
     run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
     dump_without = tmp_path / "without.profile"
     code, _ = run_cli("analyze", str(trace), "--metric", "trms",
-                      "--jobs", "2", "--dump", str(dump_without))
+                      "--dump", str(dump_without))
     assert code == 0
     dump_with = tmp_path / "with.profile"
     tele_dir = tmp_path / "tele"
     code, output = run_cli("analyze", str(trace), "--metric", "trms",
-                           "--jobs", "2", "--dump", str(dump_with),
-                           "--telemetry", str(tele_dir))
+                           "--dump", str(dump_with), "--telemetry", str(tele_dir))
     assert code == 0
     assert "telemetry written to" in output
     # telemetry observes, never perturbs: bit-identical profile dump
     assert dump_with.read_bytes() == dump_without.read_bytes()
     run = TelemetryRun.load(str(tele_dir))
-    assert "analyze.pool" in run.span_names()
-    assert run.heartbeats
+    assert run.span_names() == ["analyze.pass"]
+    assert all(record.get("type") != "heartbeat" for record in run.records)
 
 
 def test_stats_renders_dashboard_and_html(tmp_path):
     trace = tmp_path / "run.rpt2"
     run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
     tele_dir = tmp_path / "tele"
-    run_cli("analyze", str(trace), "--metric", "trms", "--jobs", "2",
-            "--telemetry", str(tele_dir))
+    run_cli("analyze", str(trace), "--metric", "trms", "--telemetry", str(tele_dir))
     html_file = tmp_path / "dash.html"
     code, output = run_cli("stats", str(tele_dir), "--html", str(html_file))
     assert code == 0
     assert "span tree" in output
-    assert "worker heartbeats" in output
+    assert "analyze.pass" in output
     assert html_file.read_text().startswith("<!DOCTYPE html>")
 
 
@@ -399,16 +377,17 @@ def test_live_recording_writes_the_plain_trace(name, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["analyze", "{trace}", "--jobs", "0", "--dump", "{out}"],
-    ["analyze", "{trace}", "--jobs", "-2", "--dump", "{out}"],
-    ["analyze", "{trace}", "--jobs", "2", "--timeout", "0", "--dump", "{out}"],
-    ["analyze", "{trace}", "--jobs", "2", "--timeout", "-1", "--dump", "{out}"],
+    ["watch", "{out}", "--interval", "-1"],
+    ["watch", "{out}", "--timeout", "0"],
+    ["watch", "{out}", "--once", "--top", "-1"],
+    ["watch", "{out}", "--once", "--top", "0"],
+    ["profile", "350.md", "--sample", "-3", "--dump", "{out}"],
     ["serve", "--root", "{out}", "--workers", "0"],
     ["serve", "--root", "{out}", "--capacity", "0"],
     ["overhead", "352.nab", "--threads", "2", "--scale", "0.1", "--repeats", "0",
      "--telemetry", "{out}"],
-], ids=["analyze-jobs-0", "analyze-jobs-negative", "analyze-timeout-0",
-        "analyze-timeout-negative", "serve-workers", "serve-capacity",
+], ids=["watch-interval-negative", "watch-timeout-0", "watch-top-negative",
+        "watch-top-0", "profile-sample-negative", "serve-workers", "serve-capacity",
         "overhead-repeats"])
 def test_non_positive_options_exit_2_before_any_work(argv, tmp_path, capsys):
     """A count below 1 or a duration of 0 or less is a usage error at
@@ -424,3 +403,50 @@ def test_non_positive_options_exit_2_before_any_work(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "must be a positive" in err
     assert {path.name for path in tmp_path.iterdir()} <= {"sealed.rpt2"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "352.nab", "--threads", "2", "--scale", "0.2", "--dump", "{bad}"],
+    ["profile", "352.nab", "--threads", "2", "--scale", "0.2", "--html", "{bad}"],
+    ["analyze", "{trace}", "--metric", "trms", "--dump", "{bad}"],
+    ["merge", "-o", "{bad}", "{dump}"],
+    ["observe", "report", "--store", "{store}", "--html", "{bad}"],
+    ["stats", "{tele}", "--html", "{bad}"],
+    ["trace", "{tele}", "--html", "{bad}"],
+    ["slap", "--port", "{port}", "--clients", "1", "--uploads", "1", "--json", "{bad}"],
+], ids=["profile-dump", "profile-html", "analyze-dump", "merge-output",
+        "observe-report-html", "stats-html", "trace-html", "slap-json"])
+def test_unwritable_output_path_exits_2(argv, tmp_path):
+    """An output file whose directory does not exist ends the command
+    with one ``error:`` line and exit status 2, not a traceback."""
+    from repro.telemetry import Telemetry
+
+    from .service.util import running_server
+
+    bad = tmp_path / "missing-dir" / "out"
+    fields = {"bad": bad}
+    if "{trace}" in argv:
+        fields["trace"] = tmp_path / "run.rpt2"
+        assert run_cli("record", "350.md", str(fields["trace"]), "--scale", "0.2")[0] == 0
+    if "{dump}" in argv or "{store}" in argv:
+        fields["dump"] = tmp_path / "run.profile"
+        assert run_cli("profile", "352.nab", "--threads", "2", "--scale", "0.2",
+                       "--dump", str(fields["dump"]))[0] == 0
+        fields["store"] = tmp_path / "obs"
+        assert run_cli("observe", "ingest", str(fields["dump"]),
+                       "--store", str(fields["store"]))[0] == 0
+    if "{tele}" in argv:     # one traced span, so `trace` has a trace to render
+        fields["tele"] = tmp_path / "tele"
+        tele = Telemetry(str(fields["tele"]))
+        with tele.trace():
+            with tele.span("client.put"):
+                pass
+        tele.close()
+    with contextlib.ExitStack() as stack:
+        if "{port}" in argv:
+            fields["port"] = stack.enter_context(running_server(tmp_path)).port
+        code, output = run_cli(*(arg.format(**fields) for arg in argv))
+    assert code == 2, output
+    errors = [line for line in output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "missing-dir" in errors[0], output
+    assert not bad.parent.exists()

@@ -207,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--dump", metavar="FILE",
                          help="write a mergeable profile dump (see `merge`)")
     analyze.add_argument("--stats", action="store_true",
-                         help="print the trms pass report (events, time, rss)")
+                         help="print the analysis pass report (events, time "
+                              "split into decode / trms / rms, rss)")
     _add_telemetry_option(analyze)
 
     merge = commands.add_parser(
@@ -607,36 +608,26 @@ def _cmd_watch(args, out) -> int:
 
 
 def _cmd_analyze(args, out) -> int:
-    from .core import replay
     from .core.tracefile import TraceFileError
-    from .farm import analyze_file, iter_binary_trace, save_profile
+    from .farm import analyze_file, save_profile
 
-    databases = {}
     try:
-        if args.metric in ("trms", "both"):
-            result = analyze_file(args.trace, context_sensitive=args.context)
-            databases["trms"] = result.db
-            if args.stats:
-                from .reporting import render_farm_stats
-
-                out.write(render_farm_stats(result.stats))
-                out.write("\n")
-        if args.metric in ("rms", "both"):
-            profiler = RmsProfiler(context_sensitive=args.context)
-            with telemetry.span("analyze.replay", metric="rms"):
-                with open(args.trace, "rb") as stream:
-                    replay(iter_binary_trace(stream), profiler)
-            databases["rms"] = profiler.db
+        result = analyze_file(args.trace, metric=args.metric, context_sensitive=args.context)
     except (TraceFileError, OSError) as error:
         out.write(f"error: {error}\n")
         return 2
-    for metric in ("rms", "trms"):
-        if metric in databases:
-            out.write(render_report(databases[metric],
-                                    title=f"{metric} profile of {args.trace}"))
+    if args.stats:
+        from .reporting import render_farm_stats
+
+        out.write(render_farm_stats(result.stats))
+        out.write("\n")
+    databases = {"rms": result.rms_db, "trms": result.db}
+    for metric, db in databases.items():
+        if db is not None:
+            out.write(render_report(db, title=f"{metric} profile of {args.trace}"))
             out.write("\n")
     if args.dump:
-        reference = databases.get("trms") or databases["rms"]
+        reference = databases["rms" if args.metric == "rms" else "trms"]
         with _output_file(args.dump) as stream:
             count = save_profile(reference, stream)
         out.write(f"wrote {count} profile points to {args.dump}\n")

@@ -7,14 +7,16 @@ after the run, off the profiled program's clock:
 * :mod:`repro.farm.binfmt` — trace format v2: chunked, struct-packed
   binary traces with a string table and a seekable chunk index;
 * :mod:`repro.farm.engine` — ``analyze_file``: one in-process pass that
-  decodes every chunk and feeds one flat kernel
-  (:mod:`repro.core.flatkernel`) over every thread;
+  decodes every chunk once, feeds one flat kernel
+  (:mod:`repro.core.flatkernel`) over every thread for TRMS, and
+  replays RMS over ``Event`` views of the same columns;
 * :mod:`repro.farm.worker` — the name the pass decodes chunks through;
 * :mod:`repro.farm.merge` — exact, associative profile merging across
   independent runs, plus the lossless profile dump format.
 
 The contract is exactness: ``analyze_file``'s output is bit-identical
-to the online :class:`~repro.core.trms.TrmsProfiler` on every workload.
+to the online :class:`~repro.core.trms.TrmsProfiler` (and, for RMS, the
+online :class:`~repro.core.rms.RmsProfiler`) on every workload.
 A process pool over whole-thread shards once ran the pass in parallel;
 it never beat the one pass on a measured host and is gone (see
 ``docs/FARM.md``).

@@ -44,7 +44,8 @@ import struct
 import sys
 from array import array
 from collections import Counter
-from typing import IO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import IO, Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.events import Event, EventKind, TraceConsumer, replay
 from ..core.tracefile import MalformedRecord, TraceFileError, escape_name
@@ -70,6 +71,7 @@ __all__ = [
     "decode_chunk_columns",
     "encode_chunk_columns",
     "columns_from_events",
+    "events_from_columns",
     "is_binary_trace",
 ]
 
@@ -593,6 +595,48 @@ def columns_from_events(
         else:
             flat += (event.kind, event.thread, event.arg or 0)
     return _columns(first_pos, flat), names
+
+
+#: ``EventKind`` members indexed by kind byte
+_KIND_MEMBERS = tuple(EventKind)
+_CALL_BYTE = bytes([_CALL])
+_RETURN_BYTE = bytes([_RETURN])
+#: ``_new_tuple(Event, fields)`` builds an ``Event`` without the
+#: NamedTuple constructor's Python frame
+_new_tuple: Any = tuple.__new__
+
+
+def events_from_columns(columns: ChunkColumns, names: Sequence[str]) -> Iterator[Event]:
+    """The :class:`Event` views of ``columns``: the inverse of :func:`columns_from_events`.
+
+    Yields what :func:`decode_chunk` yields for the same chunk, without
+    the positions: ``EventKind`` members, ``CALL`` routine names resolved
+    through ``names`` and ``None`` for ``RETURN`` arguments.  Only the
+    ``CALL`` and ``RETURN`` records are visited in Python, found with
+    ``bytes.find``; the views themselves are built by C-level ``map``
+    and ``zip``.  A ``CALL`` id outside ``names`` raises
+    :class:`~repro.core.tracefile.MalformedRecord` before any view is
+    yielded, with :func:`decode_chunk`'s message.
+    """
+    kinds = columns.kinds
+    args = columns.args.tolist()
+    find = kinds.find
+    name_count = len(names)
+    index = find(_CALL_BYTE)
+    while index >= 0:
+        ident = args[index]
+        if not 0 <= ident < name_count:
+            raise MalformedRecord(
+                f"routine id {ident} at position {columns.first_pos + index} outside "
+                f"string table of {name_count} name(s)")
+        args[index] = names[ident]
+        index = find(_CALL_BYTE, index + 1)
+    index = find(_RETURN_BYTE)
+    while index >= 0:
+        args[index] = None
+        index = find(_RETURN_BYTE, index + 1)
+    return map(_new_tuple, repeat(Event), zip(
+        map(_KIND_MEMBERS.__getitem__, kinds), columns.threads, args, repeat(0)))
 
 
 def iter_positioned(

@@ -57,15 +57,16 @@ def render_report(db: ProfileDatabase, merged: bool = True, title: str = "profil
 
 def render_farm_stats(stats) -> str:
     """Report of one analysis pass (``repro.farm.FarmStats``): trace
-    events and chunks, wall time, its decode/analyse split, events/s and
-    peak RSS."""
+    events and chunks, wall time split into decode / flat TRMS kernel /
+    RMS replay (``dec/ana/rms``), events/s and peak RSS."""
+    split = (stats.decode_seconds, stats.analyze_seconds, stats.rms_seconds)
     row = [
         stats.events,
         stats.chunks,
         f"{stats.wall_seconds * 1000:.1f}ms",
-        f"{stats.decode_seconds * 1000:.0f}/{stats.analyze_seconds * 1000:.0f}ms",
+        "/".join(f"{seconds * 1000:.0f}" for seconds in split) + "ms",
         f"{stats.events_per_s:,.0f}",
         f"{stats.max_rss_kb / 1024:.0f}M" if stats.max_rss_kb else "-",
     ]
-    headers = ["events", "chunks", "wall", "dec/ana", "events/s", "rss"]
+    headers = ["events", "chunks", "wall", "dec/ana/rms", "events/s", "rss"]
     return table(headers, [row], title="analysis pass")

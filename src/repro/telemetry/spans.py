@@ -2,7 +2,7 @@
 
 A *span* wraps one phase of the pipeline::
 
-    with telemetry.span("analyze.replay", metric="rms"):
+    with telemetry.span("merge", inputs=len(databases)):
         ...
 
 and records, on exit, a JSONL line with the span's name, id, parent id

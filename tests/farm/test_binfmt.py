@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import Event, EventKind, replay
+from repro.core.tracefile import MalformedRecord
 from repro.farm import (
     BinaryTraceError,
     BinaryTraceWriter,
@@ -25,14 +26,17 @@ from repro.farm import (
 from repro.farm.binfmt import (
     ChunkColumns,
     ChunkMeta,
+    columns_from_events,
     decode_chunk,
     decode_chunk_columns,
     encode_chunk_columns,
+    events_from_columns,
     iter_positioned,
 )
+from repro.workloads import all_benchmarks
 
 from ..core.util import events_strategy
-from .util import reference_v2_bytes
+from .util import record_benchmark_v2, reference_v2_bytes
 
 
 def roundtrip(events, chunk_events=64):
@@ -359,3 +363,56 @@ def test_encode_decode_columns_round_trip_on_both_paths(records, first_pos):
         patch.setattr(binfmt, "_NATIVE_I64", False)
         assert encode_chunk_columns(columns) == payload
         assert decode_chunk_columns(io.BytesIO(payload), chunk) == columns
+
+
+# -- Event views of decoded columns against the record-by-record decoder ------
+
+
+def assert_views_equal_decode_chunk(stream):
+    """Every chunk's ``Event`` views equal what ``decode_chunk`` yields."""
+    meta = read_trace_meta(stream)
+    for chunk in meta.chunks:
+        expected = [event for _, event in decode_chunk(stream, chunk, meta.names)]
+        views = list(events_from_columns(decode_chunk_columns(stream, chunk), meta.names))
+        assert views == expected
+        assert all(type(view.kind) is EventKind for view in views)
+
+
+@pytest.mark.parametrize("name", [bench.name for bench in all_benchmarks()])
+def test_event_views_equal_decode_chunk_on_every_benchmark(name, tmp_path):
+    path = tmp_path / "run.rpt2"
+    record_benchmark_v2(name, path, threads=4, scale=0.4)
+    with open(path, "rb") as stream:
+        assert_views_equal_decode_chunk(stream)
+
+
+@settings(max_examples=100, deadline=None)
+@given(events_strategy(), st.sampled_from([1, 3, 64, 4096]))
+def test_event_views_equal_decode_chunk_on_arbitrary_streams(events, chunk_events):
+    buffer = io.BytesIO()
+    write_binary_trace(events, buffer, chunk_events=chunk_events)
+    assert_views_equal_decode_chunk(buffer)
+
+
+@settings(max_examples=100, deadline=None)
+@given(events_strategy(), st.integers(0, 2**40))
+def test_event_views_invert_columns_from_events(events, first_pos):
+    columns, names = columns_from_events(events, first_pos)
+    assert list(events_from_columns(columns, names)) == events
+
+
+@pytest.mark.parametrize("ident", [3, -1], ids=["id-past-table", "id-negative"])
+def test_event_views_reject_routine_id_outside_table(ident):
+    """A ``CALL`` id outside the string table raises ``MalformedRecord``
+    with ``decode_chunk``'s message, before any view is handed out."""
+    names = ["f", "g", "h"]
+    records = [(EventKind.THREAD_SWITCH, 1, 1), (EventKind.CALL, 1, 2),
+               (EventKind.READ, 1, 7), (EventKind.CALL, 1, ident)]
+    payload = b"".join(struct.pack("<Bqq", *record) for record in records)
+    chunk = ChunkMeta(0, 0, len(payload), len(records), 100, 0, {1: len(records)})
+    with pytest.raises(MalformedRecord) as decoded:
+        list(decode_chunk(io.BytesIO(payload), chunk, names))
+    with pytest.raises(MalformedRecord) as viewed:
+        events_from_columns(decode_chunk_columns(io.BytesIO(payload), chunk), names)
+    assert str(viewed.value) == str(decoded.value) == (
+        f"routine id {ident} at position 103 outside string table of 3 name(s)")

@@ -1,9 +1,10 @@
 """Differential tests: ``analyze_file``'s contract is bit-exactness.
 
 Profiles from the one analysis pass over a v2 trace must equal the
-online ``TrmsProfiler`` on every registered workload suite, down to
-the bytes of their profile dumps, and merged per-run profiles must
-equal the merge of the online results.
+online ``TrmsProfiler`` (and, for RMS, the online ``RmsProfiler``) on
+every registered workload suite, down to the bytes of their profile
+dumps, and merged per-run profiles must equal the merge of the online
+results.
 """
 
 import io
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import RmsProfiler, replay
 from repro.farm import (
     analyze_file,
     merge_databases,
@@ -57,6 +59,49 @@ def test_kernel_dumps_byte_identical_on_every_benchmark(name, tmp_path):
     path = tmp_path / f"{name}.rpt2"
     events = record_benchmark_v2(name, path, threads=4, scale=0.4)
     assert dump(analyze_file(str(path)).db) == dump(online_db(events))
+
+
+def online_rms_db(events, **kwargs):
+    profiler = RmsProfiler(keep_activations=True, **kwargs)
+    replay(events, profiler)
+    return profiler.db
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_one_pass_serves_both_metrics_on_every_benchmark(name, tmp_path):
+    """``metric="both"``: the TRMS and RMS databases of the one pass dump
+    the bytes of the online profiler of their metric."""
+    path = tmp_path / f"{name}.rpt2"
+    events = record_benchmark_v2(name, path, threads=4, scale=0.4)
+    result = analyze_file(str(path), metric="both")
+    assert dump(result.db) == dump(online_db(events))
+    assert dump(result.rms_db) == dump(online_rms_db(events))
+
+
+@settings(max_examples=60, deadline=None)
+@given(events_strategy(max_ops=100), st.sampled_from([4, 64]), st.booleans())
+def test_one_pass_metrics_equal_online_on_arbitrary_streams(events, chunk_events, context):
+    """Each metric gets exactly its database, equal to its online profiler."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "stream.rpt2")
+        with open(path, "wb") as stream:
+            write_binary_trace(events, stream, chunk_events=chunk_events)
+        results = {metric: analyze_file(path, metric=metric, context_sensitive=context,
+                                        keep_activations=True)
+                   for metric in ("trms", "rms", "both")}
+    trms = comparable(online_db(events, context_sensitive=context))
+    rms = comparable(online_rms_db(events, context_sensitive=context))
+    assert comparable(results["both"].db) == comparable(results["trms"].db) == trms
+    assert comparable(results["both"].rms_db) == comparable(results["rms"].rms_db) == rms
+    assert results["trms"].rms_db is None and results["rms"].db is None
+
+
+def test_unknown_metric_is_rejected(tmp_path):
+    path = tmp_path / "empty.rpt2"
+    with open(path, "wb") as stream:
+        write_binary_trace([], stream)
+    with pytest.raises(ValueError, match="unknown metric"):
+        analyze_file(str(path), metric="tmrs")
 
 
 def test_farm_exact_under_any_jobs_count(tmp_path):

@@ -8,8 +8,8 @@ decoders and the flat kernel reject all three with
 first footer entry's ``payload_bytes`` by one, so the chunk index no
 longer matches its event count; both decoders reject it with
 :class:`~repro.farm.binfmt.BinaryTraceError`.  ``repro analyze`` turns
-every case into one ``error:`` line and exit status 2 under either
-metric.
+every case into one ``error:`` line and exit status 2 under every
+metric: ``trms``, ``rms`` and ``both``.
 """
 
 import io
@@ -113,7 +113,8 @@ def test_flat_path_rejects_malformed_record(malformed):
 @pytest.mark.parametrize("argv", [
     ("--metric", "trms"),
     ("--metric", "rms"),
-], ids=["trms", "rms"])
+    ("--metric", "both"),
+], ids=["trms", "rms", "both"])
 def test_analyze_exits_2_on_malformed_record(malformed, argv):
     case, path = malformed
     out = io.StringIO()

@@ -201,18 +201,57 @@ def test_analyze_dump_bytes_equal_online_profiler(name, induced, tmp_path):
 def test_analyze_rms_dump_equals_online_profile(name, tmp_path):
     """``analyze --metric rms`` over a recorded trace writes the bytes
     ``profile --metric rms`` writes from the live VM run — an oracle
-    that does not go through the trace decoder."""
+    that does not go through the trace decoder — with and without
+    ``--context``."""
     trace = tmp_path / "run.rpt2"
     shape = ("--threads", "4", "--scale", "0.5")
     code, _ = run_cli("record", name, str(trace), *shape)
     assert code == 0
-    analyzed = tmp_path / "analyzed.profile"
-    code, _ = run_cli("analyze", str(trace), "--metric", "rms", "--dump", str(analyzed))
+    for context in ((), ("--context",)):
+        analyzed = tmp_path / "analyzed.profile"
+        code, _ = run_cli("analyze", str(trace), "--metric", "rms", *context,
+                          "--dump", str(analyzed))
+        assert code == 0
+        online = tmp_path / "online.profile"
+        code, _ = run_cli("profile", name, "--metric", "rms", *shape, *context,
+                          "--dump", str(online))
+        assert code == 0
+        assert analyzed.read_bytes() == online.read_bytes(), context
+
+
+def test_analyze_default_metric_is_both_in_one_pass(tmp_path):
+    """The default ``--metric both`` dumps the TRMS database, byte for
+    byte as ``--metric trms``, and prints the report ``--metric rms``
+    prints ahead of it."""
+    trace = tmp_path / "run.rpt2"
+    run_cli("record", "367.imagick", str(trace), "--threads", "4", "--scale", "0.5")
+    both = tmp_path / "both.profile"
+    code, output = run_cli("analyze", str(trace), "--dump", str(both))
     assert code == 0
-    online = tmp_path / "online.profile"
-    code, _ = run_cli("profile", name, "--metric", "rms", *shape, "--dump", str(online))
+    trms = tmp_path / "trms.profile"
+    code, _ = run_cli("analyze", str(trace), "--metric", "trms", "--dump", str(trms))
     assert code == 0
-    assert analyzed.read_bytes() == online.read_bytes()
+    assert both.read_bytes() == trms.read_bytes()
+    code, rms_output = run_cli("analyze", str(trace), "--metric", "rms")
+    assert code == 0
+    assert output[:output.index(f"trms profile of {trace}")] == rms_output
+
+
+@pytest.mark.parametrize("metric", ["trms", "rms", "both"])
+def test_analyze_dump_of_empty_trace(metric, tmp_path):
+    """A 0-event trace dumps the empty database of the metric asked for."""
+    from repro.core import ProfileDatabase
+    from repro.farm import save_profile, write_binary_trace
+
+    trace = tmp_path / "empty.rpt2"
+    with open(trace, "wb") as stream:
+        write_binary_trace([], stream)
+    dump = tmp_path / "empty.profile"
+    code, output = run_cli("analyze", str(trace), "--metric", metric, "--dump", str(dump))
+    assert code == 0, output
+    expected = io.StringIO()
+    save_profile(ProfileDatabase(), expected)
+    assert dump.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_analyze_jobs_stats_report(tmp_path):
@@ -224,6 +263,20 @@ def test_analyze_jobs_stats_report(tmp_path):
     assert "analysis pass" in output
     assert "events/s" in output and "dec/ana" in output
     assert "shard" not in output
+
+
+def test_analyze_rms_stats_report(tmp_path):
+    """``--stats`` reports the pass under every metric, RMS share included."""
+    from repro.farm import analyze_file
+
+    trace = tmp_path / "run.rpt2"
+    run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
+    code, output = run_cli("analyze", str(trace), "--metric", "rms", "--stats")
+    assert code == 0
+    assert "analysis pass" in output and "dec/ana/rms" in output
+    for metric, has_rms in (("rms", True), ("both", True), ("trms", False)):
+        stats = analyze_file(str(trace), metric=metric).stats
+        assert (stats.rms_seconds > 0) == has_rms, metric
 
 
 def test_record_analyze_merge_fit_pipeline(tmp_path):
@@ -288,6 +341,24 @@ def test_analyze_with_telemetry_writes_log_and_identical_profile(tmp_path):
     run = TelemetryRun.load(str(tele_dir))
     assert run.span_names() == ["analyze.pass"]
     assert all(record.get("type") != "heartbeat" for record in run.records)
+
+
+def test_analyze_both_telemetry_writes_one_pass_span(tmp_path):
+    """Both metrics are one pass: one ``analyze.pass`` span, with the RMS
+    replay's seconds next to the decode and kernel split."""
+    from repro.telemetry import TelemetryRun
+
+    trace = tmp_path / "run.rpt2"
+    run_cli("record", "350.md", str(trace), "--threads", "4", "--scale", "0.5")
+    tele_dir = tmp_path / "tele"
+    code, _ = run_cli("analyze", str(trace), "--metric", "both",
+                      "--telemetry", str(tele_dir))
+    assert code == 0
+    run = TelemetryRun.load(str(tele_dir))
+    assert run.span_names() == ["analyze.pass"]
+    (span,) = run.spans
+    assert {"decode_s", "analyze_s", "rms_s"} <= set(span["attrs"])
+    assert span["attrs"]["rms_s"] > 0
 
 
 def test_stats_renders_dashboard_and_html(tmp_path):

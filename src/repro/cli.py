@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from typing import Iterator, List, Optional, TextIO
 
@@ -1010,10 +1011,20 @@ def _dispatch(args, out) -> int:
         return 2
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call of this process shares.
+
+    Parsing reads the parser and never changes it, so one build serves
+    every in-process caller; :func:`build_parser` still builds a fresh one.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out or sys.stdout
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     run_dir = getattr(args, "telemetry", None)
     if run_dir:
         with telemetry.session(run_dir):

@@ -137,6 +137,8 @@ class FlatAnalyzer:
         # Bind everything the loop touches to locals; rebind the current
         # thread's columns only when the event stream switches threads
         # (events arrive in per-thread runs, so this almost never fires).
+        # The current thread's cost lives in the local ``cost`` and goes
+        # back to its state at every thread change and at the end.
         db = self.db
         names = self.names
         name_count = len(names)
@@ -152,14 +154,18 @@ class FlatAnalyzer:
         induced_external = 0
         position = columns.first_pos
         current_thread: Optional[int] = None
-        state: _FlatThreadState  # bound by the first event: current_thread starts as None
+        state: Optional[_FlatThreadState] = None
+        cost = 0
         s_last = s_last_get = s_rtn = s_ts = s_cost = None
         s_partial = s_ind_thread = s_ind_external = None
 
         for kind, thread, arg in zip(columns.kinds, columns.threads, columns.args):
             if thread != current_thread:
+                if state is not None:
+                    state.cost = cost
                 current_thread = thread
                 state = states.get(thread) or self._ensure(thread)
+                cost = state.cost
                 stack = state.stack
                 s_last = state.last
                 s_last_get = s_last.get
@@ -169,7 +175,9 @@ class FlatAnalyzer:
                 s_partial = stack.partial
                 s_ind_thread = stack.induced_thread
                 s_ind_external = stack.induced_external
-            if kind == _READ or kind == _KERNEL_READ:
+            if kind == _COST:
+                cost += arg
+            elif kind == _READ or kind == _KERNEL_READ:
                 last = s_last_get(arg, -1)
                 packed = wts_get(arg)
                 if packed is not None and (packed >> 1) > last:
@@ -211,7 +219,7 @@ class FlatAnalyzer:
                     rtn_id = arg
                 s_rtn.append(rtn_id)
                 s_ts.append(position)
-                s_cost.append(state.cost)
+                s_cost.append(cost)
                 s_partial.append(0)
                 s_ind_thread.append(0)
                 s_ind_external.append(0)
@@ -229,16 +237,16 @@ class FlatAnalyzer:
                     add_activation(
                         extra[rtn_id - extra_base] if rtn_id >= extra_base
                         else names[rtn_id],
-                        thread, partial, state.cost - entry_cost,
+                        thread, partial, cost - entry_cost,
                         ind_thread, ind_external,
                     )
-            elif kind == _COST:
-                state.cost += arg
             elif kind == _KERNEL_WRITE:
                 wts[arg] = (position << 1) | 1
             # THREAD_SWITCH: no per-thread effect (position still advances)
             position += 1
 
+        if state is not None:
+            state.cost = cost
         db.global_induced_thread += induced_thread
         db.global_induced_external += induced_external
         self.events_analyzed += columns.events

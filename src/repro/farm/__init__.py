@@ -9,7 +9,7 @@ after the run, off the profiled program's clock:
 * :mod:`repro.farm.engine` — ``analyze_file``: one in-process pass that
   decodes every chunk once, feeds one flat kernel
   (:mod:`repro.core.flatkernel`) over every thread for TRMS, and
-  replays RMS over ``Event`` views of the same columns;
+  replays RMS over plain rows of the same columns;
 * :mod:`repro.farm.worker` — the name the pass decodes chunks through;
 * :mod:`repro.farm.merge` — exact, associative profile merging across
   independent runs, plus the lossless profile dump format.

@@ -45,7 +45,7 @@ import sys
 from array import array
 from collections import Counter
 from itertools import repeat
-from typing import IO, Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import IO, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.events import Event, EventKind, TraceConsumer, replay
 from ..core.tracefile import MalformedRecord, TraceFileError, escape_name
@@ -71,7 +71,7 @@ __all__ = [
     "decode_chunk_columns",
     "encode_chunk_columns",
     "columns_from_events",
-    "events_from_columns",
+    "rows_from_columns",
     "is_binary_trace",
 ]
 
@@ -597,25 +597,24 @@ def columns_from_events(
     return _columns(first_pos, flat), names
 
 
-#: ``EventKind`` members indexed by kind byte
-_KIND_MEMBERS = tuple(EventKind)
 _CALL_BYTE = bytes([_CALL])
 _RETURN_BYTE = bytes([_RETURN])
-#: ``_new_tuple(Event, fields)`` builds an ``Event`` without the
-#: NamedTuple constructor's Python frame
-_new_tuple: Any = tuple.__new__
 
 
-def events_from_columns(columns: ChunkColumns, names: Sequence[str]) -> Iterator[Event]:
-    """The :class:`Event` views of ``columns``: the inverse of :func:`columns_from_events`.
+def rows_from_columns(
+    columns: ChunkColumns, names: Sequence[str]
+) -> Iterator[Tuple[int, int, object, int]]:
+    """Plain ``(kind, thread, arg, 0)`` rows of ``columns``, in record order.
 
-    Yields what :func:`decode_chunk` yields for the same chunk, without
-    the positions: ``EventKind`` members, ``CALL`` routine names resolved
-    through ``names`` and ``None`` for ``RETURN`` arguments.  Only the
-    ``CALL`` and ``RETURN`` records are visited in Python, found with
-    ``bytes.find``; the views themselves are built by C-level ``map``
-    and ``zip``.  A ``CALL`` id outside ``names`` raises
-    :class:`~repro.core.tracefile.MalformedRecord` before any view is
+    The inverse of :func:`columns_from_events`: each row equals the
+    :class:`Event` :func:`decode_chunk` yields for the same record,
+    without the position, but with an int kind, which
+    :func:`~repro.core.events.replay` dispatches the same way.  ``CALL``
+    routine names are resolved through ``names`` and ``RETURN`` arguments
+    are ``None``.  Only the ``CALL`` and ``RETURN`` records are visited in
+    Python, found with ``bytes.find``; the rows themselves are built by
+    C-level ``zip``.  A ``CALL`` id outside ``names`` raises
+    :class:`~repro.core.tracefile.MalformedRecord` before any row is
     yielded, with :func:`decode_chunk`'s message.
     """
     kinds = columns.kinds
@@ -635,8 +634,7 @@ def events_from_columns(columns: ChunkColumns, names: Sequence[str]) -> Iterator
     while index >= 0:
         args[index] = None
         index = find(_RETURN_BYTE, index + 1)
-    return map(_new_tuple, repeat(Event), zip(
-        map(_KIND_MEMBERS.__getitem__, kinds), columns.threads, args, repeat(0)))
+    return zip(kinds, columns.threads, args, repeat(0))
 
 
 def iter_positioned(

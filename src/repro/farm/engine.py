@@ -6,10 +6,12 @@ trace and decodes every chunk once into columns
 the columns, in trace order, to one
 :class:`~repro.core.flatkernel.FlatAnalyzer` over every thread.  For
 RMS it replays an online :class:`~repro.core.rms.RmsProfiler` over
-``Event`` views of the same columns
-(:func:`~repro.farm.binfmt.events_from_columns`); the replay drives the
-pass, so each chunk is decoded, fed to the kernel, then replayed.  Each
-database is bit-identical to the online profiler of its metric.
+plain ``(kind, thread, arg, 0)`` rows of the same columns
+(:func:`~repro.farm.binfmt.rows_from_columns`), so no ``Event`` is
+built; :func:`~repro.core.events.replay` binds the profiler's handlers
+once.  The replay drives the pass, so each chunk is decoded, fed to the
+kernel, then replayed.  Each database is bit-identical to the online
+profiler of its metric.
 Nothing is split across processes: every whole-thread shard would
 still have to decode every chunk for the writes in it, and a process
 pool of such shards never beat this pass (docs/FARM.md).
@@ -32,7 +34,7 @@ from ..core.flatkernel import FlatAnalyzer
 from ..core.profile_data import ProfileDatabase
 from ..core.rms import RmsProfiler
 from . import worker
-from .binfmt import ChunkColumns, events_from_columns, read_trace_meta
+from .binfmt import ChunkColumns, read_trace_meta, rows_from_columns
 from .merge import merge_databases  # noqa: F401 - perfbench batch.py patches this name
 
 try:
@@ -57,7 +59,7 @@ class FarmStats(NamedTuple):
     max_rss_kb: int  #: peak RSS of this process
     retries: int = 0  #: always 0: perfbench batch.py sums it
     fallbacks: int = 0  #: always 0: perfbench batch.py sums it
-    rms_seconds: float = 0.0  #: RMS replay over the Event views, decode and kernel excluded
+    rms_seconds: float = 0.0  #: RMS replay over the column rows, decode and kernel excluded
 
     @property
     def events_per_s(self) -> float:
@@ -86,8 +88,8 @@ def analyze_file(
     """Analyse a recorded v2 trace in one pass; exact by contract.
 
     ``metric`` is ``"trms"``, ``"rms"`` or ``"both"``, and the pass does
-    exactly that work: no flat kernel runs without TRMS, and no
-    ``Event`` is built without RMS.
+    exactly that work: no flat kernel runs without TRMS, and no row is
+    built without RMS.  No ``Event`` is built under any metric.
 
     A file that is not a sealed v2 trace raises
     :class:`~repro.farm.binfmt.BinaryTraceError`; a malformed record
@@ -126,7 +128,7 @@ def analyze_file(
                 replay_started = time.perf_counter()
                 # looked up at call time: perfbench batch.py patches core.replay
                 core.replay(chain.from_iterable(
-                    map(events_from_columns, decoded(), repeat(meta.names))), rms)
+                    map(rows_from_columns, decoded(), repeat(meta.names))), rms)
                 rms_seconds = max(0.0, time.perf_counter() - replay_started
                                   - decode_seconds - kernel_seconds)
             if analyzer is not None:

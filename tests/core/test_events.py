@@ -136,6 +136,42 @@ def test_replay_dispatches_every_kind():
     ]
 
 
+#: one event of every kind, thread and argument distinct, and the one
+#: callback each must fire
+EVERY_KIND = [
+    (Event(EventKind.CALL, 1, "f"), ("call", 1, "f")),
+    (Event(EventKind.RETURN, 2, None), ("return", 2)),
+    (Event(EventKind.READ, 3, 5), ("read", 3, 5)),
+    (Event(EventKind.WRITE, 4, 6), ("write", 4, 6)),
+    (Event(EventKind.KERNEL_READ, 5, 7), ("kread", 5, 7)),
+    (Event(EventKind.KERNEL_WRITE, 6, 8), ("kwrite", 6, 8)),
+    (Event(EventKind.THREAD_SWITCH, 7, 9), ("switch", 9)),
+    (Event(EventKind.COST, 8, 3), ("cost", 8, 3)),
+]
+
+
+@pytest.mark.parametrize("event, fired", EVERY_KIND,
+                         ids=[event.kind.name for event, _ in EVERY_KIND])
+def test_replay_plain_row_fires_what_the_equal_event_fires(event, fired):
+    """A plain ``(kind, thread, arg, 0)`` tuple with an int kind, as
+    ``repro analyze`` hands rows over, dispatches like its ``Event``."""
+    row = (int(event.kind), event.thread, event.arg, 0)
+    assert row == event and type(row[0]) is int
+    from_event, from_row = Recorder(), Recorder()
+    replay([event], from_event)
+    replay([row], from_row)
+    assert from_event.log == from_row.log == [("start",), fired, ("finish",)]
+
+
+@pytest.mark.parametrize("kind", [-1, len(EventKind), 99])
+def test_replay_unknown_kind_raises_and_fires_nothing(kind):
+    """No handler table indexed by kind: ``-1`` must not reach ``on_cost``."""
+    recorder = Recorder()
+    with pytest.raises(KeyError):
+        replay([Event(kind, 1, 5)], recorder)
+    assert recorder.log == [("start",)]
+
+
 def test_event_bus_fans_out_and_nests():
     inner1, inner2, outer = Recorder(), Recorder(), Recorder()
     bus = EventBus([inner1])

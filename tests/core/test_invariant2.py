@@ -10,18 +10,21 @@ oracle, whose frames hold the explicit access sets of Figure 10.
 from hypothesis import given, settings
 
 from repro.core import NaiveRms, NaiveTrms, RmsProfiler, TrmsProfiler
-from repro.core.events import _DISPATCH
+from repro.core.events import bind_handlers
 
 from .util import events_strategy
 
 
 def step_both(events, fast, oracle):
-    """Drive both consumers one event at a time, checking after each."""
+    """Drive both consumers one event at a time, through the handlers
+    ``replay`` binds, checking after each."""
+    fast_handlers = bind_handlers(fast)
+    oracle_handlers = bind_handlers(oracle)
     fast.on_start()
     oracle.on_start()
     for event in events:
-        _DISPATCH[event.kind](fast, event)
-        _DISPATCH[event.kind](oracle, event)
+        fast_handlers[event.kind](event.thread, event.arg)
+        oracle_handlers[event.kind](event.thread, event.arg)
         check_invariant(fast, oracle)
     fast.on_finish()
     oracle.on_finish()

@@ -30,8 +30,8 @@ from repro.farm.binfmt import (
     decode_chunk,
     decode_chunk_columns,
     encode_chunk_columns,
-    events_from_columns,
     iter_positioned,
+    rows_from_columns,
 )
 from repro.workloads import all_benchmarks
 
@@ -365,17 +365,18 @@ def test_encode_decode_columns_round_trip_on_both_paths(records, first_pos):
         assert decode_chunk_columns(io.BytesIO(payload), chunk) == columns
 
 
-# -- Event views of decoded columns against the record-by-record decoder ------
+# -- Rows of decoded columns against the record-by-record decoder -------------
 
 
-def assert_views_equal_decode_chunk(stream):
-    """Every chunk's ``Event`` views equal what ``decode_chunk`` yields."""
+def assert_rows_equal_decode_chunk(stream):
+    """Every chunk's plain rows equal the events ``decode_chunk`` yields,
+    with int kinds."""
     meta = read_trace_meta(stream)
     for chunk in meta.chunks:
         expected = [event for _, event in decode_chunk(stream, chunk, meta.names)]
-        views = list(events_from_columns(decode_chunk_columns(stream, chunk), meta.names))
-        assert views == expected
-        assert all(type(view.kind) is EventKind for view in views)
+        rows = list(rows_from_columns(decode_chunk_columns(stream, chunk), meta.names))
+        assert rows == expected
+        assert all(type(row) is tuple and type(row[0]) is int for row in rows)
 
 
 @pytest.mark.parametrize("name", [bench.name for bench in all_benchmarks()])
@@ -383,7 +384,7 @@ def test_event_views_equal_decode_chunk_on_every_benchmark(name, tmp_path):
     path = tmp_path / "run.rpt2"
     record_benchmark_v2(name, path, threads=4, scale=0.4)
     with open(path, "rb") as stream:
-        assert_views_equal_decode_chunk(stream)
+        assert_rows_equal_decode_chunk(stream)
 
 
 @settings(max_examples=100, deadline=None)
@@ -391,20 +392,20 @@ def test_event_views_equal_decode_chunk_on_every_benchmark(name, tmp_path):
 def test_event_views_equal_decode_chunk_on_arbitrary_streams(events, chunk_events):
     buffer = io.BytesIO()
     write_binary_trace(events, buffer, chunk_events=chunk_events)
-    assert_views_equal_decode_chunk(buffer)
+    assert_rows_equal_decode_chunk(buffer)
 
 
 @settings(max_examples=100, deadline=None)
 @given(events_strategy(), st.integers(0, 2**40))
 def test_event_views_invert_columns_from_events(events, first_pos):
     columns, names = columns_from_events(events, first_pos)
-    assert list(events_from_columns(columns, names)) == events
+    assert list(rows_from_columns(columns, names)) == events
 
 
 @pytest.mark.parametrize("ident", [3, -1], ids=["id-past-table", "id-negative"])
 def test_event_views_reject_routine_id_outside_table(ident):
     """A ``CALL`` id outside the string table raises ``MalformedRecord``
-    with ``decode_chunk``'s message, before any view is handed out."""
+    with ``decode_chunk``'s message, before any row is handed out."""
     names = ["f", "g", "h"]
     records = [(EventKind.THREAD_SWITCH, 1, 1), (EventKind.CALL, 1, 2),
                (EventKind.READ, 1, 7), (EventKind.CALL, 1, ident)]
@@ -412,7 +413,7 @@ def test_event_views_reject_routine_id_outside_table(ident):
     chunk = ChunkMeta(0, 0, len(payload), len(records), 100, 0, {1: len(records)})
     with pytest.raises(MalformedRecord) as decoded:
         list(decode_chunk(io.BytesIO(payload), chunk, names))
-    with pytest.raises(MalformedRecord) as viewed:
-        events_from_columns(decode_chunk_columns(io.BytesIO(payload), chunk), names)
-    assert str(viewed.value) == str(decoded.value) == (
+    with pytest.raises(MalformedRecord) as rowed:
+        rows_from_columns(decode_chunk_columns(io.BytesIO(payload), chunk), names)
+    assert str(rowed.value) == str(decoded.value) == (
         f"routine id {ident} at position 103 outside string table of 3 name(s)")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import RmsProfiler, replay
+from repro.core import Event, EventKind, RmsProfiler, replay
 from repro.farm import (
     analyze_file,
     merge_databases,
@@ -94,6 +94,31 @@ def test_one_pass_metrics_equal_online_on_arbitrary_streams(events, chunk_events
     assert comparable(results["both"].db) == comparable(results["trms"].db) == trms
     assert comparable(results["both"].rms_db) == comparable(results["rms"].rms_db) == rms
     assert results["trms"].rms_db is None and results["rms"].db is None
+
+
+#: thread 2's first record is a COST with no THREAD_SWITCH before it:
+#: 1 calls f and costs 5; 2 costs 7, calls g, costs 1, returns; 1 returns
+UNSWITCHED_COST = [
+    Event(EventKind.CALL, 1, "f"),
+    Event(EventKind.COST, 1, 5),
+    Event(EventKind.COST, 2, 7),
+    Event(EventKind.CALL, 2, "g"),
+    Event(EventKind.COST, 2, 1),
+    Event(EventKind.RETURN, 2, None),
+    Event(EventKind.RETURN, 1, None),
+]
+
+
+@pytest.mark.parametrize("chunk_events", [1, 2, 3, 64])
+def test_cost_follows_threads_without_switch_records(chunk_events, tmp_path):
+    """Each thread keeps its own cost across thread changes that no
+    ``THREAD_SWITCH`` announces, in one chunk and split across chunks."""
+    path = tmp_path / "unswitched.rpt2"
+    with open(path, "wb") as stream:
+        write_binary_trace(UNSWITCHED_COST, stream, chunk_events=chunk_events)
+    result = analyze_file(str(path), metric="both", keep_activations=True)
+    assert comparable(result.db) == comparable(online_db(UNSWITCHED_COST))
+    assert comparable(result.rms_db) == comparable(online_rms_db(UNSWITCHED_COST))
 
 
 def test_unknown_metric_is_rejected(tmp_path):

@@ -222,16 +222,22 @@ def test_analyze_rms_dump_equals_online_profile(name, tmp_path):
 def test_analyze_default_metric_is_both_in_one_pass(tmp_path):
     """The default ``--metric both`` dumps the TRMS database, byte for
     byte as ``--metric trms``, and prints the report ``--metric rms``
-    prints ahead of it."""
+    prints ahead of it.  An ``--metric rms --context`` run comes between
+    the two in the same process, so neither of its options may leak into
+    the next ``main`` call."""
     trace = tmp_path / "run.rpt2"
     run_cli("record", "367.imagick", str(trace), "--threads", "4", "--scale", "0.5")
-    both = tmp_path / "both.profile"
-    code, output = run_cli("analyze", str(trace), "--dump", str(both))
-    assert code == 0
     trms = tmp_path / "trms.profile"
     code, _ = run_cli("analyze", str(trace), "--metric", "trms", "--dump", str(trms))
     assert code == 0
-    assert both.read_bytes() == trms.read_bytes()
+    rms_context = tmp_path / "rms-context.profile"
+    code, _ = run_cli("analyze", str(trace), "--metric", "rms", "--context",
+                      "--dump", str(rms_context))
+    assert code == 0
+    both = tmp_path / "both.profile"
+    code, output = run_cli("analyze", str(trace), "--dump", str(both))
+    assert code == 0
+    assert both.read_bytes() == trms.read_bytes() != rms_context.read_bytes()
     code, rms_output = run_cli("analyze", str(trace), "--metric", "rms")
     assert code == 0
     assert output[:output.index(f"trms profile of {trace}")] == rms_output

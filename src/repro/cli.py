@@ -320,16 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ingestion worker threads (default 2)")
     serve.add_argument("--capacity", type=_positive_int, default=64, metavar="N",
                        help="bounded job-queue capacity (default 64)")
-    serve.add_argument("--retries", type=int, default=1, metavar="N",
-                       help="extra attempts for a failed ingest job (default 1)")
-    serve.add_argument("--job-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="fail jobs that waited in queue past this deadline")
     serve.add_argument("--drain-timeout", type=float, default=30.0,
                        metavar="SECONDS",
                        help="how long shutdown waits for in-flight jobs "
                             "(default 30)")
-    serve.add_argument("--slo-window", type=float, default=300.0,
+    serve.add_argument("--slo-window", type=_positive_float, default=300.0,
                        metavar="SECONDS",
                        help="rolling SLO window per tenant (default 300)")
     serve.add_argument("--slo-p99-ms", type=float, default=500.0,
@@ -855,8 +850,6 @@ def _cmd_serve(args, out) -> int:
         port=args.port,
         workers=args.workers,
         capacity=args.capacity,
-        retries=args.retries,
-        timeout=args.job_timeout,
         drain_timeout=args.drain_timeout,
         slo_window=args.slo_window,
         slo_targets=SloTargets(

@@ -370,7 +370,7 @@ def ingest_path(
     if not os.path.isdir(path) and is_binary_trace(path):
         from ..farm import analyze_file
 
-        result = analyze_file(path, jobs=1)
+        result = analyze_file(path)
         record = record_from_profile_db(
             result.db,
             run_id=run_id or _digest_run_id(path),

@@ -7,16 +7,17 @@ ROADMAP's production-service shape:
 * :mod:`repro.service.wire` — the ``repro-wire/1`` length-prefixed
   framing (JSON header + raw artefact payload, hard size ceilings);
 * :mod:`repro.service.jobs` — the bounded async job queue: worker
-  threads, queued/running/done/failed tracking, retries, queue-wait
-  timeouts, graceful drain;
+  threads, queued/running/done/failed tracking, one attempt per job,
+  graceful drain;
 * :mod:`repro.service.tenants` — per-tenant observatory stores under
   one root, validated slug names, per-tenant locking;
 * :mod:`repro.service.server` — the thread-per-client TCP server
-  (``repro serve``): async ``put`` ingestion with at-the-door
-  duplicate rejection, read-side ``runs``/``alerts``/``report`` ops,
-  an HTTP ``GET``/``HEAD`` fallback for browsers and scrapers
-  (including Prometheus ``/metrics``), self-metrics, distributed
-  trace continuation, SIGTERM drain;
+  (``repro serve``): async ``put``/``put_stream`` ingestion through
+  one upload path with at-the-door duplicate rejection, read-side
+  ``runs``/``alerts``/``report`` ops, an HTTP ``GET``/``HEAD``
+  fallback for browsers and scrapers (including Prometheus
+  ``/metrics``), self-metrics, distributed trace continuation,
+  SIGTERM drain;
 * :mod:`repro.service.slo` — per-tenant rolling-window SLO tracking
   (latency quantiles, error/shed budgets, burn-rate alerts);
 * :mod:`repro.service.client` — :class:`ServiceClient`, the thin

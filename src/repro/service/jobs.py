@@ -15,12 +15,10 @@ Semantics, all enforced by ``tests/service/test_jobs.py``:
 * **status tracking**: every job walks ``queued -> running ->
   done | failed``; :meth:`JobQueue.status` is queryable at any time
   and terminal jobs are kept in a bounded ring of recent history;
-* **retries**: a handler exception re-runs the job up to ``retries``
-  extra times before it fails (the error of the *last* attempt is
-  recorded);
-* **timeouts**: a job that waited in the queue past its deadline is
-  failed without running — under overload the server sheds stale work
-  rather than analysing uploads nobody is waiting for any more;
+* **one attempt**: a worker runs each job exactly once, when it takes
+  it off the queue; a handler exception fails the job and records the
+  error.  Ingestion is deterministic, so a second run could only fail
+  the same way;
 * **graceful drain**: :meth:`drain` stops intake, waits for queued and
   in-flight jobs to finish (bounded by a deadline), then stops the
   workers — the SIGTERM path of ``repro serve``.
@@ -72,16 +70,12 @@ class Job:
         self.path = path                  #: spooled artefact (owned by the job)
         self.params: Dict = params or {}
         self.status = QUEUED
-        self.attempts = 0
         self.error: Optional[str] = None
         self.result: Optional[Dict] = None
         #: trace continuation set by the server when the upload was traced:
         #: ``{"id", "parent", "enqueued_time"}`` — the worker re-activates
         #: the trace context from it so async spans join the request tree
         self.trace: Optional[Dict] = None
-        #: True when the job failed without running (queue-wait expiry) —
-        #: the SLO tracker counts these as shed, not as ingest errors
-        self.shed = False
         self.enqueued_at = time.monotonic()
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -99,7 +93,6 @@ class Job:
             "tenant": self.tenant,
             "kind": self.kind,
             "status": self.status,
-            "attempts": self.attempts,
             "error": self.error,
             "result": self.result,
             "queue_seconds": None if waited is None else round(waited, 6),
@@ -111,7 +104,7 @@ class JobQueue:
     """Worker threads draining a bounded job queue (see module docstring).
 
     ``handler(job)`` performs the work and returns the JSON-safe result
-    dict stored on the job; it may raise to trigger a retry.
+    dict stored on the job; an exception it raises fails the job.
     """
 
     def __init__(
@@ -119,8 +112,6 @@ class JobQueue:
         handler: Callable[[Job], Dict],
         workers: int = 2,
         capacity: int = 64,
-        retries: int = 1,
-        timeout: Optional[float] = None,
         observer: Optional[Callable[[str, Job], None]] = None,
     ):
         if workers < 1:
@@ -129,8 +120,6 @@ class JobQueue:
             raise ValueError("capacity must be >= 1")
         self.handler = handler
         self.capacity = capacity
-        self.retries = max(0, retries)
-        self.timeout = timeout
         self.observer = observer
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -209,41 +198,21 @@ class JobQueue:
                 job = self._pending.popleft()
                 self._in_flight += 1
                 job.started_at = time.monotonic()
+                job.status = RUNNING
             try:
-                self._run(job)
+                job.result = self.handler(job)
+                job.status = DONE
+            except Exception as error:  # noqa: BLE001 - boundary by design
+                job.error = f"{type(error).__name__}: {error}"
+                job.status = FAILED
             finally:
+                job.finished_at = time.monotonic()
                 with self._lock:
                     self._in_flight -= 1
                     if not self._pending and not self._in_flight:
                         self._idle.notify_all()
                 job.done_event.set()
                 self._notify(job.status, job)
-
-    def _run(self, job: Job) -> None:
-        waited = (job.started_at or job.enqueued_at) - job.enqueued_at
-        if self.timeout is not None and waited > self.timeout:
-            job.status = FAILED
-            job.shed = True
-            job.error = (f"timed out after {waited:.3f}s in queue "
-                         f"(timeout {self.timeout}s)")
-            job.finished_at = time.monotonic()
-            return
-        job.status = RUNNING
-        for attempt in range(self.retries + 1):
-            job.attempts = attempt + 1
-            try:
-                job.result = self.handler(job)
-            except Exception as error:  # noqa: BLE001 - boundary by design
-                job.error = f"{type(error).__name__}: {error}"
-                if attempt < self.retries:
-                    self._notify("retry", job)
-                    continue
-                job.status = FAILED
-            else:
-                job.status = DONE
-                job.error = None
-            break
-        job.finished_at = time.monotonic()
 
     def _notify(self, what: str, job: Job) -> None:
         if self.observer is not None:
@@ -260,6 +229,8 @@ class JobQueue:
         Returns ``True`` when the queue fully emptied before the
         ``deadline`` (seconds); on ``False`` the workers are stopped
         anyway and any still-pending jobs stay queued, never run.
+        ``drain(0)`` is the immediate stop: in-flight jobs finish,
+        pending ones never start.
         """
         limit = None if deadline is None else time.monotonic() + deadline
         drained = True
@@ -276,13 +247,3 @@ class JobQueue:
         for thread in self._workers:
             thread.join(timeout=5.0)
         return drained
-
-    def close(self) -> None:
-        """Immediate stop: no drain wait (pending jobs never run)."""
-        with self._lock:
-            self._accepting = False
-            self._stopped = True
-            self._pending.clear()
-            self._not_empty.notify_all()
-        for thread in self._workers:
-            thread.join(timeout=5.0)

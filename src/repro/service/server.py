@@ -8,12 +8,15 @@ profiling-as-a-service:
 * **write side** — ``put`` uploads any artefact the observatory
   ingests (``repro-profile 1`` dumps, v2 binary traces,
   ``telemetry.jsonl`` logs, ``repro-bench/1`` envelopes).
-  Uploads are spooled, acknowledged, and analysed *asynchronously* by
-  the bounded :class:`~repro.service.jobs.JobQueue` — the client pays
-  for a socket write, never for a farm analysis or a curve fit.
-  Duplicate uploads are rejected at the door by content digest
-  (idempotent ingest, before any analysis), and a full queue pushes
-  back instead of buffering without bound;
+  ``put`` and ``put_stream`` share one upload path: every header
+  field is parsed first (a bad one is rejected before anything touches
+  the disk), then the payload is spooled, acknowledged, and analysed
+  *asynchronously*, once, by the bounded
+  :class:`~repro.service.jobs.JobQueue` — the client pays for a socket
+  write, never for a farm analysis or a curve fit.  Duplicate uploads
+  are rejected at the door by content digest (idempotent ingest,
+  before any analysis), and a full queue pushes back instead of
+  buffering without bound;
 * **read side** — ``runs`` / ``alerts`` / ``report`` / ``stats`` serve
   the run history, the drift-alert feed and the fleet dashboards
   (JSON, ASCII or HTML) straight from the per-tenant stores;
@@ -47,7 +50,8 @@ the first bytes; other verbs get 405): ``/`` (tenant index),
 ``/stats`` (JSON), ``/metrics`` (Prometheus text exposition), ``/slo``
 (JSON), ``/<tenant>`` (HTML dashboard),
 ``/<tenant>/report|alerts|runs`` — so a browser or a scraper can watch
-a store the wire protocol feeds.
+a store the wire protocol feeds.  A tenant with no store answers 404:
+the read-only side never creates one.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import signal
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..observatory import artefact_suffix, detect_drift, ingest_path, ingest_stream_dump
@@ -77,10 +81,51 @@ __all__ = ["ProfileServer"]
 _OPS = ("ping", "put", "put_stream", "job", "runs", "alerts", "report",
         "stats", "tenants", "shutdown")
 
+#: the ``stream`` fields of a ``put_stream`` header besides its id:
+#: (name, type, value when absent)
+_STREAM_FIELDS = (("seq", int, 0), ("events_analyzed", int, 0),
+                  ("events_behind", int, 0), ("lag_ms", float, 0.0),
+                  ("events_per_s", float, 0.0), ("closed", bool, False),
+                  ("timestamp", str, ""))
+
 #: HTTP verbs the sniffer recognizes (only GET/HEAD are served; the
 #: rest answer 405 instead of dying on the wire magic check)
 _HTTP_VERBS = (b"GET ", b"HEAD ", b"POST ", b"PUT ", b"DELETE ",
                b"OPTIONS ", b"PATCH ", b"TRACE ")
+
+
+class _BadHeader(ValueError):
+    """An upload header field that does not parse (the message names it)."""
+
+
+def _field(fields: Dict, name: str, kind: Callable, default, prefix: str = ""):
+    """``kind(fields[name])``, or ``default`` when the field is absent or
+    falsy; a value ``kind`` cannot take raises :class:`_BadHeader`."""
+    value = fields.get(name)
+    if not value:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise _BadHeader(
+            f"bad header field {prefix}{name}: {value!r:.80}") from None
+
+
+def _upload_fields(header: Dict) -> Tuple[Dict, Optional[float]]:
+    """The header fields both upload ops carry, parsed: the ingest
+    keywords, and how long the reply waits for the job (0 without
+    ``wait``, else ``wait_timeout`` seconds; None: until it is terminal).
+
+    Each op parses its own fields too before the upload touches a store
+    or the spool, so a bad field costs an error reply and nothing else.
+    """
+    params = {"run_id": _field(header, "run_id", str, None),
+              "git_sha": _field(header, "git_sha", str, ""),
+              "scale": _field(header, "scale", float, 0.0)}
+    timeout = header.get("wait_timeout")
+    if timeout is not None:
+        timeout = _field(header, "wait_timeout", float, 0.0)
+    return params, (timeout if header.get("wait") else 0.0)
 
 
 class ProfileServer:
@@ -93,10 +138,7 @@ class ProfileServer:
         port: int = 0,
         workers: int = 2,
         capacity: int = 64,
-        retries: int = 1,
-        timeout: Optional[float] = None,
         drain_timeout: float = 30.0,
-        top_k: int = 10,
         slo_window: float = 300.0,
         slo_targets: Optional[SloTargets] = None,
     ):
@@ -104,14 +146,11 @@ class ProfileServer:
         self.host = host
         self.port = port
         self.drain_timeout = drain_timeout
-        self.top_k = top_k
         self.tenants = TenantManager(root)
         self.registry = MetricsRegistry()
         self.slo = SloTracker(window_seconds=slo_window, targets=slo_targets)
-        self.queue = JobQueue(
-            self._execute, workers=workers, capacity=capacity,
-            retries=retries, timeout=timeout, observer=self._observe,
-        )
+        self.queue = JobQueue(self._execute, workers=workers,
+                              capacity=capacity, observer=self._observe)
         self._listener: Optional[socket.socket] = None
         self._shutdown = threading.Event()
         self._drained = threading.Event()
@@ -137,35 +176,27 @@ class ProfileServer:
         """Queue observer: gauges, outcome counters, SLOs, spool cleanup."""
         self._gauge("service.queue.depth", self.queue.depth())
         self._gauge("service.jobs.in_flight", self.queue.in_flight())
-        if what == "retry":
-            self._bump("service.jobs.retries")
-            return
         if what not in (DONE, FAILED):
             return
         self._bump(f"service.jobs.{what}")
-        latency_ms = 0.0
-        if job.started_at is not None and job.finished_at is not None:
-            latency_ms = (job.finished_at - job.started_at) * 1000.0
-            self._observe_ms("service.ingest_ms", latency_ms,
-                             tenant=job.tenant)
-        if job.shed:
-            self.slo.record_shed(job.tenant)
-        else:
-            self.slo.record_ingest(job.tenant, latency_ms, ok=(what == DONE))
+        started, finished = job.started_at, job.finished_at
+        assert started is not None and finished is not None  # the worker ran it
+        latency_ms = (finished - started) * 1000.0
+        self._observe_ms("service.ingest_ms", latency_ms, tenant=job.tenant)
+        self.slo.record_ingest(job.tenant, latency_ms, ok=(what == DONE))
         trace = job.trace
-        if trace is not None and job.started_at is not None:
+        if trace is not None:
             # the queue wait is only known once a worker picked the job
-            # up (or expired it) — record it retroactively into the trace
+            # up — record it retroactively into the trace
             telemetry.emit_span(
-                "server.queue_wait", trace.get("enqueued_time", 0.0),
-                job.started_at - job.enqueued_at,
-                trace_id=trace.get("id"), parent_uid=trace.get("parent"),
-                ok=not job.shed, job=job.job_id, tenant=job.tenant)
-        if job.path:
-            try:
-                os.unlink(job.path)
-            except OSError:
-                pass
+                "server.queue_wait", trace["enqueued_time"],
+                started - job.enqueued_at,
+                trace_id=trace["id"], parent_uid=trace["parent"],
+                job=job.job_id, tenant=job.tenant)
+        try:
+            os.unlink(job.path)
+        except OSError:
+            pass
 
     # -- job execution (worker threads) --------------------------------------
 
@@ -182,29 +213,15 @@ class ProfileServer:
                 return self._ingest_job(job)
 
     def _ingest_job(self, job: Job) -> Dict:
-        params = job.params
         with telemetry.span("server.ingest", tenant=job.tenant):
             with self.tenants.lock(job.tenant):
                 store = self.tenants.store(job.tenant)
                 if job.kind == "stream":
                     with open(job.path, "rb") as stream:
-                        data = stream.read()
-                    result = ingest_stream_dump(
-                        store, data, params.get("stream") or {},
-                        run_id=params.get("run_id"),
-                        git_sha=params.get("git_sha") or "",
-                        scale=float(params.get("scale") or 0.0),
-                        top_k=int(params.get("top_k") or self.top_k),
-                    )
+                        result = ingest_stream_dump(store, stream.read(),
+                                                    **job.params)
                 else:
-                    result = ingest_path(
-                        store, job.path,
-                        run_id=params.get("run_id"),
-                        git_sha=params.get("git_sha") or "",
-                        timestamp=params.get("timestamp") or "-",
-                        scale=float(params.get("scale") or 0.0),
-                        top_k=int(params.get("top_k") or self.top_k),
-                    )
+                    result = ingest_path(store, job.path, **job.params)
         if not result.ingested:
             self._bump("service.uploads.duplicate")
         return {
@@ -403,6 +420,10 @@ class ProfileServer:
         except TenantError as error:
             self._reply_error(sock, str(error))
             return True
+        except _BadHeader as error:
+            self._bump("service.uploads.rejected", reason="bad_header")
+            self._reply_error(sock, str(error))
+            return True
         except Exception as error:  # noqa: BLE001 - connection boundary
             self._reply_error(
                 sock, f"internal error: {type(error).__name__}: {error}")
@@ -428,8 +449,10 @@ class ProfileServer:
             self._bump("service.uploads.rejected", reason="empty")
             self._reply_error(sock, "empty upload payload")
             return True
+        params, wait = _upload_fields(header)
+        params["timestamp"] = _field(header, "timestamp", str, "-")
         digest = hashlib.sha256(payload).hexdigest()[:32]
-        run_id = str(header.get("run_id") or "") or digest
+        run_id = params["run_id"] or digest
         with self.tenants.lock(tenant):
             known = self.tenants.store(tenant).has_run(run_id)
         if known:
@@ -440,46 +463,12 @@ class ProfileServer:
                                "run_id": run_id, "status": "duplicate",
                                "duplicate": True})
             return True
-        job_id = self.queue.next_job_id()
-        spool_dir = os.path.join(self.tenants.path(tenant), "spool")
-        os.makedirs(spool_dir, exist_ok=True)
-        path = os.path.join(
-            spool_dir, f"{job_id}-{digest[:8]}{artefact_suffix(payload)}")
-        with telemetry.span("server.spool", tenant=tenant,
-                            bytes=len(payload)):
-            with open(path, "wb") as stream:
-                stream.write(payload)
-        job = Job(job_id, tenant, "ingest", path=path, params={
-            "run_id": run_id if header.get("run_id") else None,
-            "git_sha": str(header.get("git_sha") or ""),
-            "timestamp": str(header.get("timestamp") or ""),
-            "scale": float(header.get("scale") or 0.0),
-            "top_k": int(header.get("top_k") or self.top_k),
-        })
-        carrier = telemetry.trace_carrier()
-        if carrier is not None:
-            # hand the trace across the queue: the worker re-activates it
-            job.trace = {"id": carrier.get("id"),
-                         "parent": carrier.get("parent"),
-                         "enqueued_time": time.time()}
-        try:
-            self.queue.submit(job)
-        except (QueueFull, QueueClosed) as error:
-            os.unlink(path)
-            reason = ("draining" if isinstance(error, QueueClosed)
-                      else "queue_full")
-            self._bump("service.uploads.rejected", reason=reason)
-            self.slo.record_shed(tenant)
-            self._reply_error(sock, str(error), status="rejected",
-                              reason=reason)
+        job = self._submit_upload(sock, tenant, "ingest", payload, digest,
+                                  params)
+        if job is None:
             return True
-        self._gauge("service.queue.depth", self.queue.depth())
         self._bump("service.uploads.accepted")
-        if header.get("wait"):
-            # inline mode: block this client thread until the job is
-            # terminal (workers still do the analysis)
-            wait = header.get("wait_timeout")
-            job.done_event.wait(None if wait is None else float(wait))
+        self._wait(job, wait)
         self._reply(sock, {"ok": True, "op": "put", "tenant": tenant,
                            "run_id": job.result.get("run_id", run_id)
                            if job.result else run_id,
@@ -501,6 +490,8 @@ class ProfileServer:
         """
         tenant = self._tenant_of(header)
         stream = header.get("stream") or {}
+        if not isinstance(stream, dict):
+            raise _BadHeader(f"bad header field stream: {stream!r:.80}")
         stream_id = str(stream.get("id") or stream.get("stream_id") or "")
         if not payload:
             self._bump("service.uploads.rejected", reason="empty")
@@ -510,38 +501,50 @@ class ProfileServer:
             self._bump("service.uploads.rejected", reason="no_stream_id")
             self._reply_error(sock, "put_stream without a stream id")
             return True
-        run_id = str(header.get("run_id") or "") or f"stream-{stream_id}"
+        params, wait = _upload_fields(header)
+        meta: Dict = {"id": stream_id}
+        for name, kind, default in _STREAM_FIELDS:
+            meta[name] = _field(stream, name, kind, default, "stream.")
+        params["stream_meta"] = meta
+        run_id = params["run_id"] or f"stream-{stream_id}"
         for gauge_name, key in (("streaming.checkpoint_lag_ms", "lag_ms"),
                                 ("streaming.events_behind", "events_behind")):
-            value = float(stream.get(key) or 0.0)
+            value = float(meta[key])
             self.registry.gauge(gauge_name, tenant=tenant).set(value)
             telemetry.gauge(gauge_name, tenant=tenant).set(value)
+        digest = hashlib.sha256(payload).hexdigest()
+        job = self._submit_upload(sock, tenant, "stream", payload, digest,
+                                  params)
+        if job is None:
+            return True
+        self._bump("service.uploads.stream")
+        self._wait(job, wait)
+        self._reply(sock, {"ok": True, "op": "put_stream", "tenant": tenant,
+                           "run_id": run_id, "stream_id": stream_id,
+                           "seq": meta["seq"], **job.snapshot()})
+        return True
+
+    def _submit_upload(self, sock: socket.socket, tenant: str, kind: str,
+                       payload: bytes, digest: str,
+                       params: Dict) -> Optional[Job]:
+        """Spool ``payload`` and queue its job (the path both uploads share).
+
+        A full or draining queue removes the spool file, counts the
+        rejection, records an SLO shed and replies; that returns None.
+        """
         job_id = self.queue.next_job_id()
         spool_dir = os.path.join(self.tenants.path(tenant), "spool")
         os.makedirs(spool_dir, exist_ok=True)
-        path = os.path.join(spool_dir, f"{job_id}-{stream_id[:8]}.profile")
+        path = os.path.join(
+            spool_dir, f"{job_id}-{digest[:8]}{artefact_suffix(payload)}")
         with telemetry.span("server.spool", tenant=tenant,
-                            bytes=len(payload), stream=stream_id):
-            with open(path, "wb") as handle:
-                handle.write(payload)
-        job = Job(job_id, tenant, "stream", path=path, params={
-            "run_id": run_id if header.get("run_id") else None,
-            "git_sha": str(header.get("git_sha") or ""),
-            "scale": float(header.get("scale") or 0.0),
-            "top_k": int(header.get("top_k") or self.top_k),
-            "stream": {
-                "id": stream_id,
-                "seq": int(stream.get("seq") or 0),
-                "events_analyzed": int(stream.get("events_analyzed") or 0),
-                "events_behind": int(stream.get("events_behind") or 0),
-                "lag_ms": float(stream.get("lag_ms") or 0.0),
-                "events_per_s": float(stream.get("events_per_s") or 0.0),
-                "closed": bool(stream.get("closed")),
-                "timestamp": str(stream.get("timestamp") or ""),
-            },
-        })
+                            bytes=len(payload)):
+            with open(path, "wb") as stream:
+                stream.write(payload)
+        job = Job(job_id, tenant, kind, path=path, params=params)
         carrier = telemetry.trace_carrier()
         if carrier is not None:
+            # hand the trace across the queue: the worker re-activates it
             job.trace = {"id": carrier.get("id"),
                          "parent": carrier.get("parent"),
                          "enqueued_time": time.time()}
@@ -555,17 +558,16 @@ class ProfileServer:
             self.slo.record_shed(tenant)
             self._reply_error(sock, str(error), status="rejected",
                               reason=reason)
-            return True
-        self._gauge("service.queue.depth", self.queue.depth())
-        self._bump("service.uploads.stream")
-        if header.get("wait"):
-            wait = header.get("wait_timeout")
-            job.done_event.wait(None if wait is None else float(wait))
-        self._reply(sock, {"ok": True, "op": "put_stream", "tenant": tenant,
-                           "run_id": run_id, "stream_id": stream_id,
-                           "seq": int(stream.get("seq") or 0),
-                           **job.snapshot()})
-        return True
+            return None
+        return job
+
+    @staticmethod
+    def _wait(job: Job, seconds: Optional[float]) -> None:
+        """Block the client thread until ``job`` is terminal, at most
+        ``seconds`` (None: no limit; 0: not at all, the reply is the ack).
+        Workers still do the analysis."""
+        if seconds != 0:
+            job.done_event.wait(seconds)
 
     def _op_job(self, sock, header, payload) -> bool:
         job = self.queue.status(str(header.get("job") or ""))
@@ -738,6 +740,9 @@ class ProfileServer:
                                sort_keys=True).encode("utf-8"))
         parts = [part for part in path.split("/") if part]
         tenant = validate_tenant(parts[0])
+        if tenant not in self.tenants.tenants():
+            # a read never creates a store (``/favicon.ico`` is no tenant)
+            return 404, "text/plain", f"no such tenant {tenant!r}".encode()
         view = parts[1] if len(parts) > 1 else "html"
         with self.tenants.lock(tenant):
             store = self.tenants.store(tenant)

@@ -9,8 +9,8 @@ old observations age out without per-observation timestamps:
 * ingest latency as log2 bucket counts (the registry's fixed buckets),
   reported as p50/p95/p99 via the shared quantile estimator;
 * error rate (failed ingests / ingests) against an error budget;
-* queue-shed rate (rejected or queue-expired uploads / offered
-  uploads) against a shed budget.
+* queue-shed rate (uploads rejected at submit because the queue was
+  full or draining / offered uploads) against a shed budget.
 
 Each rate is also expressed as a **burn rate** — the observed rate
 divided by its budget, the standard SRE framing: burn 1.0 means the
@@ -106,7 +106,7 @@ class SloTracker:
 
     def record_ingest(self, tenant: str, latency_ms: float,
                       ok: bool = True) -> None:
-        """One completed ingest attempt (successful or failed)."""
+        """One completed ingest job (successful or failed)."""
         now = self._clock()
         with self._lock:
             piece = self._slice(tenant, now)
@@ -117,7 +117,7 @@ class SloTracker:
             piece.buckets[index] = piece.buckets.get(index, 0) + 1
 
     def record_shed(self, tenant: str) -> None:
-        """One upload shed before ingest (queue full or queue-wait expiry)."""
+        """One upload rejected at submit (queue full or draining)."""
         now = self._clock()
         with self._lock:
             self._slice(tenant, now).shed += 1

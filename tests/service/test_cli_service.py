@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.observatory import ObservatoryStore
 from repro.service import ServiceClient
 
@@ -130,3 +130,13 @@ def test_slap_cli_validates_counts(flag):
     code, out = run_cli("slap", "--port", "9", *flag)
     assert code == 2
     assert "must be >= 1" in out
+
+
+@pytest.mark.parametrize("flag", [("--retries", "1"), ("--job-timeout", "5")])
+def test_serve_has_no_retry_or_expiry_flags(flag, capsys):
+    """Each job runs once and never expires: the knobs are gone.  Only
+    the parser runs, so an accepted flag fails the test, not hangs it."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["serve", "--root", "tenants", *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

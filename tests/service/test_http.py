@@ -1,6 +1,7 @@
 """The HTTP fallback: routes, verb handling, /metrics, /slo."""
 
 import json
+import os
 import socket
 import urllib.error
 import urllib.request
@@ -61,6 +62,13 @@ def test_unknown_tenant_and_view_are_404(tmp_path):
         with pytest.raises(urllib.error.HTTPError) as raised:
             urllib.request.urlopen(f"{base}/No-Such-Tenant")
         assert raised.value.code == 404
+        # a valid slug with no store: what browsers ask for on their own
+        for path in ("/favicon.ico", "/favicon.ico/runs"):
+            with pytest.raises(urllib.error.HTTPError) as raised:
+                urllib.request.urlopen(f"{base}{path}")
+            assert raised.value.code == 404
+        assert not os.path.exists(server.tenants.path("favicon.ico"))
+        assert server.tenants.tenants() == []
         with ServiceClient(server.host, server.port, tenant="web") as client:
             client.ping()
             client.runs()       # creates the tenant store

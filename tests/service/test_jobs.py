@@ -1,4 +1,4 @@
-"""Job queue semantics: capacity, retries, timeouts, drain, close."""
+"""Job queue semantics: capacity, one attempt per job, status, drain."""
 
 import threading
 import time
@@ -48,7 +48,7 @@ def test_jobs_run_and_record_result():
             assert job.snapshot()["status"] == DONE
         assert sorted(seen) == ["k0", "k1", "k2", "k3"]
     finally:
-        queue.close()
+        queue.drain(0)
 
 
 def test_capacity_overflow_raises_queue_full():
@@ -69,70 +69,27 @@ def test_capacity_overflow_raises_queue_full():
             queue.submit(make_job(queue))
     finally:
         release.set()
-        queue.close()
+        queue.drain(0)
 
 
-def test_failed_job_is_retried():
-    attempts = []
+def test_failing_handler_runs_once_and_marks_failed():
+    runs = []
 
     def handler(job):
-        attempts.append(job.attempts)
-        if len(attempts) == 1:
-            raise RuntimeError("flake")
-        return {}
-
-    queue = JobQueue(handler, workers=1, retries=1)
-    try:
-        job = make_job(queue)
-        queue.submit(job)
-        assert job.done_event.wait(5.0)
-        assert job.status == DONE
-        assert job.error is None
-        assert len(attempts) == 2
-    finally:
-        queue.close()
-
-
-def test_exhausted_retries_marks_failed():
-    def handler(job):
+        runs.append(job.job_id)
         raise RuntimeError("always broken")
 
-    queue = JobQueue(handler, workers=1, retries=1)
+    queue = JobQueue(handler, workers=1)
     try:
         job = make_job(queue)
         queue.submit(job)
         assert job.done_event.wait(5.0)
         assert job.status == FAILED
         assert "always broken" in job.error
-        assert job.attempts == 2
+        assert job.snapshot()["error"] == job.error
+        assert runs == [job.job_id]
     finally:
-        queue.close()
-
-
-def test_queue_wait_timeout_fails_stale_job_without_running():
-    ran = []
-    release = threading.Event()
-
-    def handler(job):
-        if job.kind == "blocker":
-            release.wait(5.0)
-        else:
-            ran.append(job.job_id)
-        return {}
-
-    queue = JobQueue(handler, workers=1, timeout=0.05)
-    try:
-        queue.submit(make_job(queue, kind="blocker"))
-        stale = make_job(queue)
-        queue.submit(stale)
-        time.sleep(0.2)
-        release.set()
-        assert stale.done_event.wait(5.0)
-        assert stale.status == FAILED
-        assert "timed out" in stale.error
-        assert stale.job_id not in ran
-    finally:
-        queue.close()
+        queue.drain(0)
 
 
 def test_status_lookup():
@@ -146,7 +103,7 @@ def test_status_lookup():
         assert found.status == DONE
         assert queue.status("j999999") is None
     finally:
-        queue.close()
+        queue.drain(0)
 
 
 def test_drain_waits_for_in_flight_jobs():
@@ -191,13 +148,12 @@ def test_failed_drain_leaves_pending_jobs_unrun():
     # The queued job must never execute after a failed drain.
     assert pending.status == QUEUED
     assert "pending" not in ran
-    queue.close()
 
 
-def test_close_is_idempotent():
+def test_drain_is_idempotent():
     queue = JobQueue(lambda job: {}, workers=1)
-    queue.close()
-    queue.close()
+    assert queue.drain(0) is True
+    assert queue.drain(0) is True
     with pytest.raises(QueueClosed):
         queue.submit(make_job(queue))
 
@@ -216,4 +172,4 @@ def test_observer_sees_lifecycle():
         assert wait_for(lambda: DONE in events)
         assert QUEUED in events
     finally:
-        queue.close()
+        queue.drain(0)

@@ -1,5 +1,6 @@
 """Server behaviour: lifecycle, idempotency, rejection paths, HTTP."""
 
+import hashlib
 import json
 import os
 import signal
@@ -104,7 +105,6 @@ def test_malformed_envelope_fails_job_with_recorded_error(tmp_path):
             reply = client.put_bytes(payload, wait=True)
             assert reply["status"] == "failed"
             assert "repro-bench/1" in reply["error"]
-            assert reply["attempts"] == 2          # default: one retry
             assert client.runs() == []
         assert wait_for(lambda: spool_files(server, "default") == [])
         found = server.registry.find("service.jobs.failed")
@@ -153,7 +153,19 @@ def test_garbage_frame_gets_error_reply_and_close(tmp_path):
             sock.close()
 
 
-def test_queue_full_pushes_back(tmp_path):
+def upload(client, op, data, **fields):
+    """One ``put`` or ``put_stream`` of ``data`` (its own stream per upload)."""
+    if op == "put":
+        header = {"op": "put", "tenant": client.tenant, **fields}
+    else:
+        stream = {"id": hashlib.sha256(data).hexdigest()[:12]}
+        header = {"op": "put_stream", "tenant": client.tenant,
+                  "stream": {**stream, **fields.pop("stream", {})}, **fields}
+    return client.request(header, data)[0]
+
+
+@pytest.mark.parametrize("op", ["put", "put_stream"])
+def test_queue_full_pushes_back(tmp_path, op):
     release = threading.Event()
     with running_server(tmp_path, workers=1, capacity=1) as server:
         original = server.queue.handler
@@ -165,19 +177,50 @@ def test_queue_full_pushes_back(tmp_path):
         server.queue.handler = blocking
         try:
             with ServiceClient(server.host, server.port) as client:
-                client.put_bytes(profile_dump_bytes({"a": lambda n: n}))
+                upload(client, op, profile_dump_bytes({"a": lambda n: n}))
                 assert wait_for(lambda: server.queue.in_flight() == 1
                                 and server.queue.depth() == 0)
-                client.put_bytes(profile_dump_bytes({"b": lambda n: n}))
+                upload(client, op, profile_dump_bytes({"b": lambda n: n}))
                 with pytest.raises(ServiceError) as raised:
-                    client.put_bytes(profile_dump_bytes({"c": lambda n: n}))
+                    upload(client, op, profile_dump_bytes({"c": lambda n: n}))
                 assert raised.value.header["status"] == "rejected"
                 assert raised.value.header["reason"] == "queue_full"
+                # the running and the queued upload keep their spool
+                # files; the rejected one left none behind
+                assert len(spool_files(server, "default")) == 2
         finally:
             release.set()
         found = server.registry.find("service.uploads.rejected",
                                      reason="queue_full")
         assert found and found[0]["value"] == 1
+        assert wait_for(lambda: spool_files(server, "default") == [])
+
+
+@pytest.mark.parametrize("op,fields,name", [
+    ("put", {"scale": "abc"}, "scale"),
+    ("put", {"wait": True, "wait_timeout": "soon"}, "wait_timeout"),
+    ("put_stream", {"scale": "abc"}, "scale"),
+    ("put_stream", {"wait": True, "wait_timeout": "soon"}, "wait_timeout"),
+    ("put_stream", {"stream": {"seq": "x"}}, "stream.seq"),
+    ("put_stream", {"stream": {"lag_ms": [1]}}, "stream.lag_ms"),
+], ids=["put-scale", "put-wait_timeout", "put_stream-scale",
+        "put_stream-wait_timeout", "put_stream-stream.seq",
+        "put_stream-stream.lag_ms"])
+def test_bad_header_field_is_rejected_before_the_spool(tmp_path, op, fields,
+                                                      name):
+    dump = profile_dump_bytes({"alpha": lambda n: 2 * n})
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            with pytest.raises(ServiceError,
+                               match=f"bad header field {name}: "):
+                upload(client, op, dump, **fields)
+            # nothing touched the disk: no store, no spool file
+            assert not os.path.exists(server.tenants.path("web"))
+            assert client.runs() == []
+        found = server.registry.find("service.uploads.rejected",
+                                     reason="bad_header")
+        assert found and found[0]["value"] == 1
+        assert server.registry.find("service.uploads.accepted") == []
 
 
 def test_stop_drains_queued_jobs(tmp_path):

@@ -461,11 +461,12 @@ def test_live_recording_writes_the_plain_trace(name, tmp_path):
     ["profile", "350.md", "--sample", "-3", "--dump", "{out}"],
     ["serve", "--root", "{out}", "--workers", "0"],
     ["serve", "--root", "{out}", "--capacity", "0"],
+    ["serve", "--root", "{out}", "--slo-window", "0"],
     ["overhead", "352.nab", "--threads", "2", "--scale", "0.1", "--repeats", "0",
      "--telemetry", "{out}"],
 ], ids=["watch-interval-negative", "watch-timeout-0", "watch-top-negative",
         "watch-top-0", "profile-sample-negative", "serve-workers", "serve-capacity",
-        "overhead-repeats"])
+        "serve-slo-window", "overhead-repeats"])
 def test_non_positive_options_exit_2_before_any_work(argv, tmp_path, capsys):
     """A count below 1 or a duration of 0 or less is a usage error at
     parse time: no profile dump, tenant root or telemetry log is

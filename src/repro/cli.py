@@ -94,6 +94,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of a same-class cost ratio: at least 1.0 (below it,
+    equal costs would count as slower)."""
+    value = _positive_float(text)
+    if value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be at least 1.0, got {text}")
+    return value
+
+
 class _UnusableOutput(Exception):
     """An output file of the command could not be opened (exit 2)."""
 
@@ -249,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("new", help="candidate profile dump")
     diff.add_argument("--min-points", type=int, default=4, metavar="N",
                       help="distinct plot points a growth fit needs (default 4)")
-    diff.add_argument("--tolerance", type=float, default=1.30, metavar="T",
+    diff.add_argument("--tolerance", type=_tolerance, default=1.30, metavar="T",
                       help="same-class cost ratio counted as slower/faster "
                            "(default 1.30)")
     diff.add_argument("--fail-on", metavar="V[,V…]", default=None,
@@ -277,16 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--git-sha", default="", help="commit the run profiles")
     ingest.add_argument("--scale", type=float, default=0.0,
                         help="workload scale the run was taken at")
-    ingest.add_argument("--top-k", type=int, default=10, metavar="K",
-                        help="routines whose raw plot points are stored "
-                             "(default 10)")
 
     report = observed.add_parser(
         "report", help="render the fleet dashboard of a store"
     )
     report.add_argument("--store", required=True, metavar="DIR")
-    report.add_argument("--tolerance", type=float, default=1.30, metavar="T")
-    report.add_argument("--limit", type=int, default=20, metavar="N",
+    report.add_argument("--tolerance", type=_tolerance, default=1.30, metavar="T")
+    report.add_argument("--limit", type=_positive_int, default=20, metavar="N",
                         help="trajectory rows in the ASCII dashboard")
     report.add_argument("--html", metavar="FILE",
                         help="also write the dashboard as one HTML file")
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "alerts", help="print the severity-ranked drift alert feed"
     )
     alerts.add_argument("--store", required=True, metavar="DIR")
-    alerts.add_argument("--tolerance", type=float, default=1.30, metavar="T")
+    alerts.add_argument("--tolerance", type=_tolerance, default=1.30, metavar="T")
     alerts.add_argument("--fail-on", metavar="V[,V…]", default=None,
                         help="exit 1 when any listed verdict appears "
                              "(e.g. regressed or regressed,slower)")
@@ -768,6 +774,7 @@ def _cmd_observe(args, out) -> int:
         render_alert_feed,
         render_observatory_html,
         render_observatory_report,
+        store_exists,
     )
 
     if args.observe_command == "ingest":
@@ -788,13 +795,12 @@ def _cmd_observe(args, out) -> int:
                         result = ingest_bytes(
                             store, sys.stdin.buffer.read(),
                             run_id=args.run_id, git_sha=args.git_sha,
-                            scale=args.scale, top_k=args.top_k,
+                            scale=args.scale,
                         )
                     else:
                         result = ingest_path(
                             store, path, run_id=args.run_id,
                             git_sha=args.git_sha, scale=args.scale,
-                            top_k=args.top_k,
                         )
                 except (ValueError, OSError) as error:
                     out.write(f"error: {error}\n")
@@ -806,6 +812,10 @@ def _cmd_observe(args, out) -> int:
         out.write(f"store {args.store}: {len(store)} run(s)\n")
         return 1 if failures else 0
 
+    # the other subcommands read a store: opening one would create it
+    if not store_exists(args.store):
+        out.write(f"error: no observatory store at {args.store}\n")
+        return 2
     store = ObservatoryStore(args.store)
     if args.observe_command == "report":
         with telemetry.span("observe.report", runs=len(store)):
@@ -870,9 +880,8 @@ def _cmd_serve(args, out) -> int:
         out.flush()     # line-oriented consumers (CI smoke) parse the port
     with telemetry.span("serve", root=args.root):
         drained = server.serve_forever()
-    depth = server.queue.depth()
     out.write(f"shutdown: {'drained' if drained else 'drain timed out'} "
-              f"({depth} job(s) abandoned)\n")
+              f"({server.queue.abandoned} job(s) abandoned)\n")
     return 0 if drained else 1
 
 

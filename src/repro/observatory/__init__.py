@@ -50,6 +50,7 @@ from .store import (
     ObservatoryStore,
     RunInfo,
     RunRecord,
+    store_exists,
 )
 
 __all__ = [
@@ -79,4 +80,5 @@ __all__ = [
     "ObservatoryStore",
     "RunInfo",
     "RunRecord",
+    "store_exists",
 ]

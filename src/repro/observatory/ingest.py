@@ -60,7 +60,7 @@ __all__ = [
 #: it every affine fit degenerates (two points fit every basis exactly)
 MIN_FIT_POINTS = 3
 
-#: default number of routines whose raw plot points are stored per run
+#: routines (by total cost) whose raw plot points are stored per run
 DEFAULT_TOP_K = 10
 
 
@@ -99,7 +99,6 @@ def record_from_profile_db(
     timestamp: str = "",
     scale: float = 0.0,
     source: str = "profile",
-    top_k: int = DEFAULT_TOP_K,
 ) -> RunRecord:
     """Fit every merged routine of ``db`` into curve rows.
 
@@ -135,7 +134,7 @@ def record_from_profile_db(
     raw_points = {
         profile.routine: [(int(size), int(cost))
                           for size, cost in profile.worst_case_points()]
-        for profile in top[:top_k]
+        for profile in top[:DEFAULT_TOP_K]
     }
     return RunRecord(
         run_id=run_id,
@@ -216,7 +215,6 @@ def record_from_checkpoint(
     run_id: Optional[str] = None,
     git_sha: str = "",
     scale: float = 0.0,
-    top_k: int = DEFAULT_TOP_K,
 ) -> RunRecord:
     """A streaming checkpoint as a *partial* run record.
 
@@ -237,7 +235,6 @@ def record_from_checkpoint(
         timestamp=str(manifest.get("timestamp") or ""),
         scale=scale,
         source="stream",
-        top_k=top_k,
     )
     metrics = dict(record.metrics)
     metrics.update({
@@ -275,7 +272,6 @@ def ingest_checkpoint(
     run_id: Optional[str] = None,
     git_sha: str = "",
     scale: float = 0.0,
-    top_k: int = DEFAULT_TOP_K,
 ) -> IngestResult:
     """Ingest the newest checkpoint of a stream directory, superseding.
 
@@ -288,7 +284,7 @@ def ingest_checkpoint(
 
     manifest, db = load_checkpoint(directory)
     record = record_from_checkpoint(manifest, db, run_id=run_id,
-                                    git_sha=git_sha, scale=scale, top_k=top_k)
+                                    git_sha=git_sha, scale=scale)
     return _ingest_checkpoint_record(store, record, manifest)
 
 
@@ -299,7 +295,6 @@ def ingest_stream_dump(
     run_id: Optional[str] = None,
     git_sha: str = "",
     scale: float = 0.0,
-    top_k: int = DEFAULT_TOP_K,
 ) -> IngestResult:
     """Ingest a checkpoint dump shipped over the wire.
 
@@ -314,7 +309,7 @@ def ingest_stream_dump(
 
     db = load_profile(io.StringIO(data.decode("utf-8")))
     record = record_from_checkpoint(stream_meta, db, run_id=run_id,
-                                    git_sha=git_sha, scale=scale, top_k=top_k)
+                                    git_sha=git_sha, scale=scale)
     return _ingest_checkpoint_record(store, record, stream_meta)
 
 
@@ -342,7 +337,6 @@ def ingest_path(
     git_sha: str = "",
     timestamp: str = "",
     scale: float = 0.0,
-    top_k: int = DEFAULT_TOP_K,
 ) -> IngestResult:
     """Sniff ``path`` and ingest it; see the module docstring.
 
@@ -365,7 +359,7 @@ def ingest_path(
         checkpoint_dir = os.path.dirname(path) or "."
     if checkpoint_dir is not None:
         return ingest_checkpoint(store, checkpoint_dir, run_id=run_id,
-                                 git_sha=git_sha, scale=scale, top_k=top_k)
+                                 git_sha=git_sha, scale=scale)
 
     if not os.path.isdir(path) and is_binary_trace(path):
         from ..farm import analyze_file
@@ -378,7 +372,6 @@ def ingest_path(
             timestamp=timestamp or _mtime_iso(path),
             scale=scale,
             source="trace",
-            top_k=top_k,
         )
     elif _looks_like_telemetry(path):
         from ..telemetry import TelemetryRun, resolve_log_path
@@ -401,7 +394,6 @@ def ingest_path(
             git_sha=git_sha,
             timestamp=timestamp or _mtime_iso(path),
             scale=scale,
-            top_k=top_k,
         )
     elif path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as stream:
@@ -467,7 +459,6 @@ def ingest_bytes(
     git_sha: str = "",
     timestamp: str = "",
     scale: float = 0.0,
-    top_k: int = DEFAULT_TOP_K,
 ) -> IngestResult:
     """Ingest an in-memory artefact (same sniffing as :func:`ingest_path`).
 
@@ -491,7 +482,6 @@ def ingest_bytes(
             git_sha=git_sha,
             timestamp=timestamp or "-",
             scale=scale,
-            top_k=top_k,
         )
     finally:
         os.unlink(path)

@@ -61,6 +61,7 @@ __all__ = [
     "RunInfo",
     "CurveRow",
     "ObservatoryStore",
+    "store_exists",
 ]
 
 STORE_SCHEMA = "repro-observatory/1"
@@ -169,6 +170,12 @@ def _is_late(stored: RunRecord, incoming: RunRecord) -> bool:
     return bool(stored.metrics.get("streaming.closed")) or (
         incoming.metrics.get("streaming.seq", 0.0)
         < stored.metrics.get("streaming.seq", 0.0))
+
+
+def store_exists(root: str) -> bool:
+    """True when ``root`` holds a store (its ``history.jsonl``): the test
+    every read path makes first, since opening a store creates one."""
+    return os.path.isfile(os.path.join(root, HISTORY_FILENAME))
 
 
 class ObservatoryStore:

@@ -21,7 +21,9 @@ Semantics, all enforced by ``tests/service/test_jobs.py``:
   the same way;
 * **graceful drain**: :meth:`drain` stops intake, waits for queued and
   in-flight jobs to finish (bounded by a deadline), then stops the
-  workers — the SIGTERM path of ``repro serve``.
+  workers — the SIGTERM path of ``repro serve``.  A job still queued at
+  the deadline is failed unrun ("abandoned at shutdown"), so its waiters
+  wake and the observer can release what it holds.
 """
 
 from __future__ import annotations
@@ -131,6 +133,8 @@ class JobQueue:
         self._accepting = True
         self._stopped = False
         self._counter = 0
+        #: jobs a timed-out :meth:`drain` failed without running them
+        self.abandoned = 0
         self._workers: List[threading.Thread] = []
         for index in range(workers):
             thread = threading.Thread(target=self._work, daemon=True,
@@ -228,22 +232,34 @@ class JobQueue:
 
         Returns ``True`` when the queue fully emptied before the
         ``deadline`` (seconds); on ``False`` the workers are stopped
-        anyway and any still-pending jobs stay queued, never run.
-        ``drain(0)`` is the immediate stop: in-flight jobs finish,
-        pending ones never start.
+        anyway, and every job still pending is failed without running:
+        its error says it was abandoned at shutdown, its ``done_event``
+        is set and the observer hears ``failed`` (:attr:`abandoned`
+        counts them).  ``drain(0)`` is the immediate stop: in-flight
+        jobs finish, pending ones never start.
         """
         limit = None if deadline is None else time.monotonic() + deadline
         drained = True
+        abandoned: List[Job] = []
         with self._lock:
             self._accepting = False
             while self._pending or self._in_flight:
                 remaining = None if limit is None else limit - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     drained = False
+                    abandoned = list(self._pending)
+                    self._pending.clear()
                     break
                 self._idle.wait(timeout=remaining)
             self._stopped = True
             self._not_empty.notify_all()
+        for job in abandoned:
+            job.error = "abandoned at shutdown: the drain timed out; never run"
+            job.status = FAILED
+            job.finished_at = time.monotonic()
+            job.done_event.set()
+            self._notify(FAILED, job)
+        self.abandoned += len(abandoned)
         for thread in self._workers:
             thread.join(timeout=5.0)
         return drained

@@ -17,9 +17,11 @@ profiling-as-a-service:
   are rejected at the door by content digest (idempotent ingest,
   before any analysis), and a full queue pushes back instead of
   buffering without bound;
-* **read side** — ``runs`` / ``alerts`` / ``report`` / ``stats`` serve
-  the run history, the drift-alert feed and the fleet dashboards
-  (JSON, ASCII or HTML) straight from the per-tenant stores;
+* **read side** — ``runs`` / ``alerts`` / ``report`` serve the run
+  history, the drift-alert feed and the fleet dashboards (JSON, ASCII
+  or HTML) from the per-tenant stores through one reader, which the
+  HTTP views share and which never creates a store (``stats`` reports
+  on the server itself);
 * **tenancy** — every operation names a tenant; each tenant owns an
   isolated store under ``<root>/<tenant>/``
   (:mod:`repro.service.tenants`);
@@ -43,15 +45,17 @@ profiling-as-a-service:
 * **lifecycle** — ``start`` binds, ``serve_forever`` accepts until a
   shutdown is requested; SIGTERM/SIGINT (or the ``shutdown`` op) stop
   intake, drain queued and in-flight jobs to completion (bounded by
-  ``drain_timeout``), then close the stores.
+  ``drain_timeout``; a job still queued then fails unrun and its spool
+  file is removed), then close the stores.
 
 The same port also answers plain HTTP ``GET``/``HEAD`` (sniffed from
 the first bytes; other verbs get 405): ``/`` (tenant index),
 ``/stats`` (JSON), ``/metrics`` (Prometheus text exposition), ``/slo``
 (JSON), ``/<tenant>`` (HTML dashboard),
 ``/<tenant>/report|alerts|runs`` — so a browser or a scraper can watch
-a store the wire protocol feeds.  A tenant with no store answers 404:
-the read-only side never creates one.
+a store the wire protocol feeds.  Each tenant route is the body of its
+wire op's reply (``runs``, ``alerts``, ``report`` in ASCII or HTML), and
+a tenant with no store answers 404.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..observatory import artefact_suffix, detect_drift, ingest_path, ingest_stream_dump
+from ..observatory import render_alert_feed, render_observatory_html, render_observatory_report
 from ..telemetry.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..telemetry.prometheus import render_prometheus
 from ..telemetry.registry import MetricsRegistry
@@ -77,9 +82,22 @@ from .wire import MAGIC, WireError, recv_frame, send_frame
 
 __all__ = ["ProfileServer"]
 
+#: the tenant views, each a read op: op -> the formats it renders (the
+#: first is the default); :meth:`ProfileServer._read` serves them all
+_VIEWS = {"runs": ("json",), "alerts": ("json", "ascii"),
+          "report": ("ascii", "html")}
+
+#: the HTTP tenant routes ``/<tenant>[/<view>]`` (no view: ``html``):
+#: view -> (op, format, content type); a ``json`` route's body is its
+#: op's reply field
+_HTTP_VIEWS = {"html": ("report", "html", "text/html; charset=utf-8"),
+               "report": ("report", "ascii", "text/plain; charset=utf-8"),
+               "alerts": ("alerts", "json", "application/json"),
+               "runs": ("runs", "json", "application/json")}
+
 #: ops a request header may name
-_OPS = ("ping", "put", "put_stream", "job", "runs", "alerts", "report",
-        "stats", "tenants", "shutdown")
+_OPS = ("ping", "put", "put_stream", "job", *_VIEWS, "stats", "tenants",
+        "shutdown")
 
 #: the ``stream`` fields of a ``put_stream`` header besides its id:
 #: (name, type, value when absent)
@@ -95,20 +113,25 @@ _HTTP_VERBS = (b"GET ", b"HEAD ", b"POST ", b"PUT ", b"DELETE ",
 
 
 class _BadHeader(ValueError):
-    """An upload header field that does not parse (the message names it)."""
+    """A request header field that does not parse or is out of range (the
+    message names it)."""
 
 
-def _field(fields: Dict, name: str, kind: Callable, default, prefix: str = ""):
-    """``kind(fields[name])``, or ``default`` when the field is absent or
-    falsy; a value ``kind`` cannot take raises :class:`_BadHeader`."""
+def _field(fields: Dict, name: str, kind: Callable, default, prefix: str = "",
+           low=None):
+    """``kind(fields[name])``, or ``default`` when the field is absent,
+    null or ``""``; a value ``kind`` cannot take, or one below ``low``,
+    raises :class:`_BadHeader`."""
     value = fields.get(name)
-    if not value:
+    if value is None or value == "":
         return default
     try:
-        return kind(value)
+        parsed = kind(value)
+        if low is None or parsed >= low:
+            return parsed
     except (TypeError, ValueError):
-        raise _BadHeader(
-            f"bad header field {prefix}{name}: {value!r:.80}") from None
+        pass
+    raise _BadHeader(f"bad header field {prefix}{name}: {value!r:.80}")
 
 
 def _upload_fields(header: Dict) -> Tuple[Dict, Optional[float]]:
@@ -180,19 +203,21 @@ class ProfileServer:
             return
         self._bump(f"service.jobs.{what}")
         started, finished = job.started_at, job.finished_at
-        assert started is not None and finished is not None  # the worker ran it
-        latency_ms = (finished - started) * 1000.0
-        self._observe_ms("service.ingest_ms", latency_ms, tenant=job.tenant)
-        self.slo.record_ingest(job.tenant, latency_ms, ok=(what == DONE))
-        trace = job.trace
-        if trace is not None:
-            # the queue wait is only known once a worker picked the job
-            # up — record it retroactively into the trace
-            telemetry.emit_span(
-                "server.queue_wait", trace["enqueued_time"],
-                started - job.enqueued_at,
-                trace_id=trace["id"], parent_uid=trace["parent"],
-                job=job.job_id, tenant=job.tenant)
+        # a job abandoned at shutdown failed without running: it has no
+        # latency and no queue wait, only a spool file to remove
+        if started is not None and finished is not None:
+            latency_ms = (finished - started) * 1000.0
+            self._observe_ms("service.ingest_ms", latency_ms, tenant=job.tenant)
+            self.slo.record_ingest(job.tenant, latency_ms, ok=(what == DONE))
+            trace = job.trace
+            if trace is not None:
+                # the queue wait is only known once a worker picked the
+                # job up — record it retroactively into the trace
+                telemetry.emit_span(
+                    "server.queue_wait", trace["enqueued_time"],
+                    started - job.enqueued_at,
+                    trace_id=trace["id"], parent_uid=trace["parent"],
+                    job=job.job_id, tenant=job.tenant)
         try:
             os.unlink(job.path)
         except OSError:
@@ -415,13 +440,15 @@ class ProfileServer:
             return True
         self._bump("service.requests", op=op)
         try:
-            handler = getattr(self, f"_op_{op}")
+            handler = (self._op_view if op in _VIEWS
+                       else getattr(self, f"_op_{op}"))
             return handler(sock, header, payload)
         except TenantError as error:
             self._reply_error(sock, str(error))
             return True
         except _BadHeader as error:
-            self._bump("service.uploads.rejected", reason="bad_header")
+            if op in ("put", "put_stream"):     # a bad read is no upload
+                self._bump("service.uploads.rejected", reason="bad_header")
             self._reply_error(sock, str(error))
             return True
         except Exception as error:  # noqa: BLE001 - connection boundary
@@ -577,53 +604,42 @@ class ProfileServer:
         self._reply(sock, {"ok": True, "op": "job", **job.snapshot()})
         return True
 
-    def _op_runs(self, sock, header, payload) -> bool:
+    def _op_view(self, sock, header, payload) -> bool:
+        """``runs``, ``alerts`` and ``report``: one tenant view."""
+        op = header["op"]
         tenant = self._tenant_of(header)
-        with self.tenants.lock(tenant):
-            store = self.tenants.store(tenant)
-            runs = [info._asdict() for info in store.runs()]
-        self._reply(sock, {"ok": True, "op": "runs", "tenant": tenant,
-                           "runs": runs})
-        return True
-
-    def _op_alerts(self, sock, header, payload) -> bool:
-        tenant = self._tenant_of(header)
-        tolerance = float(header.get("tolerance") or 1.30)
-        with self.tenants.lock(tenant):
-            store = self.tenants.store(tenant)
-            alerts = detect_drift(store, tolerance=tolerance)
-        body = b""
-        if header.get("format") == "ascii":
-            from ..observatory import render_alert_feed
-
-            body = render_alert_feed(alerts).encode("utf-8")
-        self._reply(sock, {"ok": True, "op": "alerts", "tenant": tenant,
-                           "alerts": [alert._asdict() for alert in alerts]},
+        fields, body = self._read(op, tenant, header)
+        self._reply(sock, {"ok": True, "op": op, "tenant": tenant, **fields},
                     body)
         return True
 
-    def _op_report(self, sock, header, payload) -> bool:
-        from ..observatory import render_observatory_html, render_observatory_report
-
-        tenant = self._tenant_of(header)
-        tolerance = float(header.get("tolerance") or 1.30)
-        fmt = str(header.get("format") or "ascii")
-        if fmt not in ("ascii", "html"):
-            self._reply_error(sock, f"unknown report format {fmt!r}")
-            return True
+    def _read(self, op: str, tenant: str, fields: Dict) -> Tuple[Dict, bytes]:
+        """The tenant view ``op`` (a ``_VIEWS`` key), for the wire and HTTP
+        alike: its reply fields and body.  The fields parse first; a tenant
+        with no store is ``no such tenant`` and gets no lock either.
+        """
+        formats = _VIEWS[op]
+        fmt = _field(fields, "format", str, formats[0])
+        if fmt not in formats:
+            raise _BadHeader(f"bad header field format: {fmt!r:.80}")
+        tolerance = _field(fields, "tolerance", float, 1.30, low=1.0)
+        limit = _field(fields, "limit", int, 20, low=1)
+        store = self.tenants.existing_store(tenant)
         with self.tenants.lock(tenant):
-            store = self.tenants.store(tenant)
-            if fmt == "html":
-                body = render_observatory_html(
-                    store, tolerance=tolerance,
-                    title=f"profile observatory: {tenant}")
-            else:
-                body = render_observatory_report(
-                    store, tolerance=tolerance,
-                    limit=int(header.get("limit") or 20))
-        self._reply(sock, {"ok": True, "op": "report", "tenant": tenant,
-                           "format": fmt}, body.encode("utf-8"))
-        return True
+            if op == "runs":
+                return {"runs": [info._asdict() for info in store.runs()]}, b""
+            if op == "report":
+                body = (render_observatory_html(
+                            store, tolerance=tolerance,
+                            title=f"profile observatory: {tenant}")
+                        if fmt == "html" else
+                        render_observatory_report(store, tolerance=tolerance,
+                                                  limit=limit))
+                return {"format": fmt}, body.encode("utf-8")
+            alerts = detect_drift(store, tolerance=tolerance)
+        feed = render_alert_feed(alerts) if fmt == "ascii" else ""
+        return ({"alerts": [alert._asdict() for alert in alerts]},
+                feed.encode("utf-8"))
 
     def _op_stats(self, sock, header, payload) -> bool:
         self._reply(sock, {"ok": True, "op": "stats", **self.stats()})
@@ -696,8 +712,6 @@ class ProfileServer:
                          head_only=(method == "HEAD"))
 
     def _http_route(self, path: str) -> Tuple[int, str, bytes]:
-        from ..observatory import render_observatory_html, render_observatory_report
-
         if path in ("/", ""):
             slo = self.slo.snapshot()
             rows = "".join(
@@ -739,30 +753,14 @@ class ProfileServer:
                     json.dumps(self.slo.snapshot(),
                                sort_keys=True).encode("utf-8"))
         parts = [part for part in path.split("/") if part]
-        tenant = validate_tenant(parts[0])
-        if tenant not in self.tenants.tenants():
-            # a read never creates a store (``/favicon.ico`` is no tenant)
-            return 404, "text/plain", f"no such tenant {tenant!r}".encode()
         view = parts[1] if len(parts) > 1 else "html"
-        with self.tenants.lock(tenant):
-            store = self.tenants.store(tenant)
-            if view == "html":
-                return (200, "text/html; charset=utf-8",
-                        render_observatory_html(
-                            store, title=f"profile observatory: {tenant}"
-                        ).encode("utf-8"))
-            if view == "report":
-                return (200, "text/plain; charset=utf-8",
-                        render_observatory_report(store).encode("utf-8"))
-            if view == "alerts":
-                alerts = [alert._asdict() for alert in detect_drift(store)]
-                return (200, "application/json",
-                        json.dumps(alerts, sort_keys=True).encode("utf-8"))
-            if view == "runs":
-                runs = [info._asdict() for info in store.runs()]
-                return (200, "application/json",
-                        json.dumps(runs, sort_keys=True).encode("utf-8"))
-        return 404, "text/plain", f"no such view {view!r}".encode("utf-8")
+        if view not in _HTTP_VIEWS:
+            return 404, "text/plain", f"no such view {view!r}".encode("utf-8")
+        op, fmt, ctype = _HTTP_VIEWS[view]
+        fields, body = self._read(op, parts[0], {"format": fmt})
+        if fmt == "json":
+            body = json.dumps(fields[op], sort_keys=True).encode("utf-8")
+        return 200, ctype, body
 
     def _http_reply(self, sock: socket.socket, status: int, ctype: str,
                     body: bytes,

@@ -17,6 +17,11 @@ Every store access goes through the tenant's re-entrant lock
 (:meth:`TenantManager.lock`): the store itself is a single-writer
 structure, so the service serialises per tenant while different
 tenants proceed in parallel on different worker threads.
+
+A tenant exists once its store does (:func:`~repro.observatory.store_exists`).
+Only uploads create one (:meth:`TenantManager.store`); every read goes
+through :meth:`TenantManager.existing_store`, so a mistyped tenant name
+gets ``no such tenant`` and leaves nothing on disk.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import re
 import threading
 from typing import Dict, List
 
-from ..observatory import ObservatoryStore
+from ..observatory import ObservatoryStore, store_exists
 
 __all__ = ["TENANT_RE", "DEFAULT_TENANT", "TenantError", "TenantManager"]
 
@@ -37,7 +42,8 @@ DEFAULT_TENANT = "default"
 
 
 class TenantError(ValueError):
-    """An invalid tenant name (never touches the filesystem)."""
+    """An invalid tenant name, or a read of a tenant that has no store
+    (neither touches the filesystem)."""
 
 
 def validate_tenant(name: str) -> str:
@@ -74,7 +80,8 @@ class TenantManager:
         return os.path.join(self.root, validate_tenant(tenant))
 
     def store(self, tenant: str) -> ObservatoryStore:
-        """The tenant's store, opened (and replayed) on first access.
+        """The tenant's store, opened (and replayed, or created) on first
+        access — the upload side's accessor.
 
         Callers must hold :meth:`lock` for any read or write — the
         store is not internally synchronised.
@@ -92,13 +99,21 @@ class TenantManager:
             opened.close()
         return store
 
+    def existing_store(self, tenant: str) -> ObservatoryStore:
+        """The tenant's store if it is open or on disk; else
+        :class:`TenantError` ``no such tenant`` (the read side's accessor:
+        it never creates a store)."""
+        if tenant not in self._stores and not store_exists(self.path(tenant)):
+            raise TenantError(f"no such tenant {tenant!r}")
+        return self.store(tenant)
+
     def tenants(self) -> List[str]:
-        """Every tenant present on disk or opened in memory, sorted."""
+        """Every tenant with a store on disk or opened in memory, sorted."""
         names = set(self._stores)
         try:
             for name in os.listdir(self.root):
                 if (TENANT_RE.match(name)
-                        and os.path.isdir(os.path.join(self.root, name))):
+                        and store_exists(os.path.join(self.root, name))):
                     names.add(name)
         except OSError:
             pass

@@ -3,7 +3,9 @@
 import io
 import json
 
-from repro.cli import main
+import pytest
+
+from repro.cli import build_parser, main
 from repro.farm import save_profile
 from repro.observatory import ObservatoryStore
 
@@ -124,6 +126,31 @@ def test_gc_drops_oldest_runs(tmp_path):
     assert len(ObservatoryStore(store)) == 2
     code, out = run_cli("observe", "gc", "--store", store, "--keep", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["report"],
+    ["alerts", "--fail-on", "regressed"],
+    ["gc", "--keep", "1"],
+], ids=["report", "alerts-fail-on", "gc"])
+def test_reads_refuse_a_missing_store(argv, tmp_path):
+    """A mistyped ``--store`` is an error, not a new empty store: an
+    alert gate over it must not pass."""
+    store = tmp_path / "typo"
+    code, out = run_cli("observe", argv[0], "--store", str(store), *argv[1:])
+    assert code == 2
+    assert out == f"error: no observatory store at {store}\n"
+    assert not store.exists()
+
+
+def test_ingest_has_no_top_k_flag(capsys):
+    """Every run keeps the raw plots of its 10 costliest routines; the
+    knob is gone.  Only the parser runs."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["observe", "ingest", "run.prof",
+                                   "--store", "obs", "--top-k", "5"])
+    assert exit_info.value.code == 2
+    assert "--top-k" in capsys.readouterr().err
 
 
 def test_ingest_bench_envelope_uses_its_run_identity(tmp_path):

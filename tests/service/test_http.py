@@ -8,10 +8,10 @@ import urllib.request
 
 import pytest
 
-from repro.service import ServiceClient
+from repro.service import ServiceClient, ServiceError
 from tools.check_metrics import check_metrics_text
 
-from .util import profile_dump_bytes, running_server
+from .util import drifting_dumps, profile_dump_bytes, running_server
 
 
 def raw_http(server, method, path="/"):
@@ -70,11 +70,64 @@ def test_unknown_tenant_and_view_are_404(tmp_path):
         assert not os.path.exists(server.tenants.path("favicon.ico"))
         assert server.tenants.tenants() == []
         with ServiceClient(server.host, server.port, tenant="web") as client:
-            client.ping()
-            client.runs()       # creates the tenant store
+            client.put_bytes(profile_dump_bytes({"alpha": lambda n: n}),
+                             wait=True)     # an upload creates the store
         with pytest.raises(urllib.error.HTTPError) as raised:
             urllib.request.urlopen(f"{base}/web/nonsense")
         assert raised.value.code == 404
+
+
+def tree(root):
+    """Every path under ``root`` but spool files (their worker removes
+    them after it answers the upload), relative and sorted."""
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*")
+                  if path.parent.name != "spool")
+
+
+@pytest.mark.parametrize("op", ["runs", "alerts", "report"])
+def test_read_of_a_tenant_without_a_store_creates_nothing(tmp_path, op):
+    """The wire op answers ``no such tenant`` and its HTTP routes 404;
+    neither creates a store, so the tenant root is left as it was."""
+    dump = profile_dump_bytes({"alpha": lambda n: n})
+    with running_server(tmp_path) as server:
+        root = tmp_path / "tenants"
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            client.put_bytes(dump, wait=True)
+        before = tree(root)
+        with ServiceClient(server.host, server.port, tenant="typo") as client:
+            with pytest.raises(ServiceError, match="no such tenant 'typo'"):
+                client.request({"op": op, "tenant": "typo"})
+        for path in ("/typo", f"/typo/{op}"):
+            status, _headers, body = raw_http(server, "GET", path)
+            assert (status, body) == (404, b"no such tenant 'typo'")
+        assert tree(root) == before
+        assert server.tenants.tenants() == ["web"]
+
+
+def test_http_views_are_their_wire_twins(tmp_path):
+    """Each HTTP tenant view's body equals its wire op's, byte for byte:
+    ``/<t>/runs`` and ``/<t>/alerts`` are the op's reply field as JSON,
+    ``/<t>/report`` the ASCII report and ``/<t>`` the HTML one."""
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            for index, dump in enumerate(drifting_dumps()):
+                client.put_bytes(dump, run_id=f"run-{index}", wait=True,
+                                 timestamp=f"2026-08-0{index + 1}T00:00:00+00:00")
+            runs = client.runs()
+            alerts, _feed = client.alerts()
+            wire = {
+                "/web/runs": json.dumps(runs, sort_keys=True).encode("utf-8"),
+                "/web/alerts": json.dumps(alerts, sort_keys=True).encode("utf-8"),
+                "/web/report": client.request(
+                    {"op": "report", "tenant": "web", "format": "ascii"})[1],
+                "/web": client.request(
+                    {"op": "report", "tenant": "web", "format": "html"})[1],
+            }
+        assert [alert["routine"] for alert in alerts] == ["victim"]
+        for path, body in wire.items():
+            status, _headers, http_body = raw_http(server, "GET", path)
+            assert status == 200
+            assert http_body == body, path
 
 
 def test_bad_request_line_is_400(tmp_path):

@@ -145,8 +145,12 @@ def test_failed_drain_leaves_pending_jobs_unrun():
     assert queue.drain(deadline=0.1) is False
     assert wait_for(lambda: "blocker" in ran)
     time.sleep(0.1)
-    # The queued job must never execute after a failed drain.
-    assert pending.status == QUEUED
+    # The queued job must never execute after a failed drain: it is
+    # failed unrun, and whoever waits on it wakes up.
+    assert pending.status == FAILED
+    assert "abandoned at shutdown" in pending.error
+    assert pending.done_event.is_set()
+    assert queue.abandoned == 1
     assert "pending" not in ran
 
 

@@ -13,6 +13,7 @@ import urllib.request
 import pytest
 
 from repro.service import (
+    FAILED,
     ProfileServer,
     ServiceClient,
     ServiceError,
@@ -203,23 +204,40 @@ def test_queue_full_pushes_back(tmp_path, op):
     ("put_stream", {"wait": True, "wait_timeout": "soon"}, "wait_timeout"),
     ("put_stream", {"stream": {"seq": "x"}}, "stream.seq"),
     ("put_stream", {"stream": {"lag_ms": [1]}}, "stream.lag_ms"),
+    ("alerts", {"tolerance": "abc"}, "tolerance"),
+    ("alerts", {"tolerance": 0.5}, "tolerance"),
+    ("report", {"limit": "x"}, "limit"),
+    ("report", {"limit": 0}, "limit"),
+    ("report", {"format": "xml"}, "format"),
 ], ids=["put-scale", "put-wait_timeout", "put_stream-scale",
         "put_stream-wait_timeout", "put_stream-stream.seq",
-        "put_stream-stream.lag_ms"])
+        "put_stream-stream.lag_ms", "alerts-tolerance-abc",
+        "alerts-tolerance-0.5", "report-limit-x", "report-limit-0",
+        "report-format"])
 def test_bad_header_field_is_rejected_before_the_spool(tmp_path, op, fields,
                                                       name):
+    """An upload field is checked before the spool, a read field before
+    the store lookup (the tenant has no store, yet the reply names the
+    field); only the upload counts as a rejected upload."""
     dump = profile_dump_bytes({"alpha": lambda n: 2 * n})
     with running_server(tmp_path) as server:
         with ServiceClient(server.host, server.port, tenant="web") as client:
             with pytest.raises(ServiceError,
-                               match=f"bad header field {name}: "):
-                upload(client, op, dump, **fields)
+                               match=f"^bad header field {name}: "):
+                if op in ("put", "put_stream"):
+                    upload(client, op, dump, **fields)
+                else:
+                    client.request({"op": op, "tenant": "web", **fields})
             # nothing touched the disk: no store, no spool file
             assert not os.path.exists(server.tenants.path("web"))
-            assert client.runs() == []
+            with pytest.raises(ServiceError, match="no such tenant 'web'"):
+                client.runs()
         found = server.registry.find("service.uploads.rejected",
                                      reason="bad_header")
-        assert found and found[0]["value"] == 1
+        if op in ("put", "put_stream"):
+            assert found and found[0]["value"] == 1
+        else:
+            assert found == []
         assert server.registry.find("service.uploads.accepted") == []
 
 
@@ -242,6 +260,57 @@ def test_stop_drains_queued_jobs(tmp_path):
             f"run-{index}" for index in range(5)]
     finally:
         store.close()
+
+
+def test_timed_out_drain_fails_queued_jobs_and_frees_their_waiters(tmp_path):
+    """A drain that times out fails every job still queued without
+    running it: its spool file goes and a ``wait`` put gets its answer."""
+    server = ProfileServer(str(tmp_path / "tenants"), workers=1,
+                           drain_timeout=0.2)
+    original = server.queue.handler
+
+    def slow(job):
+        time.sleep(1.0)
+        return original(job)
+
+    server.queue.handler = slow
+    server.start()
+    before = set(threading.enumerate())
+    replies = []
+
+    def put_and_wait():
+        with ServiceClient(server.host, server.port) as client:
+            replies.append(client.put_bytes(
+                profile_dump_bytes({"c": lambda n: n}), run_id="run-2",
+                wait=True))
+
+    try:
+        with ServiceClient(server.host, server.port) as client:
+            for index in range(2):
+                client.put_bytes(profile_dump_bytes({f"r{index}": lambda n: n}),
+                                 run_id=f"run-{index}")
+        waiter = threading.Thread(target=put_and_wait)
+        waiter.start()
+        assert wait_for(lambda: server.queue.depth() == 2)
+        assert server.stop() is False
+    finally:
+        server.stop()
+    waiter.join(5.0)
+    abandoned = [server.queue.status(f"j00000{index}") for index in (2, 3)]
+    assert [job.status for job in abandoned] == [FAILED, FAILED]
+    assert all(job.started_at is None and "abandoned at shutdown" in job.error
+               for job in abandoned)
+    assert server.queue.abandoned == 2
+    assert spool_files(server, "default") == []
+    # the server thread that served the waiting put is gone too
+    assert wait_for(lambda: not [
+        thread for thread in set(threading.enumerate()) - before
+        if thread.name.startswith("service-client-")])
+    assert not waiter.is_alive()
+    if replies:         # the socket may close before the reply is sent
+        assert replies[0]["status"] == FAILED
+    found = server.registry.find("service.jobs.failed")
+    assert found and found[0]["value"] == 2
 
 
 def test_shutdown_op_stops_accepting_connections(tmp_path):

@@ -106,9 +106,29 @@ def test_tenants_listing_unions_disk_and_memory(tmp_path):
     try:
         manager.store("opened")
         os.makedirs(root / "ondisk")
+        (root / "ondisk" / HISTORY_FILENAME).write_text("")
+        os.makedirs(root / "nostore")         # a directory alone is no store
         os.makedirs(root / "NotATenant")      # invalid slug: ignored
         (root / "afile").write_text("not a dir")
         assert manager.tenants() == ["ondisk", "opened"]
         assert DEFAULT_TENANT not in manager.tenants()
+    finally:
+        manager.close()
+
+
+def test_existing_store_never_creates_one(tmp_path):
+    root = tmp_path / "tenants"
+    manager = TenantManager(str(root))
+    try:
+        with pytest.raises(TenantError, match="no such tenant 'typo'"):
+            manager.existing_store("typo")
+        assert not (root / "typo").exists()
+        opened = manager.store("web")
+        assert manager.existing_store("web") is opened
+        other = TenantManager(str(root))      # finds it on disk
+        try:
+            assert len(other.existing_store("web")) == 0
+        finally:
+            other.close()
     finally:
         manager.close()

@@ -483,6 +483,43 @@ def test_non_positive_options_exit_2_before_any_work(argv, tmp_path, capsys):
     assert {path.name for path in tmp_path.iterdir()} <= {"sealed.rpt2"}
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["diff", "{old}", "{old}", "--tolerance", "0.5", "--fail-on", "slower"],
+     "must be at least 1.0"),
+    (["observe", "report", "--store", "{out}", "--tolerance", "0.9"],
+     "must be at least 1.0"),
+    (["observe", "alerts", "--store", "{out}", "--tolerance", "nan"],
+     "must be a positive, finite number"),
+    (["observe", "report", "--store", "{out}", "--limit", "0"],
+     "must be a positive integer"),
+    (["observe", "report", "--store", "{out}", "--limit", "-1"],
+     "must be a positive integer"),
+], ids=["diff-tolerance", "report-tolerance", "alerts-tolerance-nan",
+        "report-limit-0", "report-limit-negative"])
+def test_out_of_range_tolerance_and_limit_exit_2_before_any_work(
+        argv, message, tmp_path, capsys):
+    """A tolerance below 1.0 (two equal profiles would read as slower) or
+    a ``--limit`` below 1 is a usage error at parse time: no store is
+    created."""
+    from repro.core import ProfileDatabase
+    from repro.farm import save_profile
+
+    old = tmp_path / "old.profile"
+    if "{old}" in argv:
+        db = ProfileDatabase()
+        for size in (4, 8, 16, 32, 64):
+            db.add_activation("f", 1, size, 3 * size)
+        with open(old, "w") as stream:
+            save_profile(db, stream)
+    argv = [arg.format(out=tmp_path / "out", old=old) for arg in argv]
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and message in err
+    assert {path.name for path in tmp_path.iterdir()} <= {"old.profile"}
+
+
 @pytest.mark.parametrize("argv", [
     ["profile", "352.nab", "--threads", "2", "--scale", "0.2", "--dump", "{bad}"],
     ["profile", "352.nab", "--threads", "2", "--scale", "0.2", "--html", "{bad}"],

@@ -468,6 +468,7 @@ def _cmd_record(args, out) -> int:
         out.write(f"error: {error.args[0]}\n")
         return 2
     live_dir = getattr(args, "live", None)
+    live_errors: List[Exception] = []
     with telemetry.span("record", benchmark=bench.name) as record_span:
         with contextlib.ExitStack() as stack:
             names_stream = None
@@ -484,8 +485,16 @@ def _cmd_record(args, out) -> int:
                         args.output, live_dir,
                         checkpoint_events=args.checkpoint_events,
                         checkpoint_seconds=0.5)
+
+                    def follow() -> None:
+                        try:
+                            session.run()
+                        except Exception as error:  # noqa: BLE001 - reported below
+                            live_errors.append(error)
+                            session.tailer.close()
+
                     watcher = threading.Thread(
-                        target=session.run, name="repro-live", daemon=True)
+                        target=follow, name="repro-live", daemon=True)
                 else:   # an old recording's sidecar would name this trace's routines
                     with contextlib.suppress(FileNotFoundError):
                         os.remove(live_names_path(args.output))
@@ -509,6 +518,12 @@ def _cmd_record(args, out) -> int:
                 watcher.join(timeout=60.0)
         chunks = f", {len(writer.chunks)} chunks"
         if session is not None:
+            if live_errors or not session.finalized:
+                reason = (f"{type(live_errors[0]).__name__}: {live_errors[0]}"
+                          if live_errors else "no closed checkpoint within 60 s")
+                out.write(f"error: live session in {live_dir} failed ({reason}); "
+                          f"the trace {args.output} is complete\n")
+                return 2
             chunks += (f"; {len(session.checkpoints)} live checkpoint(s) "
                        f"in {live_dir}")
         record_span.set(events=writer.events_written)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from ..pytrace.api import TraceSession, traced
@@ -44,7 +45,8 @@ class BufferPool:
         self._frame_page: List[Optional[int]] = [None] * frames
         self._page_frame: Dict[int, int] = {}
         self._dirty: List[bool] = [False] * frames
-        self._lru: List[int] = list(range(frames))
+        #: frames from least to most recently used (the first is the victim)
+        self._lru: OrderedDict[int, None] = OrderedDict.fromkeys(range(frames))
         self.lock = TracedLock(session, "bufpool")
         self.fetches = 0
         self.hits = 0
@@ -52,19 +54,15 @@ class BufferPool:
     # The pool lock must be held for every method below; the engine's
     # read/write paths take it once per page operation.
 
-    def _touch(self, frame: int) -> None:
-        self._lru.remove(frame)
-        self._lru.append(frame)
-
     def _fetch(self, page_id: int) -> int:
         """Frame index holding ``page_id``, loading (and evicting) as needed."""
         self.fetches += 1
         frame = self._page_frame.get(page_id)
         if frame is not None:
             self.hits += 1
-            self._touch(frame)
+            self._lru.move_to_end(frame)
             return frame
-        frame = self._lru[0]
+        frame = next(iter(self._lru))
         victim = self._frame_page[frame]
         if victim is not None:
             if self._dirty[frame]:
@@ -74,12 +72,19 @@ class BufferPool:
         self.disk_manager.read_page(page_id, self.data, frame * self.page_size)
         self._frame_page[frame] = page_id
         self._page_frame[page_id] = frame
-        self._touch(frame)
+        self._lru.move_to_end(frame)
         return frame
 
     def read_cell(self, page_id: int, offset: int) -> int:
         frame = self._fetch(page_id)
         return self.data[frame * self.page_size + offset]
+
+    def read_cells(self, page_id: int, offset: int, count: int) -> List[int]:
+        """``count`` consecutive cells of one page: one fetch, then one
+        tracked read per cell, in order."""
+        base = self._fetch(page_id) * self.page_size + offset
+        data = self.data
+        return [data[base + index] for index in range(count)]
 
     def write_cell(self, page_id: int, offset: int, value: int) -> None:
         frame = self._fetch(page_id)

@@ -93,13 +93,11 @@ class HeapTable:
     # -- reads ----------------------------------------------------------------------
 
     def read_row(self, row_index: int) -> List[int]:
-        """Read one row through the buffer pool."""
+        """Read one row through the buffer pool (a row never spans pages,
+        so its page is fetched once)."""
         page_id, offset = self._locate(row_index)
         with self.pool.lock:
-            return [
-                self.pool.read_cell(page_id, offset + column)
-                for column in range(self.columns)
-            ]
+            return self.pool.read_cells(page_id, offset, self.columns)
 
     def scan(self) -> Iterator[List[int]]:
         """Yield every committed row, page by page, through the pool."""

@@ -35,10 +35,13 @@ from .ingest import (
     ingest_bytes,
     ingest_checkpoint,
     ingest_path,
+    ingest_record,
     ingest_stream_dump,
     record_from_checkpoint,
     record_from_envelope,
+    record_from_path,
     record_from_profile_db,
+    record_from_stream_dump,
     record_from_telemetry,
 )
 from .store import (
@@ -67,10 +70,13 @@ __all__ = [
     "ingest_bytes",
     "ingest_checkpoint",
     "ingest_path",
+    "ingest_record",
     "ingest_stream_dump",
     "record_from_checkpoint",
     "record_from_envelope",
+    "record_from_path",
     "record_from_profile_db",
+    "record_from_stream_dump",
     "record_from_telemetry",
     "HISTORY_FILENAME",
     "LOCK_FILENAME",

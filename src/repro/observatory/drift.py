@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Tuple
 
 from ..reporting.diffing import SEVERITY, classify_pair
-from .store import CurveRow, ObservatoryStore
+from .store import CurveRow, ObservatoryStore, RunInfo
 
 __all__ = [
     "Changepoint",
@@ -98,10 +98,19 @@ def trajectories(
     store: ObservatoryStore, tolerance: float = 1.30,
 ) -> List[RoutineTrajectory]:
     """Every routine's trajectory with its changepoints, by name."""
-    run_id_by_seq = {info.seq: info.run_id for info in store.runs()}
+    return _trajectories(store, store.runs(), tolerance)
+
+
+def _trajectories(
+    store: ObservatoryStore, runs: List[RunInfo], tolerance: float,
+) -> List[RoutineTrajectory]:
+    """:func:`trajectories` over ``store.runs()`` read once by the caller:
+    one run order serves every routine."""
+    order = {info.seq: position for position, info in enumerate(runs)}
+    run_id_by_seq = {info.seq: info.run_id for info in runs}
     result = []
     for routine in store.routines():
-        entries = store.curve_trajectory(routine)
+        entries = store.curve_trajectory(routine, order)
         run_ids = [run_id_by_seq.get(entry.run_seq, "?") for entry in entries]
         changepoints = []
         for previous, current, prev_id, cur_id in zip(
@@ -128,7 +137,7 @@ def detect_drift(
     runs = store.runs()
     if not runs:
         return []
-    all_trajectories = trajectories(store, tolerance)
+    all_trajectories = _trajectories(store, runs, tolerance)
     # added/removed are judged against *profiled* runs only — ingesting a
     # curveless run (a bench envelope, a telemetry log) must not make
     # every routine look removed

@@ -49,9 +49,12 @@ __all__ = [
     "record_from_telemetry",
     "record_from_envelope",
     "record_from_checkpoint",
+    "record_from_path",
+    "record_from_stream_dump",
     "artefact_suffix",
     "ingest_bytes",
     "ingest_checkpoint",
+    "ingest_record",
     "ingest_stream_dump",
     "ingest_path",
 ]
@@ -248,13 +251,23 @@ def record_from_checkpoint(
     return record._replace(metrics=metrics)
 
 
-def _ingest_checkpoint_record(
-    store: ObservatoryStore, record: RunRecord, manifest: Dict,
-) -> IngestResult:
+def ingest_record(store: ObservatoryStore, record: RunRecord) -> IngestResult:
+    """Add one built record to ``store``: the step every ``ingest_*`` ends in.
+
+    A streaming checkpoint's record (source ``stream``) supersedes the
+    stored version of its run; any other record is added once per run id.
+    """
+    if record.source != "stream":
+        ingested = store.add_run(record)
+        detail = (f"{len(record.curves)} curve(s), "
+                  f"{sum(len(p) for p in record.points.values())} point(s)"
+                  if record.curves or record.points
+                  else f"{len(record.metrics)} metric(s)")
+        return IngestResult(record.run_id, record.source, ingested, detail)
     ingested = store.add_run(record, supersede=True)
     seq = int(record.metrics["streaming.seq"])
     if ingested:
-        state = "final" if manifest.get("closed") else "partial"
+        state = "final" if record.metrics["streaming.closed"] else "partial"
         detail = f"checkpoint #{seq} ({state}), {len(record.curves)} curve(s)"
         return IngestResult(record.run_id, "stream", ingested, detail)
     stored = store.record_for(record.run_id)
@@ -283,9 +296,27 @@ def ingest_checkpoint(
     from ..streaming.snapshot import load_checkpoint
 
     manifest, db = load_checkpoint(directory)
-    record = record_from_checkpoint(manifest, db, run_id=run_id,
-                                    git_sha=git_sha, scale=scale)
-    return _ingest_checkpoint_record(store, record, manifest)
+    return ingest_record(store, record_from_checkpoint(
+        manifest, db, run_id=run_id, git_sha=git_sha, scale=scale))
+
+
+def record_from_stream_dump(
+    data: bytes,
+    stream_meta: Dict,
+    run_id: Optional[str] = None,
+    git_sha: str = "",
+    scale: float = 0.0,
+) -> RunRecord:
+    """The partial run record of a checkpoint dump shipped over the wire:
+    the full ``repro-profile 1`` bytes plus the manifest fields as
+    ``stream_meta`` (see :func:`record_from_checkpoint`)."""
+    import io
+
+    from ..farm import load_profile
+
+    db = load_profile(io.StringIO(data.decode("utf-8")))
+    return record_from_checkpoint(stream_meta, db, run_id=run_id,
+                                  git_sha=git_sha, scale=scale)
 
 
 def ingest_stream_dump(
@@ -298,19 +329,12 @@ def ingest_stream_dump(
 ) -> IngestResult:
     """Ingest a checkpoint dump shipped over the wire.
 
-    The service's ``put_stream`` op delivers the full ``repro-profile
-    1`` bytes plus the manifest fields as ``stream_meta`` — same
-    superseding semantics as :func:`ingest_checkpoint`, without
-    touching the uploader's filesystem.
+    The service's ``put_stream`` op delivers it; same superseding
+    semantics as :func:`ingest_checkpoint`, without touching the
+    uploader's filesystem.
     """
-    import io
-
-    from ..farm import load_profile
-
-    db = load_profile(io.StringIO(data.decode("utf-8")))
-    record = record_from_checkpoint(stream_meta, db, run_id=run_id,
-                                    git_sha=git_sha, scale=scale)
-    return _ingest_checkpoint_record(store, record, stream_meta)
+    return ingest_record(store, record_from_stream_dump(
+        data, stream_meta, run_id=run_id, git_sha=git_sha, scale=scale))
 
 
 # -- file sniffing -----------------------------------------------------------
@@ -340,14 +364,11 @@ def ingest_path(
 ) -> IngestResult:
     """Sniff ``path`` and ingest it; see the module docstring.
 
-    Accepts a ``repro-profile 1`` dump, a v2 binary trace (analysed
-    inline through the farm engine first), a ``telemetry.jsonl`` file (or a run directory
-    holding one), a ``repro-bench/1`` JSON envelope, or a streaming
-    checkpoint directory (holding ``CURRENT.json``; ingested with
-    superseding semantics — see :func:`ingest_checkpoint`).  Raises
+    Accepts a streaming checkpoint directory (holding ``CURRENT.json``;
+    ingested with superseding semantics — see :func:`ingest_checkpoint`)
+    or any file artefact :func:`record_from_path` reads.  Raises
     ``ValueError`` on anything else, ``OSError`` on unreadable paths.
     """
-    from ..farm import is_binary_trace, is_profile_dump, load_profile
     from ..streaming.snapshot import MANIFEST_NAME
 
     # Checkpoint directories first: a directory would otherwise sniff
@@ -360,6 +381,26 @@ def ingest_path(
     if checkpoint_dir is not None:
         return ingest_checkpoint(store, checkpoint_dir, run_id=run_id,
                                  git_sha=git_sha, scale=scale)
+    return ingest_record(store, record_from_path(
+        path, run_id=run_id, git_sha=git_sha, timestamp=timestamp, scale=scale))
+
+
+def record_from_path(
+    path: str,
+    run_id: Optional[str] = None,
+    git_sha: str = "",
+    timestamp: str = "",
+    scale: float = 0.0,
+) -> RunRecord:
+    """Sniff ``path`` and build its run record, with no store involved.
+
+    Accepts a ``repro-profile 1`` dump, a v2 binary trace (analysed
+    inline through the farm engine first), a ``telemetry.jsonl`` file
+    (or a run directory holding one) or a ``repro-bench/1`` JSON
+    envelope.  Raises ``ValueError`` on anything else, ``OSError`` on
+    unreadable paths.
+    """
+    from ..farm import is_binary_trace, is_profile_dump, load_profile
 
     if not os.path.isdir(path) and is_binary_trace(path):
         from ..farm import analyze_file
@@ -413,12 +454,7 @@ def ingest_path(
         raise ValueError(
             f"{path}: not a profile dump, v2 trace, telemetry run, bench "
             f"envelope or checkpoint directory")
-    ingested = store.add_run(record)
-    detail = (f"{len(record.curves)} curve(s), "
-              f"{sum(len(p) for p in record.points.values())} point(s)"
-              if record.curves or record.points
-              else f"{len(record.metrics)} metric(s)")
-    return IngestResult(record.run_id, record.source, ingested, detail)
+    return record
 
 
 # -- in-memory artefacts -----------------------------------------------------

@@ -444,14 +444,20 @@ class ObservatoryStore:
             exponent=exponent,
         )
 
-    def curve_trajectory(self, routine: str) -> List[CurveRow]:
-        """The routine's fitted curves across runs, in run order."""
+    def curve_trajectory(self, routine: str,
+                         order: Optional[Dict[int, int]] = None) -> List[CurveRow]:
+        """The routine's fitted curves across runs, in run order.
+
+        ``order`` is :meth:`run_order`, for a caller that reads many
+        trajectories from one history and so computes it once.
+        """
         routine_id = self._ids.get(routine)
         if routine_id is None:
             return []
         rows = self._engine.execute(
             f"SELECT * FROM curves WHERE routine = {routine_id}")
-        order = self.run_order()
+        if order is None:
+            order = self.run_order()
         curves = [self._curve_row(row) for row in rows]
         curves.sort(key=lambda curve: order.get(curve.run_seq, -1))
         return curves

@@ -70,7 +70,9 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..observatory import artefact_suffix, detect_drift, ingest_path, ingest_stream_dump
+from ..observatory import (
+    artefact_suffix, detect_drift, ingest_record, record_from_path, record_from_stream_dump,
+)
 from ..observatory import render_alert_feed, render_observatory_html, render_observatory_report
 from ..telemetry.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from ..telemetry.prometheus import render_prometheus
@@ -240,13 +242,22 @@ class ProfileServer:
     def _ingest_job(self, job: Job) -> Dict:
         with telemetry.span("server.ingest", tenant=job.tenant):
             with self.tenants.lock(job.tenant):
-                store = self.tenants.store(job.tenant)
-                if job.kind == "stream":
-                    with open(job.path, "rb") as stream:
-                        result = ingest_stream_dump(store, stream.read(),
-                                                    **job.params)
-                else:
-                    result = ingest_path(store, job.path, **job.params)
+                try:
+                    if job.kind == "stream":
+                        with open(job.path, "rb") as stream:
+                            record = record_from_stream_dump(stream.read(),
+                                                             **job.params)
+                    else:
+                        record = record_from_path(job.path, **job.params)
+                except (OSError, ValueError) as error:
+                    message = str(error)
+                    if job.path not in message:
+                        raise
+                    # the spool file is the server's own business
+                    raise type(error)(message.replace(
+                        job.path, f"job {job.job_id}")) from None
+                # only an upload that parsed opens, and so creates, the store
+                result = ingest_record(self.tenants.store(job.tenant), record)
         if not result.ingested:
             self._bump("service.uploads.duplicate")
         return {
@@ -481,7 +492,8 @@ class ProfileServer:
         digest = hashlib.sha256(payload).hexdigest()[:32]
         run_id = params["run_id"] or digest
         with self.tenants.lock(tenant):
-            known = self.tenants.store(tenant).has_run(run_id)
+            store = self.tenants.find(tenant)
+            known = store is not None and store.has_run(run_id)
         if known:
             # Arafa-style redundancy suppression at the door: the
             # duplicate never reaches the spool, the queue or a worker.

@@ -19,9 +19,10 @@ structure, so the service serialises per tenant while different
 tenants proceed in parallel on different worker threads.
 
 A tenant exists once its store does (:func:`~repro.observatory.store_exists`).
-Only uploads create one (:meth:`TenantManager.store`); every read goes
-through :meth:`TenantManager.existing_store`, so a mistyped tenant name
-gets ``no such tenant`` and leaves nothing on disk.
+Only an upload that adds a run creates one (:meth:`TenantManager.store`);
+the upload door check and every read go through
+:meth:`TenantManager.find`, so a mistyped tenant name gets ``no such
+tenant`` and a failed upload leaves no store on disk.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 import re
 import threading
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..observatory import ObservatoryStore, store_exists
 
@@ -99,13 +100,20 @@ class TenantManager:
             opened.close()
         return store
 
-    def existing_store(self, tenant: str) -> ObservatoryStore:
-        """The tenant's store if it is open or on disk; else
-        :class:`TenantError` ``no such tenant`` (the read side's accessor:
-        it never creates a store)."""
+    def find(self, tenant: str) -> Optional[ObservatoryStore]:
+        """The tenant's store if it is open or on disk, else None: it never
+        creates a store."""
         if tenant not in self._stores and not store_exists(self.path(tenant)):
-            raise TenantError(f"no such tenant {tenant!r}")
+            return None
         return self.store(tenant)
+
+    def existing_store(self, tenant: str) -> ObservatoryStore:
+        """:meth:`find`, or :class:`TenantError` ``no such tenant`` (the
+        read side's accessor)."""
+        store = self.find(tenant)
+        if store is None:
+            raise TenantError(f"no such tenant {tenant!r}")
+        return store
 
     def tenants(self) -> List[str]:
         """Every tenant with a store on disk or opened in memory, sorted."""

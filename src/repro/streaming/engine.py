@@ -209,10 +209,15 @@ class LiveProfileSession:
 
     def run(self, poll_interval: float = 0.05,
             timeout: Optional[float] = None) -> ProfileDatabase:
-        """Poll until the trace seals and drains, then finalize."""
+        """Poll until the trace seals and drains, then finalize.
+
+        A poll that consumed nothing sleeps ``poll_interval`` before the
+        next one, unless it found the seal with every chunk delivered:
+        then the loop ends at once.
+        """
         deadline = None if timeout is None else time.perf_counter() + timeout
         while not self.drained:
-            if not self.step():
+            if not self.step() and not self.drained:
                 if deadline is not None and time.perf_counter() > deadline:
                     break
                 time.sleep(poll_interval)

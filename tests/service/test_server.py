@@ -106,10 +106,36 @@ def test_malformed_envelope_fails_job_with_recorded_error(tmp_path):
             reply = client.put_bytes(payload, wait=True)
             assert reply["status"] == "failed"
             assert "repro-bench/1" in reply["error"]
-            assert client.runs() == []
+            # the failed upload added no run, so it created no store
+            with pytest.raises(ServiceError, match="no such tenant 'default'"):
+                client.runs()
         assert wait_for(lambda: spool_files(server, "default") == [])
         found = server.registry.find("service.jobs.failed")
         assert found and found[0]["value"] == 1
+
+
+@pytest.mark.parametrize("op", ["put", "put_stream"])
+def test_failed_upload_creates_no_tenant(tmp_path, op):
+    """Only an upload that adds a run creates its tenant's store, and a
+    failed job's error names the job, not the server's spool path."""
+    payload = (b'{"schema": "bogus", "metrics": {}}\n' if op == "put"
+               else b"not a profile dump\n")
+    root = str(tmp_path / "tenants")
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="bad") as client:
+            reply = upload(client, op, payload, wait=True)
+            assert reply["status"] == "failed"
+            assert root not in reply["error"]
+            if op == "put":
+                assert reply["error"] == (f"ValueError: job {reply['job']}: "
+                                          f"not a repro-bench/1 envelope")
+            assert client.tenants() == []
+            assert not os.path.exists(
+                os.path.join(server.tenants.path("bad"), "history.jsonl"))
+            reply = upload(client, op, profile_dump_bytes({"a": lambda n: n}),
+                           wait=True)
+            assert reply["status"] == "done"
+            assert client.tenants() == ["bad"]
 
 
 def test_empty_payload_rejected(tmp_path):

@@ -74,6 +74,30 @@ def test_unusable_output_paths_are_one_error_line(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker"]
 
 
+def test_record_live_exits_2_when_its_session_dies(tmp_path, monkeypatch):
+    """A live session that raises is one ``error:`` line and exit 2, not a
+    traceback and a ``0 live checkpoint(s)`` success; the trace is still
+    the one a plain ``record`` writes."""
+    from repro.streaming.snapshot import SnapshotWriter
+
+    def emit(self, *args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(SnapshotWriter, "emit", emit)
+    live, plain = str(tmp_path / "live.rpt2"), str(tmp_path / "plain.rpt2")
+    ckpt = str(tmp_path / "ckpt")
+    code, output = run_cli("record", "376.kdtree", live, "--threads", "2",
+                           "--scale", "0.2", "--live", ckpt,
+                           "--checkpoint-events", "500")
+    assert code == 2
+    assert output == (f"error: live session in {ckpt} failed (OSError: no "
+                      f"space left on device); the trace {live} is complete\n")
+    code, _ = run_cli("record", "376.kdtree", plain, "--threads", "2",
+                      "--scale", "0.2")
+    assert code == 0
+    assert filecmp.cmp(live, plain, shallow=False)
+
+
 def test_plain_record_removes_a_stale_names_sidecar(tmp_path):
     """An earlier ``--live`` recording's sidecar would name the routines
     of a plain re-recording wrongly for a co-tailing ``watch``."""

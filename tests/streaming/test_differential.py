@@ -10,6 +10,7 @@ chunk-arrival schedules and compare dumps byte for byte.
 
 import os
 import tempfile
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,8 +25,17 @@ from repro.streaming import (
     load_manifest,
 )
 
+from repro.core import replay
+
 from ..core.util import events_strategy
-from .util import batch_dump_bytes, benchmark_events, live_writer, replay_in_slices
+from .util import (
+    batch_dump_bytes,
+    benchmark_events,
+    dump_bytes,
+    live_writer,
+    replay_in_slices,
+    synthetic_events,
+)
 
 #: named arrival schedules: event-index cut points as a function of n
 SCHEDULES = {
@@ -130,3 +140,26 @@ def test_sidecar_less_trace_streams_whole_at_the_seal(tmp_path):
     assert manifest["events_analyzed"] == len(events)
     assert checkpoint_dump_bytes(ckpt) == batch_dump_bytes(events)
     assert session.hold_stalls >= 20
+
+
+def test_run_ends_at_the_poll_that_finds_the_seal(tmp_path):
+    """Every chunk is delivered before ``close()``, so the poll that finds
+    the seal consumes nothing; ``run`` finalizes there instead of
+    sleeping ``poll_interval`` first, and cuts no extra checkpoint."""
+    events = synthetic_events({"f": lambda n: n * n})
+    assert len(events) % 10 == 0      # close() seals no last chunk
+    trace = str(tmp_path / "trace.rpt2")
+    session = LiveProfileSession(trace, str(tmp_path / "ckpt"),
+                                 checkpoint_events=10 ** 9,
+                                 checkpoint_seconds=1e9)
+    with live_writer(trace, chunk_events=10) as writer:
+        replay(events, writer)
+        while session.step():
+            pass
+        assert session.analyzer.events_fed == len(events)
+    started = time.perf_counter()
+    db = session.run(poll_interval=30.0)
+    assert time.perf_counter() - started < 5.0
+    assert dump_bytes(db) == batch_dump_bytes(events)
+    assert len(session.checkpoints) == 1
+    assert load_manifest(str(tmp_path / "ckpt"))["closed"] is True

@@ -20,9 +20,13 @@ Shape asserted:
 
 from __future__ import annotations
 
+import time
+from types import SimpleNamespace
+from unittest import mock
+
 from repro.core import EventBus, RmsProfiler, TrmsProfiler
 from repro.curvefit import fit_power_law, select_model
-from repro.minidb import Database
+from repro.minidb import Database, bufferpool
 from repro.pytrace import TraceSession, TracedThread
 from repro.reporting import scatter, table
 
@@ -30,15 +34,37 @@ from conftest import run_once, save_result
 
 RING_SLOTS = 6
 BATCH_TARGETS = [2, 4, 8, 16, 24, 32, 48]
+#: seconds a writer may take to finish once the drain has ended
+WRITER_JOIN_S = 30.0
+
+
+def io_wait_for(writer, change_buffer):
+    """The flusher's per-record I/O wait, made deterministic.
+
+    ``buf_flush_buffered_writes`` yields once per drained record while a
+    flusher is active, so clients can refill the ring meanwhile.  A bare
+    yield gives no ordering, and the drain may find the ring empty
+    before the writer is done (the batch then splits, and the writer
+    blocks on a full ring that nobody drains).  This wait lasts until
+    the writer has refilled the ring or has finished.
+    """
+
+    def sleep(_seconds):
+        while writer.is_alive() and change_buffer.pending < change_buffer.slots:
+            time.sleep(0.0001)
+
+    return SimpleNamespace(sleep=sleep)
 
 
 def flush_batches():
     """Generate flush activations with controlled batch sizes.
 
-    For each target batch size we run clients that insert exactly that
-    many records while the flusher is blocked behind the pool lock, then
-    let one flush drain them all — a deterministic version of the
-    batching that arises under concurrent load.
+    For each target batch size a writer thread inserts exactly that many
+    rows while this thread plays the background flusher: one flush
+    activation drains them all, its per-record I/O wait lasting until
+    the writer has refilled the ring (:func:`io_wait_for`) — a
+    deterministic version of the batching that arises under concurrent
+    load.
     """
     rms = RmsProfiler(keep_activations=True)
     trms = TrmsProfiler(keep_activations=True)
@@ -64,8 +90,11 @@ def flush_batches():
             # one flush activation drains the whole accumulated batch
             # (including what the writer appends while we drain)
             change_buffer.used.acquire()
-            change_buffer.buf_flush_buffered_writes()
-            writer.join()
+            with mock.patch.object(bufferpool, "time",
+                                   io_wait_for(writer, change_buffer)):
+                change_buffer.buf_flush_buffered_writes()
+            writer.join(WRITER_JOIN_S)
+            assert not writer.is_alive(), "the drain ended before the writer"
             change_buffer.flusher_active = False
             db.flush_now()   # clear any leftovers outside the measurement
     rms_records = [a for a in rms.db.activations

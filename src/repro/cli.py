@@ -784,8 +784,9 @@ def _cmd_observe(args, out) -> int:
     from .observatory import (
         ObservatoryStore,
         detect_drift,
-        ingest_bytes,
-        ingest_path,
+        ingest_record,
+        record_from_bytes,
+        record_from_path,
         render_alert_feed,
         render_observatory_html,
         render_observatory_report,
@@ -799,7 +800,9 @@ def _cmd_observe(args, out) -> int:
         if args.inputs.count("-") > 1:
             out.write("error: stdin ('-') can appear at most once\n")
             return 2
-        store = ObservatoryStore(args.store)
+        # a new store is created by the first input that parses, so a
+        # run whose every input fails leaves no store behind
+        store = ObservatoryStore(args.store) if store_exists(args.store) else None
         failures = 0
         with telemetry.span("observe.ingest", inputs=len(args.inputs)):
             for path in args.inputs:
@@ -807,16 +810,18 @@ def _cmd_observe(args, out) -> int:
                     if path == "-":
                         # pipe mode: clients stream an artefact without a
                         # temp file (the service's inline-ingest sibling)
-                        result = ingest_bytes(
-                            store, sys.stdin.buffer.read(),
-                            run_id=args.run_id, git_sha=args.git_sha,
-                            scale=args.scale,
-                        )
-                    else:
-                        result = ingest_path(
-                            store, path, run_id=args.run_id,
+                        record = record_from_bytes(
+                            sys.stdin.buffer.read(), run_id=args.run_id,
                             git_sha=args.git_sha, scale=args.scale,
                         )
+                    else:
+                        record = record_from_path(
+                            path, run_id=args.run_id,
+                            git_sha=args.git_sha, scale=args.scale,
+                        )
+                    if store is None:
+                        store = ObservatoryStore(args.store)
+                    result = ingest_record(store, record)
                 except (ValueError, OSError) as error:
                     out.write(f"error: {error}\n")
                     failures += 1
@@ -824,7 +829,10 @@ def _cmd_observe(args, out) -> int:
                 state = "ingested" if result.ingested else "already known (skipped)"
                 out.write(f"{path}: {state} as {result.run_id} "
                           f"[{result.source}] — {result.detail}\n")
-        out.write(f"store {args.store}: {len(store)} run(s)\n")
+        if store is None:
+            out.write(f"store {args.store}: not created (no input ingested)\n")
+        else:
+            out.write(f"store {args.store}: {len(store)} run(s)\n")
         return 1 if failures else 0
 
     # the other subcommands read a store: opening one would create it

@@ -37,6 +37,7 @@ from .ingest import (
     ingest_path,
     ingest_record,
     ingest_stream_dump,
+    record_from_bytes,
     record_from_checkpoint,
     record_from_envelope,
     record_from_path,
@@ -72,6 +73,7 @@ __all__ = [
     "ingest_path",
     "ingest_record",
     "ingest_stream_dump",
+    "record_from_bytes",
     "record_from_checkpoint",
     "record_from_envelope",
     "record_from_path",

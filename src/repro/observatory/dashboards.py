@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 from html import escape
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..reporting.ascii_charts import sparkline, table
 from ..reporting.html import PAGE_STYLE, svg_scatter
 from .drift import DriftAlert, RoutineTrajectory, detect_drift, trajectories
-from .store import ObservatoryStore
+from .store import ObservatoryStore, RunInfo
 
 __all__ = [
     "render_observatory_report",
@@ -66,7 +66,18 @@ def _class_path(trajectory: RoutineTrajectory) -> str:
     return " -> ".join(path) if path else "-"
 
 
-def _fleet_rows(store: ObservatoryStore) -> List[List[str]]:
+def _drift_pass(
+    store: ObservatoryStore, tolerance: float,
+) -> Tuple[List[RunInfo], List[RoutineTrajectory], List[DriftAlert]]:
+    """One drift pass for a report: ``store.runs()`` read once, every
+    trajectory built once, and the alerts derived from both."""
+    runs = store.runs()
+    all_trajectories = trajectories(store, tolerance, runs)
+    return runs, all_trajectories, detect_drift(store, tolerance, runs,
+                                                all_trajectories)
+
+
+def _fleet_rows(runs: List[RunInfo]) -> List[List[str]]:
     return [
         [
             _short(info.run_id),
@@ -77,7 +88,7 @@ def _fleet_rows(store: ObservatoryStore) -> List[List[str]]:
             str(info.routines),
             str(info.events),
         ]
-        for info in store.runs()
+        for info in runs
     ]
 
 
@@ -109,12 +120,18 @@ def render_observatory_report(
     store: ObservatoryStore,
     tolerance: float = 1.30,
     limit: int = 20,
+    name: Optional[str] = None,
 ) -> str:
-    """The full ASCII dashboard of one history store."""
-    runs = store.runs()
+    """The full ASCII dashboard of one history store.
+
+    ``name`` is what the header calls the store: its path by default
+    (``repro serve`` passes the tenant, so a served report does not
+    reveal the server's filesystem).
+    """
+    runs, all_trajectories, alerts = _drift_pass(store, tolerance)
     lines = [
         f"Profile observatory — {len(runs)} run(s), "
-        f"{len(store.routines())} routine(s)  [{store.path}]",
+        f"{len(all_trajectories)} routine(s)  [{name or store.path}]",
         "",
     ]
     if not runs:
@@ -122,11 +139,9 @@ def render_observatory_report(
         return "\n".join(lines) + "\n"
     lines.append(table(
         ["run", "commit", "when (UTC)", "source", "scale", "routines", "events"],
-        _fleet_rows(store), title="Fleet summary", left=(0, 1, 2, 3),
+        _fleet_rows(runs), title="Fleet summary", left=(0, 1, 2, 3),
     ))
 
-    all_trajectories = trajectories(store, tolerance)
-    alerts = detect_drift(store, tolerance)
     alerted = {alert.routine: alert for alert in alerts}
     # worst routines first, stable ones after — same order the operator
     # would triage in
@@ -198,14 +213,14 @@ def render_observatory_html(
     tolerance: float = 1.30,
     plot_limit: int = 8,
     title: str = "profile observatory",
+    name: Optional[str] = None,
 ) -> str:
-    """The dashboard as one self-contained HTML document."""
-    runs = store.runs()
-    alerts = detect_drift(store, tolerance)
+    """The dashboard as one self-contained HTML document (``name`` as in
+    :func:`render_observatory_report`)."""
+    runs, all_trajectories, alerts = _drift_pass(store, tolerance)
     alerted = {alert.routine for alert in alerts}
-    all_trajectories = [t for t in trajectories(store, tolerance) if t.entries]
     ranked = sorted(
-        all_trajectories,
+        (t for t in all_trajectories if t.entries),
         key=lambda t: (0 if t.routine in alerted else 1,
                        -len(t.changepoints), t.routine),
     )
@@ -228,10 +243,9 @@ def render_observatory_html(
     cost_plot = ""
     if alerts:
         worst = alerts[0]
-        seq = next((info.seq for info in reversed(runs)
-                    if store.points_for(info.seq, worst.routine)), None)
-        if seq is not None:
-            points = store.points_for(seq, worst.routine)
+        plots = (store.points_for(info.seq, worst.routine) for info in reversed(runs))
+        points = next((plot for plot in plots if plot), None)
+        if points is not None:
             cost_plot = (
                 f"<h2>Worst alert — {escape(worst.routine)} "
                 f"({escape(worst.verdict)})</h2><div class='plots'><figure>"
@@ -242,13 +256,13 @@ def render_observatory_html(
 
     fleet = _html_table(
         ["run", "commit", "when (UTC)", "source", "scale", "routines", "events"],
-        _fleet_rows(store))
+        _fleet_rows(runs))
     return f"""<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>{escape(title)}</title>
 <style>{PAGE_STYLE}</style></head><body>
 <h1>{escape(title)}</h1>
-<p class="meta">{len(runs)} run(s) &middot; {len(store.routines())} routine(s)
-&middot; {len(alerts)} alert(s) &middot; store: {escape(store.path)}</p>
+<p class="meta">{len(runs)} run(s) &middot; {len(all_trajectories)} routine(s)
+&middot; {len(alerts)} alert(s) &middot; store: {escape(name or store.path)}</p>
 <h2>Fleet summary</h2>
 {fleet}
 <h2>Alert feed</h2>

@@ -95,17 +95,17 @@ def _pair_ratio(old: CurveRow, new: CurveRow) -> Optional[float]:
 
 
 def trajectories(
-    store: ObservatoryStore, tolerance: float = 1.30,
+    store: ObservatoryStore,
+    tolerance: float = 1.30,
+    runs: Optional[List[RunInfo]] = None,
 ) -> List[RoutineTrajectory]:
-    """Every routine's trajectory with its changepoints, by name."""
-    return _trajectories(store, store.runs(), tolerance)
+    """Every routine's trajectory with its changepoints, by name.
 
-
-def _trajectories(
-    store: ObservatoryStore, runs: List[RunInfo], tolerance: float,
-) -> List[RoutineTrajectory]:
-    """:func:`trajectories` over ``store.runs()`` read once by the caller:
-    one run order serves every routine."""
+    ``runs`` is ``store.runs()``, for a caller that has read it already;
+    one run order serves every routine.
+    """
+    if runs is None:
+        runs = store.runs()
     order = {info.seq: position for position, info in enumerate(runs)}
     run_id_by_seq = {info.seq: info.run_id for info in runs}
     result = []
@@ -131,13 +131,24 @@ def _trajectories(
 
 
 def detect_drift(
-    store: ObservatoryStore, tolerance: float = 1.30,
+    store: ObservatoryStore,
+    tolerance: float = 1.30,
+    runs: Optional[List[RunInfo]] = None,
+    all_trajectories: Optional[List[RoutineTrajectory]] = None,
 ) -> List[DriftAlert]:
-    """Severity-ranked alerts over the whole history (worst first)."""
-    runs = store.runs()
+    """Severity-ranked alerts over the whole history (worst first).
+
+    ``runs`` and ``all_trajectories`` are ``store.runs()`` and
+    :func:`trajectories` over them at the same ``tolerance``, for a
+    caller that has built both already: a report shows the trajectories
+    next to the alerts, and derives both from one pass.
+    """
+    if runs is None:
+        runs = store.runs()
     if not runs:
         return []
-    all_trajectories = _trajectories(store, runs, tolerance)
+    if all_trajectories is None:
+        all_trajectories = trajectories(store, tolerance, runs)
     # added/removed are judged against *profiled* runs only — ingesting a
     # curveless run (a bench envelope, a telemetry log) must not make
     # every routine look removed

@@ -50,6 +50,7 @@ __all__ = [
     "record_from_envelope",
     "record_from_checkpoint",
     "record_from_path",
+    "record_from_bytes",
     "record_from_stream_dump",
     "artefact_suffix",
     "ingest_bytes",
@@ -364,23 +365,11 @@ def ingest_path(
 ) -> IngestResult:
     """Sniff ``path`` and ingest it; see the module docstring.
 
-    Accepts a streaming checkpoint directory (holding ``CURRENT.json``;
-    ingested with superseding semantics — see :func:`ingest_checkpoint`)
-    or any file artefact :func:`record_from_path` reads.  Raises
-    ``ValueError`` on anything else, ``OSError`` on unreadable paths.
+    Accepts whatever :func:`record_from_path` reads; a streaming
+    checkpoint supersedes its run's stored version (see
+    :func:`ingest_checkpoint`).  Raises ``ValueError`` on anything else,
+    ``OSError`` on unreadable paths.
     """
-    from ..streaming.snapshot import MANIFEST_NAME
-
-    # Checkpoint directories first: a directory would otherwise sniff
-    # as a telemetry run, and CURRENT.json as a bench envelope.
-    checkpoint_dir: Optional[str] = None
-    if os.path.isdir(path) and os.path.exists(os.path.join(path, MANIFEST_NAME)):
-        checkpoint_dir = path
-    elif os.path.basename(path) == MANIFEST_NAME and os.path.exists(path):
-        checkpoint_dir = os.path.dirname(path) or "."
-    if checkpoint_dir is not None:
-        return ingest_checkpoint(store, checkpoint_dir, run_id=run_id,
-                                 git_sha=git_sha, scale=scale)
     return ingest_record(store, record_from_path(
         path, run_id=run_id, git_sha=git_sha, timestamp=timestamp, scale=scale))
 
@@ -394,15 +383,28 @@ def record_from_path(
 ) -> RunRecord:
     """Sniff ``path`` and build its run record, with no store involved.
 
-    Accepts a ``repro-profile 1`` dump, a v2 binary trace (analysed
-    inline through the farm engine first), a ``telemetry.jsonl`` file
-    (or a run directory holding one) or a ``repro-bench/1`` JSON
-    envelope.  Raises ``ValueError`` on anything else, ``OSError`` on
-    unreadable paths.
+    Accepts a streaming checkpoint directory (holding ``CURRENT.json``,
+    or that file itself; ``timestamp`` is the manifest's), a
+    ``repro-profile 1`` dump, a v2 binary trace (analysed inline through
+    the farm engine first), a ``telemetry.jsonl`` file (or a run
+    directory holding one) or a ``repro-bench/1`` JSON envelope.  Raises
+    ``ValueError`` on anything else, ``OSError`` on unreadable paths.
     """
     from ..farm import is_binary_trace, is_profile_dump, load_profile
+    from ..streaming.snapshot import MANIFEST_NAME, load_checkpoint
 
-    if not os.path.isdir(path) and is_binary_trace(path):
+    # Checkpoint directories first: a directory would otherwise sniff
+    # as a telemetry run, and CURRENT.json as a bench envelope.
+    checkpoint_dir: Optional[str] = None
+    if os.path.isdir(path) and os.path.exists(os.path.join(path, MANIFEST_NAME)):
+        checkpoint_dir = path
+    elif os.path.basename(path) == MANIFEST_NAME and os.path.exists(path):
+        checkpoint_dir = os.path.dirname(path) or "."
+    if checkpoint_dir is not None:
+        manifest, db = load_checkpoint(checkpoint_dir)
+        record = record_from_checkpoint(manifest, db, run_id=run_id,
+                                        git_sha=git_sha, scale=scale)
+    elif not os.path.isdir(path) and is_binary_trace(path):
         from ..farm import analyze_file
 
         result = analyze_file(path)
@@ -488,15 +490,15 @@ def artefact_suffix(data: bytes) -> str:
     return ".profile"
 
 
-def ingest_bytes(
-    store: ObservatoryStore,
+def record_from_bytes(
     data: bytes,
     run_id: Optional[str] = None,
     git_sha: str = "",
     timestamp: str = "",
     scale: float = 0.0,
-) -> IngestResult:
-    """Ingest an in-memory artefact (same sniffing as :func:`ingest_path`).
+) -> RunRecord:
+    """The run record of an in-memory artefact (same sniffing as
+    :func:`record_from_path`), with no store involved.
 
     Spools ``data`` to a scratch file and delegates; the default run id
     is the digest of ``data`` — identical to what ingesting the same
@@ -512,8 +514,8 @@ def ingest_bytes(
     try:
         with os.fdopen(handle, "wb") as stream:
             stream.write(data)
-        return ingest_path(
-            store, path,
+        return record_from_path(
+            path,
             run_id=run_id,
             git_sha=git_sha,
             timestamp=timestamp or "-",
@@ -521,3 +523,16 @@ def ingest_bytes(
         )
     finally:
         os.unlink(path)
+
+
+def ingest_bytes(
+    store: ObservatoryStore,
+    data: bytes,
+    run_id: Optional[str] = None,
+    git_sha: str = "",
+    timestamp: str = "",
+    scale: float = 0.0,
+) -> IngestResult:
+    """Ingest an in-memory artefact (see :func:`record_from_bytes`)."""
+    return ingest_record(store, record_from_bytes(
+        data, run_id=run_id, git_sha=git_sha, timestamp=timestamp, scale=scale))

@@ -641,12 +641,13 @@ class ProfileServer:
             if op == "runs":
                 return {"runs": [info._asdict() for info in store.runs()]}, b""
             if op == "report":
+                # named by the tenant: a client never sees the server root
                 body = (render_observatory_html(
                             store, tolerance=tolerance,
-                            title=f"profile observatory: {tenant}")
+                            title=f"profile observatory: {tenant}", name=tenant)
                         if fmt == "html" else
                         render_observatory_report(store, tolerance=tolerance,
-                                                  limit=limit))
+                                                  limit=limit, name=tenant))
                 return {"format": fmt}, body.encode("utf-8")
             alerts = detect_drift(store, tolerance=tolerance)
         feed = render_alert_feed(alerts) if fmt == "ascii" else ""

@@ -275,3 +275,54 @@ def test_update_feeds_the_flusher():
     flushes = [a for a in trms.db.activations
                if a.routine == "buf_flush_buffered_writes"]
     assert flushes
+
+
+class _SleepCounter:
+    """Stands in for ``repro.minidb.bufferpool.time``: counts ``sleep``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def sleep(self, seconds):
+        self.calls += 1
+
+
+def _count_flusher_yields(monkeypatch):
+    from repro.minidb import bufferpool
+
+    counter = _SleepCounter()
+    monkeypatch.setattr(bufferpool, "time", counter)
+    return counter
+
+
+def test_synchronous_flush_does_not_yield(monkeypatch):
+    yields = _count_flusher_yields(monkeypatch)
+    session, db, _, _ = make_db(ring_slots=4)
+    try:
+        db.execute("CREATE TABLE t (a, b)")
+        for i in range(10):     # one flush_now per insert, as the store does
+            db.execute(f"INSERT INTO t VALUES ({i}, {i})")
+            db.flush_now()
+        for i in range(10, 13):     # 6 records through 4 slots: a self-flush
+            db.execute(f"INSERT INTO t VALUES ({i}, {i})")
+        assert db.flush_now() > 0
+        assert db.change_buffer.records_flushed == 26
+        assert db.execute("SELECT * FROM t") == [[i, i] for i in range(13)]
+    finally:
+        close(session)
+    assert yields.calls == 0
+
+
+def test_drain_with_flusher_active_yields_per_record(monkeypatch):
+    yields = _count_flusher_yields(monkeypatch)
+    session, db, _, _ = make_db(ring_slots=6)
+    try:
+        db.execute("CREATE TABLE t (a, b)")
+        db.start_flusher()
+        for i in range(12):
+            db.execute(f"INSERT INTO t VALUES ({i}, {i})")
+        db.stop_flusher()
+        # one yield per record the background flusher drained
+        assert yields.calls == db.change_buffer.records_flushed == 24
+    finally:
+        close(session)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 
 import pytest
 
@@ -55,6 +56,37 @@ def test_ingest_rejects_garbage_with_exit_1(tmp_path):
                         "--store", str(tmp_path / "obs"))
     assert code == 1
     assert "error:" in out
+
+
+def test_ingest_whose_every_input_fails_creates_no_store(tmp_path, monkeypatch):
+    """The store is opened once an input has parsed, so a later read
+    gate still sees no store (the rule ``repro serve`` follows too)."""
+    hostname = tmp_path / "hostname"
+    hostname.write_text("buildhost\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"buildhost\n")))
+    store = tmp_path / "new"
+    code, out = run_cli("observe", "ingest", str(hostname), "-",
+                        "--store", str(store))
+    assert code == 1
+    assert out.count("error:") == 2
+    assert f"store {store}: not created" in out
+    assert not (store / "history.jsonl").exists()
+    code, out = run_cli("observe", "alerts", "--store", str(store),
+                        "--fail-on", "regressed")
+    assert code == 2
+    assert out == f"error: no observatory store at {store}\n"
+
+
+def test_ingest_opens_the_store_at_the_first_input_that_parses(tmp_path):
+    junk = tmp_path / "junk.bin"
+    junk.write_text("definitely not a profile\n")
+    dump = write_dump(tmp_path / "a.prof", {"f": lambda n: 10 * n})
+    store = str(tmp_path / "obs")
+    code, out = run_cli("observe", "ingest", str(junk), dump, "--store", store)
+    assert code == 1
+    assert "ingested" in out and f"store {store}: 1 run(s)" in out
+    with ObservatoryStore(store) as reopened:
+        assert len(reopened) == 1
 
 
 def test_ingest_run_id_needs_single_input(tmp_path):

@@ -1,5 +1,7 @@
 """Dashboard tests: ASCII report, HTML document, sparklines."""
 
+import hashlib
+
 from repro.observatory import (
     ObservatoryStore,
     detect_drift,
@@ -9,7 +11,7 @@ from repro.observatory import (
 )
 from repro.reporting.ascii_charts import sparkline
 
-from .util import drifting_history, seeded_store
+from .util import db_from, drifting_history, seeded_store
 
 
 def test_sparkline_maps_range_to_blocks():
@@ -83,3 +85,68 @@ def test_html_dashboard_on_clean_history(tmp_path):
     html = render_observatory_html(store)
     assert "No drift" in html
     assert "Worst alert" not in html
+
+
+#: SHA-256 of each report of ``_every_verdict_store`` (and of an empty
+#: store), with the store's path replaced by ``<store>``
+PINNED_REPORTS = {
+    "ascii": "8bdad69bb918dfc62ab7ae89baa8d460e4c1f5d14094fa4b55f4c1b0aa2d0628",
+    "ascii-tolerance-limit":
+        "4e00f9e39fd345d65fc39dd8fefa8dae4feac4d3587e8fefee5ec1aaa4802e9e",
+    "html": "d2021bbf49e989b9d58e2274a4d7afe9f115a6d66bea431e3adde8534b470faf",
+    "html-tolerance-title":
+        "8868c0ee3f6c4ec9cc868ce22db32800cd033c9acdc46d6830f87c0a377e7435",
+    "empty-ascii": "3ab302e246bfcc3752f39989fae970d6340d7aa412151c38cbfcab9ba8d7aa3b",
+    "empty-html": "b20c26a71b50dbef3026eaba439672058b1fbbfac8c8c64e794875eec4c524b0",
+}
+
+
+def _every_verdict_store(path):
+    """Five runs in which every verdict shows: ``victim`` regresses,
+    ``slowing`` slows within its class, ``retired`` leaves before the
+    last run, ``newcomer`` arrives in it, ``stable`` holds."""
+    databases = []
+    for index in range(5):
+        routines = {
+            "stable": lambda n: 10 * n,
+            "victim": (lambda n: n * n) if index >= 3 else (lambda n: 3 * n),
+            "slowing": (lambda n: 4 * n) if index >= 2 else (lambda n: 2 * n),
+        }
+        if index < 4:
+            routines["retired"] = lambda n: 5 * n
+        if index == 4:
+            routines["newcomer"] = lambda n: n * n
+        databases.append(db_from(routines))
+    return seeded_store(path, databases)
+
+
+def test_reports_are_pinned(tmp_path):
+    """Both dashboards stay byte for byte what they were before a report
+    made one drift pass (one ``runs()`` read, trajectories built once)."""
+    store = _every_verdict_store(tmp_path / "obs")
+    empty = ObservatoryStore(str(tmp_path / "empty"))
+    reports = {
+        "ascii": render_observatory_report(store),
+        "ascii-tolerance-limit": render_observatory_report(store, tolerance=2.0, limit=2),
+        "html": render_observatory_html(store),
+        "html-tolerance-title": render_observatory_html(store, tolerance=2.0, title="t"),
+        "empty-ascii": render_observatory_report(empty),
+        "empty-html": render_observatory_html(empty),
+    }
+    digests = {}
+    for name, text in reports.items():
+        for pinned in (store, empty):
+            text = text.replace(pinned.path, "<store>")
+        digests[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digests == PINNED_REPORTS
+    assert f"[{store.path}]" in reports["ascii"]    # the CLI names the path
+
+
+def test_report_name_replaces_the_path(tmp_path):
+    store = _every_verdict_store(tmp_path / "obs")
+    report = render_observatory_report(store, name="web")
+    html = render_observatory_html(store, name="web")
+    assert report.split("\n", 1)[0].endswith("routine(s)  [web]")
+    assert "&middot; store: web</p>" in html
+    assert store.path not in report and store.path not in html
+    assert report == render_observatory_report(store).replace(store.path, "web")

@@ -130,6 +130,27 @@ def test_http_views_are_their_wire_twins(tmp_path):
             assert http_body == body, path
 
 
+def test_served_reports_name_the_tenant_not_the_server_root(tmp_path):
+    """Where ``repro observe report`` prints the store's path, a served
+    report names its tenant: no report body reveals the server's root."""
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            for index, dump in enumerate(drifting_dumps()):
+                client.put_bytes(dump, run_id=f"run-{index}", wait=True)
+            bodies = {
+                f"wire {fmt}": client.request(
+                    {"op": "report", "tenant": "web", "format": fmt})[1]
+                for fmt in ("ascii", "html")
+            }
+        for path in ("/web", "/web/report"):
+            status, _headers, bodies[path] = raw_http(server, "GET", path)
+            assert status == 200
+    for view, body in bodies.items():
+        assert str(tmp_path).encode("utf-8") not in body, view
+    assert bodies["wire ascii"].split(b"\n", 1)[0].endswith(b"routine(s)  [web]")
+    assert b"&middot; store: web</p>" in bodies["wire html"]
+
+
 def test_bad_request_line_is_400(tmp_path):
     with running_server(tmp_path) as server:
         sock = socket.create_connection((server.host, server.port),

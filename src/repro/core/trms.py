@@ -84,10 +84,6 @@ class TrmsProfiler(BaseProfiler):
     def _global_write_shadow(self):
         return self.wts
 
-    @staticmethod
-    def _writer_tag(thread: int) -> int:
-        return thread + 2
-
     # -- memory events ---------------------------------------------------------
 
     def on_read(self, thread: int, addr: int) -> None:

@@ -25,12 +25,12 @@ Layout::
     footer:  string table, chunk index
     trailer: footer offset, event count, "RPT2END\\0"
 
-Writing is columnar.  :class:`BinaryTraceWriter` appends each event to
-one flat list and encodes a chunk once, when it seals it: the list
-becomes a :class:`ChunkColumns`, the chunk header (write count,
-per-thread counts) is derived from those columns, and
-:func:`encode_chunk_columns` interleaves them into records.  It is the
-exact inverse of :func:`decode_chunk_columns`.
+Writing is one flat list per chunk.  :class:`BinaryTraceWriter`'s hooks
+append ``kind, thread, arg`` per event, and the chunk is encoded once,
+when it is sealed: the list is packed into records 256 at a time by one
+precompiled ``struct`` call each, the header's write count is counted
+in the packed kind bytes and its per-thread counts in the list's thread
+slice.  :func:`decode_chunk_columns` reads the records back as columns.
 
 A live writer also keeps a ``.names`` sidecar (:data:`NAMES_SUFFIX`),
 and :func:`read_chunk_header` parses the chunks of a file whose footer
@@ -69,7 +69,6 @@ __all__ = [
     "decode_chunk",
     "ChunkColumns",
     "decode_chunk_columns",
-    "encode_chunk_columns",
     "columns_from_events",
     "rows_from_columns",
     "is_binary_trace",
@@ -81,6 +80,10 @@ _TRAILER_MAGIC = b"RPT2END\0"
 _RECORD = struct.Struct("<Bqq")
 #: bytes of one record: 1 kind byte + two little-endian i64
 RECORD_BYTES = _RECORD.size
+#: records the writer packs per ``struct`` call; the chunk's tail is one
+#: more call with a format of its own length
+_PACK_RECORDS = 256
+_PACK_BLOCK = struct.Struct("<" + "Bqq" * _PACK_RECORDS)
 _CHUNK_FIXED = struct.Struct("<IIQIH")  # payload bytes, events, first pos, writes, n threads
 _THREAD_COUNT = struct.Struct("<qI")    # thread id, events of that thread in the chunk
 _U32 = struct.Struct("<I")
@@ -161,6 +164,23 @@ def _chunk_header(chunk: ChunkMeta) -> bytes:
     ) + b"".join(_THREAD_COUNT.pack(*pair) for pair in sorted(chunk.thread_counts.items()))
 
 
+def _pack_records(flat: List[int]) -> bytes:
+    """The v2 records of a flat ``[kind, thread, arg, kind, …]`` list.
+
+    One precompiled ``struct`` call per 256 records, one more for the
+    tail: no Python code runs per record.  A value that does not fit
+    ``<Bqq`` raises :class:`struct.error`.
+    """
+    step = 3 * _PACK_RECORDS
+    whole = len(flat) - len(flat) % step
+    pack = _PACK_BLOCK.pack
+    parts = [pack(*flat[start:start + step]) for start in range(0, whole, step)]
+    if whole < len(flat):
+        tail = flat[whole:]
+        parts.append(struct.pack("<" + "Bqq" * (len(tail) // 3), *tail))
+    return b"".join(parts)
+
+
 def _read_exact(stream: IO[bytes], size: int, what: str) -> bytes:
     data = stream.read(size)
     if len(data) != size:
@@ -171,10 +191,13 @@ def _read_exact(stream: IO[bytes], size: int, what: str) -> bytes:
 class BinaryTraceWriter(TraceConsumer):
     """Streams the event vocabulary to a chunked binary file.
 
-    A column buffer: each event is one append of ``kind, thread, arg``
-    to a flat list.  A chunk is encoded once, when it is sealed: the
-    list becomes :class:`ChunkColumns`, the header is derived from the
-    columns, and :func:`encode_chunk_columns` writes the records.
+    A flat buffer: each hook appends ``kind, thread, arg`` to one list
+    itself, with no helper call, and compares its length against the
+    chunk size.  A chunk is encoded once, when it is sealed: the list is
+    packed into records 256 at a time (one precompiled ``struct`` call
+    each, one more for the tail), the write count is counted in the
+    packed kind bytes and the per-thread counts in the list's thread
+    slice.
 
     Call :meth:`close` to seal the file with footer and trailer once
     recording is over; sealing is deliberately *not* tied to
@@ -228,39 +251,45 @@ class BinaryTraceWriter(TraceConsumer):
     # -- record emission ---------------------------------------------------------
 
     def _intern(self, name: str) -> int:
-        ident = self._name_ids.get(name)
-        if ident is None:
-            ident = len(self._names)
-            self._name_ids[name] = ident
-            self._names.append(name)
+        """The id of a routine name not yet in the string table."""
+        ident = len(self._names)
+        self._name_ids[name] = ident
+        self._names.append(name)
         return ident
 
-    def _add(self, kind: int, thread: int, arg: int) -> None:
+    def _chunk_full(self) -> None:
+        """A hook filled the open chunk: seal it, or refuse after ``close``.
+
+        ``close`` sets the limit to 0, so the next hook lands here and
+        raises; the hooks themselves test nothing but the length.
+        """
         if self.closed:
+            self._flat = []
             raise BinaryTraceError("write on a sealed binary trace")
-        self._flat += (kind, thread, arg)
-        if len(self._flat) >= self._flat_limit:
-            self._flush_chunk()
+        self._flush_chunk()
 
     def _flush_chunk(self) -> None:
-        if not self._flat:
+        flat = self._flat
+        if not flat:
             return
-        columns = _columns(self._sealed_events, self._flat)
+        # packed first: a record that does not fit ``<Bqq`` raises here,
+        # before anything is written or the buffer is cleared
+        payload = _pack_records(flat)
+        events = len(flat) // 3
+        kinds = payload[0::RECORD_BYTES]
+        writes = kinds.count(_WRITE) + kinds.count(_KERNEL_WRITE)
+        counts = dict(Counter(flat[1::3]))
         self._flat = []
-        payload = encode_chunk_columns(columns)
-        counts = dict(Counter(columns.threads))
-        writes = columns.kinds.count(_WRITE) + columns.kinds.count(_KERNEL_WRITE)
         # Sidecar first: by the time the chunk's bytes reach the OS, every
         # name its CALL records reference must already be readable.
         self._flush_names()
         offset = self.stream.tell()
         header_bytes = _CHUNK_FIXED.size + _THREAD_COUNT.size * len(counts)
         chunk = ChunkMeta(offset, offset + header_bytes, len(payload),
-                          columns.events, columns.first_pos, writes, counts)
-        self.stream.write(_chunk_header(chunk))
-        self.stream.write(payload)
+                          events, self._sealed_events, writes, counts)
+        self.stream.write(_chunk_header(chunk) + payload)
         self.chunks.append(chunk)
-        self._sealed_events += columns.events
+        self._sealed_events += events
         self._sync(self.stream)
 
     def _flush_names(self) -> None:
@@ -300,32 +329,81 @@ class BinaryTraceWriter(TraceConsumer):
         out.write(_TRAILER.pack(footer_offset, self.events_written, _TRAILER_MAGIC))
         self._sync(out)
         self.closed = True
+        self._flat_limit = 0   # every later hook lands in _chunk_full
 
     # -- TraceConsumer callbacks -------------------------------------------------
+    #
+    # Each hook appends its record's three values to the open chunk
+    # itself, with no helper call (three ``list.append`` calls cost less
+    # than building and concatenating a tuple), and compares one length;
+    # ``_chunk_full`` seals the chunk, or raises once the file is closed.
 
     def on_call(self, thread: int, routine: str) -> None:
-        self._add(_CALL, thread, self._intern(routine))
+        ident = self._name_ids.get(routine)
+        if ident is None:
+            ident = self._intern(routine)
+        flat = self._flat
+        flat.append(_CALL)
+        flat.append(thread)
+        flat.append(ident)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
     def on_return(self, thread: int) -> None:
-        self._add(_RETURN, thread, 0)
+        flat = self._flat
+        flat.append(_RETURN)
+        flat.append(thread)
+        flat.append(0)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
     def on_read(self, thread: int, addr: int) -> None:
-        self._add(_READ, thread, addr)
+        flat = self._flat
+        flat.append(_READ)
+        flat.append(thread)
+        flat.append(addr)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
     def on_write(self, thread: int, addr: int) -> None:
-        self._add(_WRITE, thread, addr)
+        flat = self._flat
+        flat.append(_WRITE)
+        flat.append(thread)
+        flat.append(addr)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
     def on_kernel_read(self, thread: int, addr: int) -> None:
-        self._add(_KERNEL_READ, thread, addr)
+        flat = self._flat
+        flat.append(_KERNEL_READ)
+        flat.append(thread)
+        flat.append(addr)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
     def on_kernel_write(self, thread: int, addr: int) -> None:
-        self._add(_KERNEL_WRITE, thread, addr)
+        flat = self._flat
+        flat.append(_KERNEL_WRITE)
+        flat.append(thread)
+        flat.append(addr)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
     def on_thread_switch(self, thread: int) -> None:
-        self._add(_THREAD_SWITCH, thread, thread)
+        flat = self._flat
+        flat.append(_THREAD_SWITCH)
+        flat.append(thread)
+        flat.append(thread)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
     def on_cost(self, thread: int, units: int) -> None:
-        self._add(_COST, thread, units)
+        flat = self._flat
+        flat.append(_COST)
+        flat.append(thread)
+        flat.append(units)
+        if len(flat) >= self._flat_limit:
+            self._chunk_full()
 
 
 def write_binary_trace(
@@ -543,34 +621,6 @@ def decode_chunk_columns(stream: IO[bytes], chunk: ChunkMeta) -> ChunkColumns:
     return ChunkColumns(chunk.first_pos, count, kinds, threads, args)
 
 
-def encode_chunk_columns(columns: ChunkColumns) -> bytes:
-    """The v2 records of ``columns``: the exact inverse of :func:`decode_chunk_columns`.
-
-    The fast path runs no Python code per record: 17 strided slice
-    assignments write the kind column and the eight byte lanes of each
-    64-bit column into one payload.  Hosts whose native 64-bit layout
-    differs from the file's little-endian records fall back to packing
-    record by record, with identical bytes.
-    """
-    if not _NATIVE_I64:  # big-endian / exotic hosts
-        return b"".join(_RECORD.pack(*record) for record in zip(
-            columns.kinds, columns.threads, columns.args))
-    payload = bytearray(RECORD_BYTES * columns.events)
-    payload[0::RECORD_BYTES] = columns.kinds
-    thread_bytes = columns.threads.tobytes()
-    arg_bytes = columns.args.tobytes()
-    for byte in range(8):
-        payload[1 + byte::RECORD_BYTES] = thread_bytes[byte::8]
-        payload[9 + byte::RECORD_BYTES] = arg_bytes[byte::8]
-    return bytes(payload)
-
-
-def _columns(first_pos: int, flat: List[int]) -> ChunkColumns:
-    """A flat ``[kind, thread, arg, kind, …]`` list as one :class:`ChunkColumns`."""
-    return ChunkColumns(first_pos, len(flat) // 3, bytes(flat[0::3]),
-                        array("q", flat[1::3]), array("q", flat[2::3]))
-
-
 def columns_from_events(
     events: Iterable[Event], first_pos: int = 0
 ) -> Tuple[ChunkColumns, List[str]]:
@@ -594,7 +644,9 @@ def columns_from_events(
             flat += (_CALL, event.thread, ident)
         else:
             flat += (event.kind, event.thread, event.arg or 0)
-    return _columns(first_pos, flat), names
+    columns = ChunkColumns(first_pos, len(flat) // 3, bytes(flat[0::3]),
+                           array("q", flat[1::3]), array("q", flat[2::3]))
+    return columns, names
 
 
 _CALL_BYTE = bytes([_CALL])

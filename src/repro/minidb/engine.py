@@ -201,11 +201,17 @@ class Database:
         self._flusher.start()
 
     def _flusher_loop(self) -> None:
+        # Every ``used`` token stands for one buffered record, except the
+        # one ``stop_flusher`` releases.  The loop returns only on a token
+        # that finds nothing pending once stopping: that surplus token.
+        # So ``used`` counts ``pending`` again for the synchronous drains
+        # that follow, whichever token a racing drain took.
+        buffer = self.change_buffer
         while True:
-            self.change_buffer.used.acquire()
-            if self.change_buffer.pending > 0:
-                self.change_buffer.buf_flush_buffered_writes()
-            if self._shutdown.is_set() and self.change_buffer.pending == 0:
+            buffer.used.acquire()
+            if buffer.pending > 0:
+                buffer.buf_flush_buffered_writes()
+            elif self._shutdown.is_set():
                 return
 
     def stop_flusher(self) -> None:

@@ -35,10 +35,6 @@ class CacheConfig:
         self.ways = ways
         self.line_cells = line_cells
 
-    @property
-    def capacity_cells(self) -> int:
-        return self.sets * self.ways * self.line_cells
-
 
 class SetAssociativeCache:
     """LRU set-associative cache over cell addresses."""

@@ -18,7 +18,9 @@ instruction indices, validates operand kinds against the ISA signatures,
 and computes *basic-block leaders* (function entry, every label target,
 and every instruction following a block terminator) — the machine
 charges one cost unit each time control enters a leader, which is the
-paper's basic-block performance metric.
+paper's basic-block performance metric.  Each function is decoded once,
+next to its leaders, into the per-pc tuples the machine runs
+(:attr:`Function.code`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Set, Tuple
 
-from .isa import BLOCK_TERMINATORS, IMM, LABEL, NAME, NUM_REGISTERS, REG, SIGNATURES, Ins
+from .isa import (
+    BLOCK_TERMINATORS, BLOCKING, IMM, LABEL, NAME, NUM_REGISTERS, REG, SIGNATURES, Ins,
+)
 
 __all__ = ["AsmError", "Function", "Program", "assemble"]
 
@@ -44,14 +48,30 @@ class AsmError(ValueError):
         self.line_no = line_no
 
 
+#: the decoded entry one past the last instruction: an implicit return
+_END = (None, False, False)
+
+
 class Function:
-    """One assembled function: instructions, labels and block leaders."""
+    """One assembled function: instructions, labels and block leaders.
+
+    ``code`` is the function decoded once for the machine: one
+    ``(ins, leader, blocking)`` tuple per pc — the instruction, whether
+    control entering it starts a basic block, and whether it may block —
+    plus ``(None, False, False)`` at ``len(instructions)``, where a
+    thread that runs off the end (or branches to a final label) returns.
+    """
 
     def __init__(self, name: str, instructions: List[Ins], labels: Dict[str, int]):
         self.name = name
         self.instructions = instructions
         self.labels = labels
         self.leaders = self._compute_leaders()
+        self.code: List[Tuple[Optional[Ins], bool, bool]] = [
+            (ins, index in self.leaders, ins.op in BLOCKING)
+            for index, ins in enumerate(instructions)
+        ]
+        self.code.append(_END)
 
     def _compute_leaders(self) -> Set[int]:
         leaders: Set[int] = {0} if self.instructions else set()

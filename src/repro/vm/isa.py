@@ -123,3 +123,7 @@ BLOCK_TERMINATORS = frozenset(
      "sysread", "syswrite", "lock", "unlock", "semup", "semdown", "spawn",
      "join", "yield"]
 )
+
+#: opcodes that may block: the machine checks them before charging any
+#: cost and retries them when the thread is rescheduled
+BLOCKING = frozenset(["lock", "semdown", "join"])

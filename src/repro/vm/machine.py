@@ -12,6 +12,13 @@ Execution model (deliberately the one the paper's tool runs under):
   cost unit is charged per basic block entered.
 * **Native mode.**  With ``tools=None`` the machine skips all event
   emission — the baseline the overhead experiments (Table 1) divide by.
+* **Decoded once, counted per slice.**  The machine runs each
+  function's :attr:`~repro.vm.assembler.Function.code`, decoded once by
+  the assembler into one ``(ins, leader, blocking)`` tuple per pc, so no
+  instruction is re-examined for block leaders or blocking opcodes.  A
+  timeslice counts its blocks and instructions in locals and writes
+  them back to the thread and :class:`RunStats` once, when the slice
+  ends — also when a guest fault or the step limit ends it.
 
 Blocking primitives (``lock``, ``semdown``, ``join``) retry their
 instruction when the thread is rescheduled, so their analysis events are
@@ -20,6 +27,7 @@ emitted in the acquiring thread's context, in program order.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional
 
 from ..core.costmodel import BasicBlockCost, CostModel
@@ -68,7 +76,11 @@ class _ThreadContext:
 
 
 class RunStats:
-    """Execution statistics returned by :meth:`Machine.run`."""
+    """Execution statistics returned by :meth:`Machine.run`.
+
+    The block and instruction counters are brought up to date at the end
+    of every timeslice, not per instruction (see ``Machine._run_slice``).
+    """
 
     def __init__(self) -> None:
         self.total_blocks = 0
@@ -129,6 +141,9 @@ class Machine:
         self._next_tid = 1
         self._alloc_ptr = 1 << 20
         self._finished = False
+        #: a thread was spawned or finished since ``run`` last built its
+        #: round-robin order
+        self._roster_changed = False
 
     # -- public helpers ---------------------------------------------------------
 
@@ -153,33 +168,34 @@ class Machine:
         if tools is not None:
             tools.on_start()
 
-        order: List[int] = [main.tid]
+        threads = self.threads
+        order: List[int] = []
         cursor = 0
         current: Optional[int] = None
         while True:
-            order = [tid for tid in order if self.threads[tid].status != _DONE]
-            order += [
-                tid for tid in sorted(self.threads)
-                if tid not in order and self.threads[tid].status != _DONE
-            ]
+            # the round-robin order changes only when a thread is spawned
+            # or finishes; rebuilding it at any other time gives it back
+            if self._roster_changed:
+                self._roster_changed = False
+                order = [tid for tid in order if threads[tid].status != _DONE]
+                order += [
+                    tid for tid in sorted(threads)
+                    if tid not in order and threads[tid].status != _DONE
+                ]
             if not order:
                 break
-            runnable = [tid for tid in order if self.threads[tid].status == _RUNNABLE]
-            if not runnable:
-                blocked = {
-                    tid: self.threads[tid].block_reason
-                    for tid in order
-                }
-                raise DeadlockError(f"all live threads are blocked: {blocked}")
             if cursor >= len(order):
                 cursor = 0
             # advance round-robin to the next runnable thread
             for _ in range(len(order)):
                 tid = order[cursor % len(order)]
                 cursor += 1
-                if self.threads[tid].status == _RUNNABLE:
+                if threads[tid].status == _RUNNABLE:
                     break
-            context = self.threads[tid]
+            else:
+                blocked = {tid: threads[tid].block_reason for tid in order}
+                raise DeadlockError(f"all live threads are blocked: {blocked}")
+            context = threads[tid]
             if tid != current:
                 current = tid
                 self.stats.thread_switches += 1
@@ -198,45 +214,68 @@ class Machine:
         self.stats.threads_spawned += 1
         self.stats.blocks_by_thread[context.tid] = 0
         self.stats.instructions_by_thread[context.tid] = 0
+        self._roster_changed = True
         return context
 
     def _run_slice(self, context: _ThreadContext) -> None:
+        """Run ``context`` for up to ``timeslice`` basic blocks.
+
+        The block and instruction counts and the ``max_steps`` budget
+        live in locals; the thread's and :class:`RunStats`' counters are
+        written back once, when the slice ends, also on a guest fault or
+        the step limit, so they read the same as if counted one by one.
+        """
         tools = self.tools
         tid = context.tid
         if context.entry_pending:
             context.entry_pending = False
             if tools is not None:
                 tools.on_call(tid, context.entry.name)
-        blocks_left = self.timeslice
-        while blocks_left > 0 and context.status == _RUNNABLE:
-            frame = context.frames[-1]
-            function = frame.function
-            if frame.pc >= len(function.instructions):
-                self._do_return(context)
-                continue
-            ins = function.instructions[frame.pc]
-            # blocking instructions are checked before any cost is charged,
-            # so a blocked retry never inflates the basic-block count
-            if ins.op in ("lock", "semdown", "join") and self._would_block(context, ins):
-                context.status = _BLOCKED
-                context.block_reason = f"{ins.op} {ins.a!r}"
-                return
-            if frame.pc in function.leaders:
-                context.blocks += 1
-                self.stats.total_blocks += 1
-                self.stats.blocks_by_thread[tid] += 1
-                blocks_left -= 1
-                if tools is not None and self._block_units:
-                    tools.on_cost(tid, self._block_units)
-            context.instructions += 1
-            self.stats.total_instructions += 1
-            self.stats.instructions_by_thread[tid] += 1
-            if tools is not None and self._instruction_units:
-                tools.on_cost(tid, self._instruction_units)
-            if self.max_steps is not None and self.stats.total_instructions > self.max_steps:
-                raise VMError(f"instruction limit exceeded ({self.max_steps})")
-            if self._execute(context, frame, ins) == "yield":
-                return
+        block_units = self._block_units
+        instruction_units = self._instruction_units
+        on_cost = tools.on_cost if tools is not None else None
+        block_cost = on_cost if block_units else None
+        instruction_cost = on_cost if instruction_units else None
+        stats = self.stats
+        max_steps = self.max_steps
+        # instructions this slice may run before the step limit trips
+        steps_left = (sys.maxsize if max_steps is None
+                      else max_steps - stats.total_instructions)
+        timeslice = self.timeslice
+        frames = context.frames
+        execute = self._execute
+        blocks = instructions = 0
+        try:
+            while blocks < timeslice and context.status == _RUNNABLE:
+                frame = frames[-1]
+                ins, leader, blocking = frame.function.code[frame.pc]
+                if ins is None:  # ran off the end: implicit return
+                    self._do_return(context)
+                    continue
+                # blocking instructions are checked before any cost is
+                # charged, so a blocked retry never inflates the block count
+                if blocking and self._would_block(context, ins):
+                    context.status = _BLOCKED
+                    context.block_reason = f"{ins.op} {ins.a!r}"
+                    return
+                if leader:
+                    blocks += 1
+                    if block_cost is not None:
+                        block_cost(tid, block_units)
+                instructions += 1
+                if instruction_cost is not None:
+                    instruction_cost(tid, instruction_units)
+                if instructions > steps_left:
+                    raise VMError(f"instruction limit exceeded ({max_steps})")
+                if execute(context, frame, ins):  # "yield"
+                    return
+        finally:
+            context.blocks += blocks
+            context.instructions += instructions
+            stats.total_blocks += blocks
+            stats.total_instructions += instructions
+            stats.blocks_by_thread[tid] += blocks
+            stats.instructions_by_thread[tid] += instructions
 
     # -- blocking checks -----------------------------------------------------------
 
@@ -418,6 +457,7 @@ class Machine:
 
     def _finish_thread(self, context: _ThreadContext) -> None:
         context.status = _DONE
+        self._roster_changed = True
         # Waking every join waiter is safe: a woken thread re-executes its
         # join and re-blocks if its target is still alive.
         self._wake(lambda other: (other.block_reason or "").startswith("join"))

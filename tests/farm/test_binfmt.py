@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import Event, EventKind, replay
+from repro.core import Event, EventBus, EventKind, TraceConsumer, replay
 from repro.core.tracefile import MalformedRecord
 from repro.farm import (
     BinaryTraceError,
@@ -29,11 +29,10 @@ from repro.farm.binfmt import (
     columns_from_events,
     decode_chunk,
     decode_chunk_columns,
-    encode_chunk_columns,
     iter_positioned,
     rows_from_columns,
 )
-from repro.workloads import all_benchmarks
+from repro.workloads import all_benchmarks, benchmark
 
 from ..core.util import events_strategy
 from .util import record_benchmark_v2, reference_v2_bytes
@@ -349,20 +348,116 @@ _I64 = st.integers(-(2**63), 2**63 - 1)
 @given(st.lists(st.tuples(st.sampled_from(list(EventKind)), _I64, _I64), max_size=40),
        st.integers(0, 2**40))
 def test_encode_decode_columns_round_trip_on_both_paths(records, first_pos):
-    """``decode_chunk_columns`` inverts ``encode_chunk_columns``, and the
-    per-record fallback of both gives the same bytes and columns."""
+    """The writer's packer gives the record-by-record ``<Bqq`` bytes over
+    the full i64 range, and ``decode_chunk_columns`` inverts them on its
+    strided path and on its per-record fallback alike."""
+    flat = [int(value) for record in records for value in record]
+    payload = binfmt._pack_records(flat)
+    assert payload == b"".join(struct.pack("<Bqq", *record) for record in records)
     columns = ChunkColumns(
         first_pos, len(records), bytes(kind for kind, _, _ in records),
         array("q", [thread for _, thread, _ in records]),
         array("q", [arg for _, _, arg in records]))
-    payload = encode_chunk_columns(columns)
-    assert payload == b"".join(struct.pack("<Bqq", *record) for record in records)
     chunk = ChunkMeta(0, 0, len(payload), len(records), first_pos, 0, {})
     assert decode_chunk_columns(io.BytesIO(payload), chunk) == columns
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(binfmt, "_NATIVE_I64", False)
-        assert encode_chunk_columns(columns) == payload
         assert decode_chunk_columns(io.BytesIO(payload), chunk) == columns
+
+
+class _EventList(TraceConsumer):
+    """The events a run hands its consumers, as :class:`Event` objects."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_call(self, thread, routine):
+        self.events.append(Event(EventKind.CALL, thread, routine))
+
+    def on_return(self, thread):
+        self.events.append(Event(EventKind.RETURN, thread, None))
+
+    def on_read(self, thread, addr):
+        self.events.append(Event(EventKind.READ, thread, addr))
+
+    def on_write(self, thread, addr):
+        self.events.append(Event(EventKind.WRITE, thread, addr))
+
+    def on_kernel_read(self, thread, addr):
+        self.events.append(Event(EventKind.KERNEL_READ, thread, addr))
+
+    def on_kernel_write(self, thread, addr):
+        self.events.append(Event(EventKind.KERNEL_WRITE, thread, addr))
+
+    def on_thread_switch(self, thread):
+        self.events.append(Event(EventKind.THREAD_SWITCH, thread, thread))
+
+    def on_cost(self, thread, units):
+        self.events.append(Event(EventKind.COST, thread, units))
+
+
+@pytest.mark.parametrize("chunk_events", [1, 7, 255, 257, 1000])
+def test_recorded_chunks_equal_record_by_record_reference(chunk_events):
+    """A VM recording sealed in chunks below, at and across the packer's
+    256-record blocks is the record-by-record ``<Bqq`` reference, byte
+    for byte: every chunk header, payload, the footer and the sidecar."""
+    stream, names = io.BytesIO(), io.StringIO()
+    writer = BinaryTraceWriter(stream, chunk_events=chunk_events, names_stream=names)
+    seen = _EventList()
+    benchmark("376.kdtree").run(tools=EventBus([writer, seen]), threads=4, scale=1.0)
+    writer.close()
+    assert len(seen.events) > 2 * 1000
+    trace, sidecar = reference_v2_bytes(seen.events, chunk_events)
+    assert stream.getvalue() == trace
+    assert names.getvalue() == sidecar
+    assert len(writer.chunks) == -(-len(seen.events) // chunk_events)
+
+
+_HOOK_CALLS = [("on_call", (1, "f")), ("on_return", (1,)), ("on_read", (1, 8)),
+               ("on_write", (1, 8)), ("on_kernel_read", (1, 8)),
+               ("on_kernel_write", (1, 8)), ("on_thread_switch", (2,)),
+               ("on_cost", (1, 1))]
+
+
+@pytest.mark.parametrize("hook, args", _HOOK_CALLS, ids=[hook for hook, _ in _HOOK_CALLS])
+def test_every_hook_raises_after_close(hook, args):
+    """Every hook refuses a sealed file, every time, and the sealed bytes
+    and the event count stay as they were."""
+    stream = io.BytesIO()
+    writer = BinaryTraceWriter(stream, chunk_events=4)
+    for name, hook_args in _HOOK_CALLS:
+        getattr(writer, name)(*hook_args)
+    writer.close()
+    sealed = stream.getvalue()
+    for _ in range(2):
+        with pytest.raises(BinaryTraceError, match="sealed"):
+            getattr(writer, hook)(*args)
+    assert stream.getvalue() == sealed
+    assert writer.events_written == len(_HOOK_CALLS)
+    stream.seek(0)
+    assert len(read_binary_trace(stream)) == len(_HOOK_CALLS)
+
+
+@pytest.mark.parametrize("arg", [2**63, -(2**63) - 1])
+def test_arg_outside_int64_raises_at_seal_and_writes_nothing(arg):
+    """A record that does not fit ``<Bqq`` raises when its chunk is sealed:
+    the chunks sealed before it stay, no byte of its chunk is written, and
+    its records stay buffered."""
+    stream = io.BytesIO()
+    writer = BinaryTraceWriter(stream, chunk_events=3)
+    for addr in range(3):
+        writer.on_read(1, addr)
+    before = stream.getvalue()
+    writer.on_read(1, 3)
+    writer.on_write(1, arg)
+    with pytest.raises(struct.error):
+        writer.on_read(1, 4)
+    assert stream.getvalue() == before
+    assert len(writer.chunks) == 1
+    assert writer.events_written == 6
+    with pytest.raises(struct.error):
+        writer.close()
+    assert stream.getvalue() == before and not writer.closed
 
 
 # -- Rows of decoded columns against the record-by-record decoder -------------

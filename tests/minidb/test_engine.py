@@ -193,6 +193,28 @@ def test_full_ring_self_flushes_without_background_flusher():
         close(session)
 
 
+def test_stopped_flusher_leaves_later_writes_intact():
+    """``stop_flusher`` leaves no wake-up token behind, so the records
+    written after it are each flushed once, in order.  Several trials,
+    because the flusher's last drain races the stop."""
+    for _ in range(8):
+        session, db, _, _ = make_db(ring_slots=6)
+        try:
+            db.execute("CREATE TABLE t (a, b)")
+            db.start_flusher()
+            for i in range(12):
+                db.execute(f"INSERT INTO t VALUES ({i}, {i})")
+            db.stop_flusher()
+            assert db.execute("SELECT * FROM t") == [[i, i] for i in range(12)]
+            for i in range(12, 20):
+                db.execute(f"INSERT INTO t VALUES ({i}, {i})")
+            assert db.execute("SELECT * FROM t") == [[i, i] for i in range(20)]
+            assert db.change_buffer.pending == 0
+            assert db.change_buffer.records_flushed == 40
+        finally:
+            close(session)
+
+
 def test_minislap_runs_mixed_load():
     trms = TrmsProfiler(keep_activations=True)
     session = TraceSession(tools=EventBus([trms]))

@@ -60,6 +60,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 from typing import Iterator, List, Optional, TextIO
 
@@ -91,6 +92,17 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not (0 < value < float("inf")):
         raise argparse.ArgumentTypeError(f"must be a positive, finite number, got {text}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of a number the observatory store can keep."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
 
 
@@ -284,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run id override (single input only; default: "
                              "content digest / envelope run_id)")
     ingest.add_argument("--git-sha", default="", help="commit the run profiles")
-    ingest.add_argument("--scale", type=float, default=0.0,
+    ingest.add_argument("--scale", type=_finite_float, default=0.0,
                         help="workload scale the run was taken at")
 
     report = observed.add_parser(

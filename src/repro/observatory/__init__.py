@@ -6,8 +6,9 @@ two profiles diff into asymptotic regressions
 runs, which is what an operator of a long-lived system actually has:
 
 * :mod:`repro.observatory.store` — the persistent history store: an
-  append-only ``history.jsonl`` replayed into :mod:`repro.minidb`
-  tables (runs, fitted curves, raw plot points, run metrics);
+  append-only ``history.jsonl``, replayed at open into each run's read
+  rows (run summary, fitted curves, raw plot points, run metrics) and
+  read from memory;
 * :mod:`repro.observatory.ingest` — turns ``repro-profile 1`` dumps,
   v2 traces, streaming checkpoints, ``telemetry.jsonl`` runs and
   ``repro-bench/1`` envelopes into store records, idempotently by run

@@ -40,7 +40,7 @@ from typing import Dict, List, NamedTuple, Optional
 from ..core.profile_data import ProfileDatabase
 from ..curvefit.fitting import fit_power_law
 from ..curvefit.selection import select_model
-from .store import CurveRecord, ObservatoryStore, RunRecord, _is_late
+from .store import CurveRecord, ObservatoryStore, RunRecord, _is_late, check_record
 
 __all__ = [
     "IngestResult",
@@ -191,7 +191,10 @@ def _flatten_scalars(payload, prefix: str, into: Dict[str, float]) -> None:
         for key, value in payload.items():
             _flatten_scalars(value, f"{prefix}.{key}" if prefix else str(key), into)
     elif isinstance(payload, (int, float)) and not isinstance(payload, bool):
-        into[prefix] = float(payload)
+        try:
+            into[prefix] = float(payload)
+        except OverflowError:       # an integer literal beyond every float
+            raise ValueError(f"metric {prefix!r} is too large to store") from None
 
 
 def record_from_envelope(envelope: Dict) -> RunRecord:
@@ -310,14 +313,16 @@ def record_from_stream_dump(
 ) -> RunRecord:
     """The partial run record of a checkpoint dump shipped over the wire:
     the full ``repro-profile 1`` bytes plus the manifest fields as
-    ``stream_meta`` (see :func:`record_from_checkpoint`)."""
+    ``stream_meta`` (see :func:`record_from_checkpoint`).  A record
+    :func:`~repro.observatory.store.check_record` refuses raises
+    ``ValueError``."""
     import io
 
     from ..farm import load_profile
 
     db = load_profile(io.StringIO(data.decode("utf-8")))
-    return record_from_checkpoint(stream_meta, db, run_id=run_id,
-                                  git_sha=git_sha, scale=scale)
+    return check_record(record_from_checkpoint(stream_meta, db, run_id=run_id,
+                                               git_sha=git_sha, scale=scale))
 
 
 def ingest_stream_dump(
@@ -388,7 +393,10 @@ def record_from_path(
     ``repro-profile 1`` dump, a v2 binary trace (analysed inline through
     the farm engine first), a ``telemetry.jsonl`` file (or a run
     directory holding one) or a ``repro-bench/1`` JSON envelope.  Raises
-    ``ValueError`` on anything else, ``OSError`` on unreadable paths.
+    ``ValueError`` on anything else or on a record that
+    :func:`~repro.observatory.store.check_record` refuses (so a caller
+    can refuse it before it opens, and so creates, a store), and
+    ``OSError`` on unreadable paths.
     """
     from ..farm import is_binary_trace, is_profile_dump, load_profile
     from ..streaming.snapshot import MANIFEST_NAME, load_checkpoint
@@ -456,7 +464,7 @@ def record_from_path(
         raise ValueError(
             f"{path}: not a profile dump, v2 trace, telemetry run, bench "
             f"envelope or checkpoint directory")
-    return record
+    return check_record(record)
 
 
 # -- in-memory artefacts -----------------------------------------------------

@@ -1,46 +1,44 @@
-"""The profile-history store: minidb tables over an append-only log.
+"""The profile-history store: an append-only log, read from memory.
 
 One profiling run is one observation of the system's cost functions;
 the observatory keeps a *history* of them so growth-rate drift across
-commits becomes visible (see :mod:`repro.observatory.drift`).  Storage
-is split along the classic WAL/engine line:
+commits becomes visible (see :mod:`repro.observatory.drift`).
 
-* ``history.jsonl`` — the durable medium: one self-describing JSON
-  record per ingested run, append-only and crash-tolerant exactly like
-  ``telemetry.jsonl`` (a truncated trailing line is ignored).  Strings
-  live only here.
-* the :mod:`repro.minidb` engine — the live relational view, rebuilt
-  from the log at open.  The same mini database the paper profiles as
-  its MySQL case study here serves as real infrastructure: runs,
-  fitted curves and raw plot points are rows in heap tables, queried
-  through its SQL layer with a hash index per hot lookup column.
+``history.jsonl`` *is* the store: one self-describing JSON record per
+ingested run, appended with an ``fsync`` under the store's advisory
+lock, and crash-tolerant exactly like ``telemetry.jsonl`` (a truncated
+trailing line is ignored).  Opening a store parses the log, resolves
+each run's newest version (a streaming run appends one superseding
+line per checkpoint) and applies every resolved run once.
 
-minidb cells hold integers, so strings are interned per store instance
-(ids are assigned during replay and never persisted) and fractional
-values are stored in fixed-point micro-units (``×1e6``).
+Applying a run derives its read rows, once: the :class:`RunInfo` of
+the fleet summary, one :class:`CurveRow` per fitted routine (indexed by
+routine too), the sorted raw plot of each top-K routine and the run
+metrics.  Every read answers from those rows; no read parses, fits or
+scans the log.  Fractional values (scale, metrics, curve coefficients,
+``r2``, exponents) are read back rounded to 1e-6 (micro-units), the
+precision every read and report of a store has always had.
 
-Schema (one row per line of ``CREATE TABLE``)::
+A record holding a number that precision cannot keep — a NaN, an
+infinity, or a magnitude beyond ~1.8e302 — is refused with a
+``ValueError`` before the log is touched (:func:`check_record`), and
+replay skips such a line like a torn one.
 
-    runs    (seq, run_id, git_sha, ts, scale_u, source, routines, events)
-    curves  (run, routine, model, a_u, b_u, r2_u, npoints, max_size, exp_u)
-    points  (run, routine, size, cost)
-    metrics (run, name, value_u)
-
-``runs.seq`` is the ingest ordinal; run ordering everywhere else is by
-``(timestamp, seq)``.  ``curves`` carries one fitted-curve row per
-fittable routine per run — the model name plus its ``a``/``b``
+Run ordering is by ``(timestamp, seq)``, ``seq`` being the ingest
+ordinal.  A curve row carries the model name plus its ``a``/``b``
 coefficients (``cost ≈ a·g(n) + b``), so predicted costs at any size
-can be recomputed without refitting — and the free power-law exponent
-for the dashboard sparklines.  ``points`` keeps the raw worst-case
-cost plot of the top-K routines by total cost.
+can be recomputed without refitting, and the free power-law exponent
+for the dashboard sparklines.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from datetime import datetime, timezone
+from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 try:                                    # POSIX advisory file locks
@@ -49,8 +47,6 @@ except ImportError:                     # pragma: no cover - non-POSIX
     fcntl = None  # type: ignore[assignment]
 
 from ..curvefit.models import model_by_name
-from ..minidb import Database
-from ..pytrace.api import TraceSession
 
 __all__ = [
     "STORE_SCHEMA",
@@ -61,6 +57,7 @@ __all__ = [
     "RunInfo",
     "CurveRow",
     "ObservatoryStore",
+    "check_record",
     "store_exists",
 ]
 
@@ -70,18 +67,13 @@ HISTORY_FILENAME = "history.jsonl"
 #: :meth:`ObservatoryStore._locked`)
 LOCK_FILENAME = "history.lock"
 
-#: fixed-point scale for fractional columns (micro-units)
+#: fixed point of every fractional value a read returns (micro-units)
 _FP = 1_000_000
-#: ``exp_u`` sentinel for "no power-law exponent available"
-_NO_EXP = -(10 ** 12)
 
 
-def _fp(value: float) -> int:
-    return int(round(float(value) * _FP))
-
-
-def _unfp(value: int) -> float:
-    return value / _FP
+def _micro(value: float) -> float:
+    """``value`` at the store's 1e-6 precision."""
+    return round(float(value) * _FP) / _FP
 
 
 def _parse_ts(timestamp: Optional[str]) -> int:
@@ -126,7 +118,7 @@ class RunRecord(NamedTuple):
 
 
 class RunInfo(NamedTuple):
-    """One run as read back from the ``runs`` table."""
+    """One run as a read returns it (the fleet summary's row)."""
 
     seq: int
     run_id: str
@@ -139,7 +131,7 @@ class RunInfo(NamedTuple):
 
 
 class CurveRow(NamedTuple):
-    """One fitted-curve row as read back from the ``curves`` table."""
+    """One routine's fitted curve in one run, as a read returns it."""
 
     run_seq: int
     routine: str
@@ -178,8 +170,77 @@ def store_exists(root: str) -> bool:
     return os.path.isfile(os.path.join(root, HISTORY_FILENAME))
 
 
+def _unstorable(value) -> Optional[str]:
+    """Why the 1e-6 fixed point cannot keep ``value``, or None."""
+    try:
+        number = float(value)
+    except OverflowError:           # an int beyond every float
+        return "too large to store"
+    if not math.isfinite(number):
+        return "not finite"
+    if not math.isfinite(number * _FP):
+        return "too large to store"
+    return None
+
+
+def check_record(record: RunRecord) -> RunRecord:
+    """``record`` itself, or a ``ValueError`` naming its first number that
+    the store's 1e-6 fixed point cannot keep: a NaN, an infinity, or a
+    magnitude whose micro-units overflow a float."""
+    fields = [("scale", record.scale)]
+    fields += [(f"metric {name!r}", value) for name, value in record.metrics.items()]
+    for curve in record.curves:
+        fields += [(f"curve {curve.routine!r} {name}", getattr(curve, name))
+                   for name in ("a", "b", "r2", "exponent")]
+    for field, value in fields:
+        problem = None if value is None else _unstorable(value)
+        if problem:
+            raise ValueError(f"run {record.run_id!r}: {field} is {problem}: {value!r:.40}")
+    return record
+
+
+class _ReadRows(NamedTuple):
+    """What every read returns of one stored run, derived when it is applied."""
+
+    info: RunInfo
+    curves: List[CurveRow]                      #: in the record's order
+    plots: Dict[str, List[Tuple[int, int]]]     #: routine -> sorted plot
+    metrics: Dict[str, float]
+
+
+def _read_rows(seq: int, record: RunRecord) -> _ReadRows:
+    info = RunInfo(
+        seq=seq,
+        run_id=record.run_id,
+        git_sha=record.git_sha or "",
+        timestamp=_parse_ts(record.timestamp),
+        scale=_micro(record.scale or 0.0),
+        source=record.source or "",
+        routines=len({curve.routine for curve in record.curves} | set(record.points)),
+        events=int(record.events or 0),
+    )
+    curves = [
+        CurveRow(
+            run_seq=seq,
+            routine=curve.routine,
+            model=curve.model,
+            a=_micro(curve.a),
+            b=_micro(curve.b),
+            r2=_micro(curve.r2),
+            points=int(curve.points),
+            max_size=int(curve.max_size),
+            exponent=None if curve.exponent is None else _micro(curve.exponent),
+        )
+        for curve in record.curves
+    ]
+    plots = {routine: sorted((int(size), int(cost)) for size, cost in plot)
+             for routine, plot in record.points.items()}
+    metrics = {name: _micro(value) for name, value in record.metrics.items()}
+    return _ReadRows(info, curves, plots, metrics)
+
+
 class ObservatoryStore:
-    """Persistent run history over a minidb engine (see module docstring).
+    """Persistent run history, read from memory (see module docstring).
 
     Usage::
 
@@ -192,58 +253,7 @@ class ObservatoryStore:
         self.root = root
         os.makedirs(root, exist_ok=True)
         self.path = os.path.join(root, HISTORY_FILENAME)
-        self._names: List[str] = []
-        self._ids: Dict[str, int] = {}
-        self._run_seq: Dict[str, int] = {}     # run_id -> seq ordinal
-        self._records: List[RunRecord] = []    # replayed log, in seq order
-        self._engine = self._new_engine()
-        self._replay()
-
-    # -- engine ------------------------------------------------------------
-
-    def _new_engine(self) -> Database:
-        # An untraced session: the observatory *uses* minidb, it does not
-        # profile it.  Page/frame sizing trades tracked-cell granularity
-        # for capacity: 9 columns max -> 8 curve rows per 81-word page,
-        # 4096 pages per table extent.
-        engine = Database(
-            TraceSession(tools=None),
-            page_size=81,
-            pool_frames=128,
-            ring_slots=64,
-            record_width=10,
-        )
-        engine.execute(
-            "CREATE TABLE runs (seq, run_id, git_sha, ts, scale_u, source, "
-            "routines, events)")
-        engine.execute(
-            "CREATE TABLE curves (run, routine, model, a_u, b_u, r2_u, "
-            "npoints, max_size, exp_u)")
-        engine.execute("CREATE TABLE points (run, routine, size, cost)")
-        engine.execute("CREATE TABLE metrics (run, name, value_u)")
-        engine.execute("CREATE INDEX ON runs (run_id)")
-        engine.execute("CREATE INDEX ON curves (routine)")
-        engine.execute("CREATE INDEX ON points (run)")
-        engine.execute("CREATE INDEX ON metrics (run)")
-        return engine
-
-    def _intern(self, name: str) -> int:
-        interned = self._ids.get(name)
-        if interned is None:
-            interned = len(self._names)
-            self._names.append(name)
-            self._ids[name] = interned
-        return interned
-
-    def _name(self, interned: int) -> str:
-        return self._names[interned]
-
-    def _insert(self, table: str, values: List[int]) -> None:
-        rendered = ", ".join(str(int(value)) for value in values)
-        self._engine.execute(f"INSERT INTO {table} VALUES ({rendered})")
-        # No background flusher: drain the change-buffer ring eagerly so
-        # bulk ingestion never blocks on a full ring.
-        self._engine.flush_now()
+        self._rebuild(self._replay())
 
     # -- log ---------------------------------------------------------------
 
@@ -254,7 +264,7 @@ class ObservatoryStore:
         ``gc`` swaps ``history.jsonl`` out from under concurrent
         writers (atomic-replace compaction); an append racing the swap
         would land on the *old* inode and be lost, and a reader could
-        observe a half-rebuilt engine.  Every append and the whole gc
+        observe half-rebuilt rows.  Every append and the whole gc
         critical section therefore take an exclusive ``flock`` on a
         sidecar lock file — advisory (cooperating processes only), so
         plain reads of the JSONL stay lock-free.  On platforms without
@@ -270,14 +280,14 @@ class ObservatoryStore:
             finally:
                 fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
-    def _replay(self) -> None:
+    def _replay(self) -> List[RunRecord]:
+        """The log's runs, each at its newest version, in ingest order."""
         if not os.path.exists(self.path):
             with open(self.path, "w", encoding="utf-8") as stream:
                 stream.write(json.dumps({"type": "meta", "schema": STORE_SCHEMA}) + "\n")
-            return
-        # Resolve supersessions before touching the engine: a streaming
-        # run appends one log record per checkpoint, all sharing one
-        # run_id, and only the newest version may be materialised (at
+            return []
+        # A streaming run appends one log record per checkpoint, all
+        # sharing one run_id, and only the newest version is applied (at
         # its original position — a stream keeps its place in history).
         resolved: List[RunRecord] = []
         index: Dict[str, int] = {}
@@ -288,11 +298,13 @@ class ObservatoryStore:
                     continue
                 try:
                     record = json.loads(line)
-                except ValueError:
-                    continue    # truncated trailing line (crash mid-append)
-                if record.get("type") != "run":
+                    if record.get("type") != "run":
+                        continue
+                    run = check_record(_record_from_json(record))
+                except (ValueError, OverflowError):
+                    # a truncated trailing line (crash mid-append), or a
+                    # number an older version logged but no read can hold
                     continue
-                run = _record_from_json(record)
                 seq = index.get(run.run_id)
                 if seq is None:
                     index[run.run_id] = len(resolved)
@@ -301,8 +313,7 @@ class ObservatoryStore:
                     resolved[seq] = run
                 # duplicate non-superseding append: first write wins,
                 # matching add_run's idempotency
-        for run in resolved:
-            self._apply(run)
+        return resolved
 
     def _append(self, record: RunRecord, supersede: bool = False) -> None:
         payload = _record_to_json(record)
@@ -337,88 +348,65 @@ class ObservatoryStore:
         version.  Re-ingesting a byte-identical checkpoint stays a
         no-op, keeping superseding ingestion idempotent too, and so is
         a late one (see :func:`_is_late`).
+
+        A record :func:`check_record` refuses raises ``ValueError``
+        before the log is touched.
         """
-        if self.has_run(record.run_id):
-            if not supersede:
-                return False
-            seq = self._run_seq[record.run_id]
-            if self._records[seq] == record or _is_late(self._records[seq], record):
-                return False    # identical checkpoint re-ingested, or a late one
-            self._append(record, supersede=True)
-            records = list(self._records)
-            records[seq] = record
-            self._rebuild(records)
+        check_record(record)
+        seq = self._run_seq.get(record.run_id)
+        if seq is None:
+            self._append(record, supersede=supersede)
+            self._apply(len(self._records), record)
             return True
-        self._append(record, supersede=supersede)
-        self._apply(record)
+        if not supersede or self._records[seq] == record or _is_late(self._records[seq], record):
+            return False    # known run, identical checkpoint re-ingested, or a late one
+        self._append(record, supersede=True)
+        self._apply(seq, record)
         return True
 
     def _rebuild(self, records: List[RunRecord]) -> None:
-        """Re-materialise the engine from an explicit record list."""
-        self._names = []
-        self._ids = {}
-        self._run_seq = {}
-        self._records = []
-        self._engine = self._new_engine()
-        for record in records:
-            self._apply(record)
+        """Hold exactly ``records``, renumbered from seq 0."""
+        self._records: List[RunRecord] = []     # in seq order
+        self._rows: List[_ReadRows] = []        # parallel to _records
+        self._run_seq: Dict[str, int] = {}      # run_id -> seq
+        #: routine -> its curve rows (one run's rows stay in its order)
+        self._by_routine: Dict[str, List[CurveRow]] = {}
+        for seq, record in enumerate(records):
+            self._apply(seq, record)
 
-    def _apply(self, record: RunRecord) -> None:
-        seq = len(self._records)
-        self._records.append(record)
+    def _apply(self, seq: int, record: RunRecord) -> None:
+        """Store ``record`` at ``seq`` (appended, or replacing the run
+        there) with its read rows: the one per-record step of every write,
+        open and gc."""
+        rows = _read_rows(seq, record)
+        if seq == len(self._records):
+            self._records.append(record)
+            self._rows.append(rows)
+        else:
+            for routine in {curve.routine for curve in self._rows[seq].curves}:
+                kept = [row for row in self._by_routine[routine] if row.run_seq != seq]
+                if kept:
+                    self._by_routine[routine] = kept
+                else:
+                    del self._by_routine[routine]
+            self._records[seq] = record
+            self._rows[seq] = rows
         self._run_seq[record.run_id] = seq
-        self._insert("runs", [
-            seq,
-            self._intern(record.run_id),
-            self._intern(record.git_sha or ""),
-            _parse_ts(record.timestamp),
-            _fp(record.scale or 0.0),
-            self._intern(record.source or ""),
-            len({curve.routine for curve in record.curves} | set(record.points)),
-            int(record.events or 0),
-        ])
-        for curve in record.curves:
-            exponent = _NO_EXP if curve.exponent is None else _fp(curve.exponent)
-            self._insert("curves", [
-                seq,
-                self._intern(curve.routine),
-                self._intern(curve.model),
-                _fp(curve.a),
-                _fp(curve.b),
-                _fp(curve.r2),
-                int(curve.points),
-                int(curve.max_size),
-                exponent,
-            ])
-        for routine, plot in record.points.items():
-            routine_id = self._intern(routine)
-            for size, cost in plot:
-                self._insert("points", [seq, routine_id, int(size), int(cost)])
-        for name, value in record.metrics.items():
-            self._insert("metrics", [seq, self._intern(name), _fp(value)])
+        for curve in rows.curves:
+            self._by_routine.setdefault(curve.routine, []).append(curve)
 
     # -- reads -------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._records)
 
+    def _rows_at(self, seq: int) -> Optional[_ReadRows]:
+        return self._rows[seq] if 0 <= seq < len(self._rows) else None
+
     def runs(self) -> List[RunInfo]:
         """Every run, ordered by (timestamp, ingest ordinal)."""
-        rows = self._engine.execute("SELECT * FROM runs")
-        infos = [
-            RunInfo(
-                seq=row[0],
-                run_id=self._name(row[1]),
-                git_sha=self._name(row[2]),
-                timestamp=row[3],
-                scale=_unfp(row[4]),
-                source=self._name(row[5]),
-                routines=row[6],
-                events=row[7],
-            )
-            for row in rows
-        ]
-        infos.sort(key=lambda info: (info.timestamp, info.seq))
+        infos = [rows.info for rows in self._rows]
+        infos.sort(key=attrgetter("timestamp", "seq"))
         return infos
 
     def run_order(self) -> Dict[int, int]:
@@ -427,56 +415,35 @@ class ObservatoryStore:
 
     def routines(self) -> List[str]:
         """Sorted names of every routine with at least one curve row."""
-        rows = self._engine.execute("SELECT * FROM curves")
-        return sorted({self._name(row[1]) for row in rows})
-
-    def _curve_row(self, row: List[int]) -> CurveRow:
-        exponent = None if row[8] == _NO_EXP else _unfp(row[8])
-        return CurveRow(
-            run_seq=row[0],
-            routine=self._name(row[1]),
-            model=self._name(row[2]),
-            a=_unfp(row[3]),
-            b=_unfp(row[4]),
-            r2=_unfp(row[5]),
-            points=row[6],
-            max_size=row[7],
-            exponent=exponent,
-        )
+        return sorted(self._by_routine)
 
     def curve_trajectory(self, routine: str,
                          order: Optional[Dict[int, int]] = None) -> List[CurveRow]:
-        """The routine's fitted curves across runs, in run order.
+        """The routine's fitted curves across runs, in run order, then seq
+        (a run that ``order`` omits sorts first).
 
         ``order`` is :meth:`run_order`, for a caller that reads many
         trajectories from one history and so computes it once.
         """
-        routine_id = self._ids.get(routine)
-        if routine_id is None:
+        curves = self._by_routine.get(routine)
+        if not curves:
             return []
-        rows = self._engine.execute(
-            f"SELECT * FROM curves WHERE routine = {routine_id}")
         if order is None:
             order = self.run_order()
-        curves = [self._curve_row(row) for row in rows]
-        curves.sort(key=lambda curve: order.get(curve.run_seq, -1))
-        return curves
+        return sorted(curves, key=lambda curve: (order.get(curve.run_seq, -1), curve.run_seq))
 
     def curves_for_run(self, seq: int) -> List[CurveRow]:
-        rows = self._engine.execute(f"SELECT * FROM curves WHERE run = {seq}")
-        return [self._curve_row(row) for row in rows]
+        rows = self._rows_at(seq)
+        return list(rows.curves) if rows else []
 
     def points_for(self, seq: int, routine: str) -> List[Tuple[int, int]]:
         """Raw worst-case plot of one routine in one run (top-K only)."""
-        routine_id = self._ids.get(routine)
-        if routine_id is None:
-            return []
-        rows = self._engine.execute(f"SELECT * FROM points WHERE run = {seq}")
-        return sorted((row[2], row[3]) for row in rows if row[1] == routine_id)
+        rows = self._rows_at(seq)
+        return list(rows.plots.get(routine, ())) if rows else []
 
     def metrics_for(self, seq: int) -> Dict[str, float]:
-        rows = self._engine.execute(f"SELECT * FROM metrics WHERE run = {seq}")
-        return {self._name(row[1]): _unfp(row[2]) for row in rows}
+        rows = self._rows_at(seq)
+        return dict(rows.metrics) if rows else {}
 
     # -- maintenance -------------------------------------------------------
 
@@ -484,11 +451,10 @@ class ObservatoryStore:
         """Keep only the newest ``keep`` runs; returns how many were dropped.
 
         Compacts ``history.jsonl`` (atomic replace) and rebuilds the
-        engine from the survivors.  The whole critical section holds
+        read rows from the survivors.  The whole critical section holds
         the store's advisory lock, so a concurrent ingest (another
         cooperating process, or the profiling service's workers) can
-        never append to the about-to-be-replaced log or observe the
-        half-rebuilt engine.
+        never append to the about-to-be-replaced log.
         """
         if keep < 0:
             raise ValueError("keep must be >= 0")
@@ -512,8 +478,9 @@ class ObservatoryStore:
         return len(victims)
 
     def close(self) -> None:
-        """Release the engine (the log is already durable)."""
-        self._engine = None  # type: ignore[assignment]
+        """Nothing to release: every write is durable when it returns, and
+        the read rows are plain memory.  Kept for ``with`` and callers
+        that end a store's use explicitly."""
 
     def __enter__(self) -> "ObservatoryStore":
         return self

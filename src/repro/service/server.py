@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import signal
 import socket
@@ -101,11 +102,20 @@ _HTTP_VIEWS = {"html": ("report", "html", "text/html; charset=utf-8"),
 _OPS = ("ping", "put", "put_stream", "job", *_VIEWS, "stats", "tenants",
         "shutdown")
 
+
+def _finite(value) -> float:
+    """A ``_field`` kind: the float a store can keep (no NaN or infinity)."""
+    parsed = float(value)
+    if not math.isfinite(parsed):
+        raise ValueError(f"not finite: {value!r}")
+    return parsed
+
+
 #: the ``stream`` fields of a ``put_stream`` header besides its id:
 #: (name, type, value when absent)
 _STREAM_FIELDS = (("seq", int, 0), ("events_analyzed", int, 0),
-                  ("events_behind", int, 0), ("lag_ms", float, 0.0),
-                  ("events_per_s", float, 0.0), ("closed", bool, False),
+                  ("events_behind", int, 0), ("lag_ms", _finite, 0.0),
+                  ("events_per_s", _finite, 0.0), ("closed", bool, False),
                   ("timestamp", str, ""))
 
 #: HTTP verbs the sniffer recognizes (only GET/HEAD are served; the
@@ -131,7 +141,7 @@ def _field(fields: Dict, name: str, kind: Callable, default, prefix: str = "",
         parsed = kind(value)
         if low is None or parsed >= low:
             return parsed
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise _BadHeader(f"bad header field {prefix}{name}: {value!r:.80}")
 
@@ -146,10 +156,12 @@ def _upload_fields(header: Dict) -> Tuple[Dict, Optional[float]]:
     """
     params = {"run_id": _field(header, "run_id", str, None),
               "git_sha": _field(header, "git_sha", str, ""),
-              "scale": _field(header, "scale", float, 0.0)}
+              "scale": _field(header, "scale", _finite, 0.0)}
     timeout = header.get("wait_timeout")
     if timeout is not None:
-        timeout = _field(header, "wait_timeout", float, 0.0)
+        # a wait past the platform's longest timeout waits without one
+        timeout = min(_field(header, "wait_timeout", _finite, 0.0),
+                      threading.TIMEOUT_MAX)
     return params, (timeout if header.get("wait") else 0.0)
 
 

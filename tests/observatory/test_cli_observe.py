@@ -236,3 +236,48 @@ def test_diff_missing_file_exits_2(tmp_path):
     code, out = run_cli("diff", old, str(tmp_path / "absent.prof"))
     assert code == 2
     assert "error:" in out
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-Infinity"])
+def test_ingest_refuses_a_non_finite_scale(tmp_path, capsys, scale):
+    """Exit 2 with a usage line, before any input is read or a store made."""
+    dump = write_dump(tmp_path / "a.prof", {"f": lambda n: 10 * n})
+    store = tmp_path / "obs"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("observe", "ingest", dump, "--store", str(store), f"--scale={scale}")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert f"--scale: must be a finite number, got {scale}" in err
+    assert not store.exists()
+
+
+@pytest.mark.parametrize("literal,error", [
+    ("Infinity", "run 'b1': metric 'gate.wall_s' is not finite: inf"),
+    ("NaN", "run 'b1': metric 'gate.wall_s' is not finite: nan"),
+    ("-1e999", "run 'b1': metric 'gate.wall_s' is not finite: -inf"),
+    ("1e303", "run 'b1': metric 'gate.wall_s' is too large to store: 1e+303"),
+    ("1" + "0" * 400, "metric 'gate.wall_s' is too large to store"),
+], ids=["Infinity", "NaN", "-1e999", "1e303", "huge-int"])
+def test_ingest_refuses_an_envelope_holding_infinity(tmp_path, literal, error):
+    """One ``error:`` line and exit 1; no store is created by it, an
+    existing one keeps its log, and every later read still works."""
+    path = tmp_path / "env.json"
+    path.write_text('{"schema": "repro-bench/1", "run_id": "b1", '
+                    '"metrics": {"gate": {"wall_s": %s}}}' % literal)
+    store = tmp_path / "obs"
+    code, out = run_cli("observe", "ingest", str(path), "--store", str(store))
+    assert code == 1
+    assert out.count("error:") == 1
+    assert f"error: {error}\n" in out
+    assert not store.exists()
+
+    dump = write_dump(tmp_path / "a.prof", {"f": lambda n: 10 * n})
+    assert run_cli("observe", "ingest", dump, "--store", str(store))[0] == 0
+    code, out = run_cli("observe", "ingest", str(path), "--store", str(store))
+    assert code == 1 and out.count("error:") == 1
+    history = (store / "history.jsonl").read_text()
+    assert "Infinity" not in history and "NaN" not in history
+    for argv in (("ingest", dump), ("alerts",), ("report",)):
+        code, out = run_cli("observe", *argv, "--store", str(store))
+        assert code == 0, out

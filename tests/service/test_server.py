@@ -70,6 +70,16 @@ def test_put_wait_ingests_and_is_queryable(tmp_path):
         assert wait_for(lambda: spool_files(server, "web") == [])
 
 
+def test_put_waits_past_the_platform_timeout(tmp_path):
+    """A finite ``wait_timeout`` beyond what the platform can wait for is
+    a wait without a limit, not an internal error after the upload."""
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port) as client:
+            reply = client.put_bytes(profile_dump_bytes({"a": lambda n: n}),
+                                     wait=True, wait_timeout=1e10)
+            assert reply["status"] == "done"
+
+
 def test_duplicate_upload_rejected_at_door(tmp_path):
     dump = profile_dump_bytes({"alpha": lambda n: 2 * n})
     with running_server(tmp_path) as server:
@@ -136,6 +146,44 @@ def test_failed_upload_creates_no_tenant(tmp_path, op):
                            wait=True)
             assert reply["status"] == "done"
             assert client.tenants() == ["bad"]
+
+
+def test_upload_holding_infinity_fails_and_creates_no_tenant(tmp_path):
+    """An envelope whose metric the store cannot keep fails its job with
+    the metric named, before the tenant's store exists."""
+    payload = (b'{"schema": "repro-bench/1", "run_id": "b1", '
+               b'"metrics": {"wall_s": Infinity}}\n')
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            reply = client.put_bytes(payload, wait=True)
+            assert reply["status"] == "failed"
+            assert reply["error"] == ("ValueError: run 'b1': metric 'wall_s' "
+                                      "is not finite: inf")
+            assert client.tenants() == []
+            assert not os.path.exists(
+                os.path.join(server.tenants.path("web"), "history.jsonl"))
+
+
+def test_a_tenant_an_older_version_poisoned_serves_again(tmp_path):
+    """A log line holding Infinity (written before runs were checked)
+    is skipped at open: the tenant reads and ingests again."""
+    dump = profile_dump_bytes({"a": lambda n: n})
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            assert client.put_bytes(dump, wait=True)["status"] == "done"
+        path = os.path.join(server.tenants.path("web"), "history.jsonl")
+    with open(path, encoding="utf-8") as stream:
+        meta, run = stream.read().splitlines()
+    poisoned = dict(json.loads(run), run_id="poisoned", scale=float("inf"))
+    with open(path, "a", encoding="utf-8") as stream:
+        stream.write(json.dumps(poisoned) + "\n")
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            assert len(client.runs()) == 1
+            reply = client.put_bytes(profile_dump_bytes({"b": lambda n: n}),
+                                     wait=True)
+            assert reply["status"] == "done"
+            assert len(client.runs()) == 2
 
 
 def test_empty_payload_rejected(tmp_path):
@@ -230,6 +278,13 @@ def test_queue_full_pushes_back(tmp_path, op):
     ("put_stream", {"wait": True, "wait_timeout": "soon"}, "wait_timeout"),
     ("put_stream", {"stream": {"seq": "x"}}, "stream.seq"),
     ("put_stream", {"stream": {"lag_ms": [1]}}, "stream.lag_ms"),
+    ("put", {"scale": "inf"}, "scale"),
+    ("put", {"scale": "nan"}, "scale"),
+    ("put", {"wait": True, "wait_timeout": "inf"}, "wait_timeout"),
+    ("put_stream", {"scale": "-inf"}, "scale"),
+    ("put_stream", {"stream": {"lag_ms": "inf"}}, "stream.lag_ms"),
+    ("put_stream", {"stream": {"events_per_s": "nan"}}, "stream.events_per_s"),
+    ("put_stream", {"stream": {"seq": 1e400}}, "stream.seq"),
     ("alerts", {"tolerance": "abc"}, "tolerance"),
     ("alerts", {"tolerance": 0.5}, "tolerance"),
     ("report", {"limit": "x"}, "limit"),
@@ -237,7 +292,10 @@ def test_queue_full_pushes_back(tmp_path, op):
     ("report", {"format": "xml"}, "format"),
 ], ids=["put-scale", "put-wait_timeout", "put_stream-scale",
         "put_stream-wait_timeout", "put_stream-stream.seq",
-        "put_stream-stream.lag_ms", "alerts-tolerance-abc",
+        "put_stream-stream.lag_ms", "put-scale-inf", "put-scale-nan",
+        "put-wait_timeout-inf", "put_stream-scale-inf",
+        "put_stream-stream.lag_ms-inf", "put_stream-stream.events_per_s-nan",
+        "put_stream-stream.seq-inf", "alerts-tolerance-abc",
         "alerts-tolerance-0.5", "report-limit-x", "report-limit-0",
         "report-format"])
 def test_bad_header_field_is_rejected_before_the_spool(tmp_path, op, fields,

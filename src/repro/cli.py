@@ -824,7 +824,7 @@ def _cmd_observe(args, out) -> int:
                         # temp file (the service's inline-ingest sibling)
                         record = record_from_bytes(
                             sys.stdin.buffer.read(), run_id=args.run_id,
-                            git_sha=args.git_sha, scale=args.scale,
+                            git_sha=args.git_sha, scale=args.scale, name="-",
                         )
                     else:
                         record = record_from_path(

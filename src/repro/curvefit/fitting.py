@@ -1,20 +1,21 @@
 """Least-squares fitting of cost plots against asymptotic models.
 
 Given the ``(size, cost)`` points of a routine's worst-case (or average)
-cost plot, :func:`fit` estimates the coefficients of one model by
-ordinary least squares on its basis, and :func:`fit_power_law` estimates
-a free exponent by log-log regression — the quick "is this super-linear?"
-check used in the Figure 6 reproduction.
+cost plot, :func:`fit_models` estimates the coefficients of each of
+several models by ordinary least squares on its basis (:func:`fit` is
+its one-model case), and :func:`fit_power_law` estimates a free exponent
+by log-log regression — the quick "is this super-linear?" check used in
+the Figure 6 reproduction.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .models import Model
+from .models import Model, clamp_size
 
-__all__ = ["FitResult", "fit", "fit_power_law", "PowerLawFit"]
+__all__ = ["FitResult", "fit", "fit_models", "fit_power_law", "PowerLawFit"]
 
 
 class FitResult(NamedTuple):
@@ -32,11 +33,17 @@ class FitResult(NamedTuple):
         return self.model.evaluate(n, self.a, self.b)
 
 
-def _ols(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Ordinary least squares for ``y = a*x + b`` (closed form)."""
+def _ols(xs: Sequence[float], ys: Sequence[float],
+         mean_y: Optional[float] = None) -> Tuple[float, float]:
+    """Ordinary least squares for ``y = a*x + b`` (closed form).
+
+    A caller regressing one ``ys`` on several ``xs`` passes their mean
+    ``mean_y`` once instead of having it summed per call.
+    """
     count = len(xs)
     mean_x = sum(xs) / count
-    mean_y = sum(ys) / count
+    if mean_y is None:
+        mean_y = sum(ys) / count
     sxx = sum((x - mean_x) ** 2 for x in xs)
     if sxx == 0.0:
         return 0.0, mean_y
@@ -45,8 +52,14 @@ def _ols(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
     return a, mean_y - a * mean_x
 
 
-def fit(points: Sequence[Tuple[float, float]], model: Model) -> FitResult:
-    """Fit ``model`` to ``(size, cost)`` points.
+def fit_models(points: Sequence[Tuple[float, float]],
+               models: Sequence[Model]) -> List[FitResult]:
+    """Fit each of ``models`` to ``(size, cost)`` points, in order.
+
+    The plot's own terms — the clamped float sizes, the float costs,
+    their mean and total sum of squares — are computed once and shared;
+    each model adds only its basis transform and its regression sums.
+    Every fit is bit-identical to fitting its model alone.
 
     The slope is clamped to be non-negative: a cost function decreasing
     in its own basis is never evidence *for* that growth class, and the
@@ -55,18 +68,29 @@ def fit(points: Sequence[Tuple[float, float]], model: Model) -> FitResult:
     """
     if not points:
         raise ValueError("cannot fit an empty cost plot")
-    sizes = [p[0] for p in points]
     costs = [float(p[1]) for p in points]
-    xs = model.transform(sizes)
-    a, b = _ols(xs, costs)
-    if a < 0.0:
-        a = 0.0
-        b = sum(costs) / len(costs)
-    rss = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, costs))
+    sizes = [clamp_size(p[0]) for p in points]
     mean_y = sum(costs) / len(costs)
     tss = sum((y - mean_y) ** 2 for y in costs)
-    r2 = 1.0 if tss == 0.0 else max(0.0, 1.0 - rss / tss)
-    return FitResult(model, a, b, rss, r2)
+    fits = []
+    for model in models:
+        basis = model.basis
+        xs = [basis(n) for n in sizes]
+        a, b = _ols(xs, costs, mean_y)
+        if a < 0.0:
+            a, b = 0.0, mean_y
+        rss = sum((y - (a * x + b)) ** 2 for x, y in zip(xs, costs))
+        r2 = 1.0 if tss == 0.0 else max(0.0, 1.0 - rss / tss)
+        fits.append(FitResult(model, a, b, rss, r2))
+    return fits
+
+
+def fit(points: Sequence[Tuple[float, float]], model: Model) -> FitResult:
+    """Fit ``model`` to ``(size, cost)`` points (see :func:`fit_models`).
+
+    Raises ValueError on an empty plot.
+    """
+    return fit_models(points, (model,))[0]
 
 
 class PowerLawFit(NamedTuple):

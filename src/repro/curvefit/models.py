@@ -18,7 +18,14 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Sequence
 
-__all__ = ["Model", "DEFAULT_FAMILY", "model_by_name"]
+__all__ = ["Model", "DEFAULT_FAMILY", "clamp_size", "model_by_name"]
+
+
+def clamp_size(n: float) -> float:
+    """``n`` as the float a basis takes: sizes below 1 are clamped to 1,
+    so log-type bases stay defined at the tiny inputs real profiles
+    contain."""
+    return max(float(n), 1.0)
 
 
 class Model:
@@ -32,14 +39,12 @@ class Model:
         self.order = order
 
     def transform(self, sizes: Sequence[float]) -> List[float]:
-        """Apply the basis to each size (sizes below 1 are clamped to 1,
-        so log-type bases stay defined at the tiny inputs real profiles
-        contain)."""
-        return [self.basis(max(float(n), 1.0)) for n in sizes]
+        """Apply the basis to each size (clamped by :func:`clamp_size`)."""
+        return [self.basis(clamp_size(n)) for n in sizes]
 
     def evaluate(self, n: float, a: float, b: float) -> float:
         """Predicted cost at input size ``n`` for coefficients ``a, b``."""
-        return a * self.basis(max(float(n), 1.0)) + b
+        return a * self.basis(clamp_size(n)) + b
 
     def __repr__(self) -> str:
         return f"Model({self.name!r})"

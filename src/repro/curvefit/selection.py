@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .fitting import FitResult, fit
+from .fitting import FitResult, fit_models
 from .models import DEFAULT_FAMILY, Model
 
 __all__ = ["Selection", "select_model", "classify_growth", "rank_models"]
@@ -34,9 +34,17 @@ def rank_models(
     points: Sequence[Tuple[float, float]],
     family: Optional[Sequence[Model]] = None,
 ) -> List[FitResult]:
-    """All fits, ordered by residual sum of squares (best first)."""
+    """All fits, ordered by residual sum of squares (best first).
+
+    One :func:`~repro.curvefit.fitting.fit_models` pass computes the
+    plot's shared terms once for the whole family; each fit equals
+    :func:`~repro.curvefit.fitting.fit` of its model alone.  An empty
+    family ranks nothing, whatever the plot.
+    """
     family = DEFAULT_FAMILY if family is None else family
-    fits = [fit(points, model) for model in family]
+    if not family:
+        return []
+    fits = fit_models(points, family)
     fits.sort(key=lambda result: result.rss)
     return fits
 
@@ -54,7 +62,8 @@ def select_model(
         tolerance: relative RSS slack within which a slower-growing model
             is preferred over a faster-growing one.
 
-    Raises ValueError on an empty plot (propagated from :func:`fit`).
+    Raises ValueError on an empty plot (propagated from
+    :func:`~repro.curvefit.fitting.fit_models`).
     """
     ranking = rank_models(points, family)
     best_rss = ranking[0].rss

@@ -23,19 +23,23 @@ is always a no-op.
 Two extensions serve the profiling service (:mod:`repro.service`):
 v2 **binary traces** ingest too — the farm engine analyses them
 server-side (``analyze_file``) and the resulting profile is fitted
-like any dump — and :func:`ingest_bytes` ingests an in-memory artefact
-(a stdin pipe, a wire upload) by spooling it to a scratch file whose
-suffix :func:`artefact_suffix` picks so the sniffing stays identical
-to the on-disk path.
+like any dump — and :func:`record_from_bytes` builds the record of an
+in-memory artefact (a stdin pipe, a wire upload) with the sniffing of
+the on-disk path, on the file name :func:`artefact_suffix` picks.  It
+parses dumps and envelopes in memory, decoding their text as a file
+read does; only the kinds whose readers take a path (v2 traces,
+telemetry logs) go through a scratch file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 from datetime import datetime, timezone
-from typing import Dict, List, NamedTuple, Optional
+from typing import IO, Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from ..core.profile_data import ProfileDatabase
 from ..curvefit.fitting import fit_power_law
@@ -316,8 +320,6 @@ def record_from_stream_dump(
     ``stream_meta`` (see :func:`record_from_checkpoint`).  A record
     :func:`~repro.observatory.store.check_record` refuses raises
     ``ValueError``."""
-    import io
-
     from ..farm import load_profile
 
     db = load_profile(io.StringIO(data.decode("utf-8")))
@@ -345,6 +347,21 @@ def ingest_stream_dump(
 
 # -- file sniffing -----------------------------------------------------------
 
+#: the record types of a ``telemetry.jsonl`` log
+_TELEMETRY_TYPES = ("meta", "span", "heartbeat", "metrics", "event")
+
+_UNKNOWN_KIND = ("not a profile dump, v2 trace, telemetry run, bench envelope "
+                 "or checkpoint directory")
+
+
+def _is_telemetry_line(line: str) -> bool:
+    """True when ``line``, a ``.jsonl`` file's first, is a telemetry record."""
+    line = line.strip()
+    try:
+        return bool(line) and json.loads(line).get("type") in _TELEMETRY_TYPES
+    except ValueError:
+        return False
+
 
 def _looks_like_telemetry(path: str) -> bool:
     if os.path.basename(path) == "telemetry.jsonl" or os.path.isdir(path):
@@ -353,11 +370,26 @@ def _looks_like_telemetry(path: str) -> bool:
         return False
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as stream:
-            first = stream.readline().strip()
-        return bool(first) and json.loads(first).get("type") in (
-            "meta", "span", "heartbeat", "metrics", "event")
-    except (OSError, ValueError):
+            return _is_telemetry_line(stream.readline())
+    except OSError:
         return False
+
+
+def _bench_record(envelope: Dict, name: str, run_id: Optional[str], git_sha: str,
+                  default_run_id: Callable[[], str]) -> RunRecord:
+    """The record of the envelope parsed from ``name``; ``run_id`` and
+    ``git_sha`` override its own, and ``default_run_id()`` names a run
+    that has none."""
+    if envelope.get("schema") != "repro-bench/1":
+        raise ValueError(f"{name}: not a repro-bench/1 envelope")
+    record = record_from_envelope(envelope)
+    if run_id:
+        record = record._replace(run_id=run_id)
+    if not record.run_id:
+        record = record._replace(run_id=default_run_id())
+    if git_sha:
+        record = record._replace(git_sha=git_sha)
+    return record
 
 
 def ingest_path(
@@ -449,21 +481,12 @@ def record_from_path(
     elif path.endswith(".json"):
         with open(path, "r", encoding="utf-8") as stream:
             envelope = json.load(stream)
-        if envelope.get("schema") != "repro-bench/1":
-            raise ValueError(f"{path}: not a repro-bench/1 envelope")
-        record = record_from_envelope(envelope)
-        if run_id:
-            record = record._replace(run_id=run_id)
-        if not record.run_id:
-            record = record._replace(run_id=_digest_run_id(path))
-        if git_sha:
-            record = record._replace(git_sha=git_sha)
+        record = _bench_record(envelope, path, run_id, git_sha,
+                               lambda: _digest_run_id(path))
     elif not os.path.exists(path):
         raise FileNotFoundError(f"{path}: no such file or directory")
     else:
-        raise ValueError(
-            f"{path}: not a profile dump, v2 trace, telemetry run, bench "
-            f"envelope or checkpoint directory")
+        raise ValueError(f"{path}: {_UNKNOWN_KIND}")
     return check_record(record)
 
 
@@ -471,13 +494,13 @@ def record_from_path(
 
 
 def artefact_suffix(data: bytes) -> str:
-    """The spool-file suffix under which ``data`` sniffs like itself.
+    """The file suffix under which ``data`` sniffs like itself.
 
     The sniffers above look at file *content* except for two cases
     that go by name: ``telemetry.jsonl`` logs (``.jsonl``) and
-    ``repro-bench/1`` envelopes (``.json``).  Picking the suffix from
-    the bytes lets :func:`ingest_bytes` (stdin pipes, wire uploads)
-    reuse :func:`ingest_path` unchanged.
+    ``repro-bench/1`` envelopes (``.json``).  :func:`record_from_bytes`
+    sniffs ``data`` as a file of this suffix, and the service names its
+    spool files with it.
     """
     from ..farm.binfmt import BINARY_MAGIC
 
@@ -491,11 +514,43 @@ def artefact_suffix(data: bytes) -> str:
         except ValueError:
             record = None
         if isinstance(record, dict):
-            if record.get("type") in ("meta", "span", "heartbeat",
-                                      "metrics", "event"):
+            if record.get("type") in _TELEMETRY_TYPES:
                 return ".jsonl"
             return ".json"
     return ".profile"
+
+
+def _first_line(data: bytes) -> str:
+    """The first line of ``data`` as a text-mode ``readline`` of a file
+    holding it reads it (universal newlines, undecodable bytes
+    replaced), without its line end."""
+    end = len(data)
+    for newline in (b"\n", b"\r"):
+        found = data.find(newline, 0, end)
+        if found >= 0:
+            end = found
+    return data[:end].decode("utf-8", errors="replace")
+
+
+def _text(data: bytes) -> IO[str]:
+    """``data`` as ``open(path, "r", encoding="utf-8")`` reads a file
+    holding it: strict UTF-8, universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _scratch_file(data: bytes, suffix: str) -> Iterator[str]:
+    """The path of a temporary file holding ``data``, for the readers
+    that take a path; removed on exit."""
+    import tempfile
+
+    handle, path = tempfile.mkstemp(prefix="repro-ingest-", suffix=suffix)
+    try:
+        with os.fdopen(handle, "wb") as stream:
+            stream.write(data)
+        yield path
+    finally:
+        os.unlink(path)
 
 
 def record_from_bytes(
@@ -504,33 +559,53 @@ def record_from_bytes(
     git_sha: str = "",
     timestamp: str = "",
     scale: float = 0.0,
+    name: str = "<bytes>",
 ) -> RunRecord:
-    """The run record of an in-memory artefact (same sniffing as
-    :func:`record_from_path`), with no store involved.
+    """The run record of an in-memory artefact, with no store involved.
 
-    Spools ``data`` to a scratch file and delegates; the default run id
-    is the digest of ``data`` — identical to what ingesting the same
-    bytes from a file would assign, so online (wire/stdin) and offline
-    (path) ingestion of one artefact are idempotent against each other.
-    No timestamp is inferred (a spool file's mtime is meaningless);
-    pass the artefact's own ``timestamp`` when ordering matters.
+    ``data`` sniffs as :func:`record_from_path` sniffs a file holding it
+    named with :func:`artefact_suffix`, and builds the same record or
+    raises the same exception type; ``name`` stands for the artefact in
+    error messages where the path would.  A ``repro-profile 1`` dump or
+    a ``repro-bench/1`` envelope is parsed in memory, its text decoded
+    as a file read decodes it (strict UTF-8, universal newlines); a v2
+    trace or a telemetry log, whose readers take a path, is written to
+    a scratch file first.
+
+    The default run id is the digest of ``data`` — identical to what
+    ingesting the same bytes from a file would assign, so online
+    (wire/stdin) and offline (path) ingestion of one artefact are
+    idempotent against each other.  No timestamp is inferred (bytes
+    have no mtime; ``-`` stands in); pass the artefact's own
+    ``timestamp`` when ordering matters.
     """
-    import tempfile
+    # looked up per call: perfbench patches ``repro.farm.load_profile``
+    from ..farm import PROFILE_MAGIC, analyze_file, load_profile
 
-    handle, path = tempfile.mkstemp(prefix="repro-ingest-",
-                                    suffix=artefact_suffix(data))
-    try:
-        with os.fdopen(handle, "wb") as stream:
-            stream.write(data)
-        return record_from_path(
-            path,
-            run_id=run_id,
-            git_sha=git_sha,
-            timestamp=timestamp or "-",
-            scale=scale,
-        )
-    finally:
-        os.unlink(path)
+    suffix = artefact_suffix(data)
+    digest = hashlib.sha256(data).hexdigest()[:32]
+    timestamp = timestamp or "-"
+    if suffix == ".rpt2":
+        with _scratch_file(data, suffix) as path:
+            db = analyze_file(path).db
+        record = record_from_profile_db(db, run_id=run_id or digest, git_sha=git_sha,
+                                        timestamp=timestamp, scale=scale, source="trace")
+    elif suffix == ".jsonl" and _is_telemetry_line(_first_line(data)):
+        from ..telemetry import TelemetryRun
+
+        with _scratch_file(data, suffix) as path:
+            run = TelemetryRun.load(path)
+        record = record_from_telemetry(run, run_id=run_id or digest, git_sha=git_sha,
+                                       timestamp=timestamp, scale=scale)
+    elif _first_line(data) == PROFILE_MAGIC:
+        record = record_from_profile_db(load_profile(_text(data)), run_id=run_id or digest,
+                                        git_sha=git_sha, timestamp=timestamp, scale=scale)
+    elif suffix == ".json":
+        record = _bench_record(json.load(_text(data)), name, run_id, git_sha,
+                               lambda: digest)
+    else:
+        raise ValueError(f"{name}: {_UNKNOWN_KIND}")
+    return check_record(record)
 
 
 def ingest_bytes(

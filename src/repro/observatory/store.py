@@ -7,9 +7,10 @@ commits becomes visible (see :mod:`repro.observatory.drift`).
 ``history.jsonl`` *is* the store: one self-describing JSON record per
 ingested run, appended with an ``fsync`` under the store's advisory
 lock, and crash-tolerant exactly like ``telemetry.jsonl`` (a truncated
-trailing line is ignored).  Opening a store parses the log, resolves
-each run's newest version (a streaming run appends one superseding
-line per checkpoint) and applies every resolved run once.
+trailing line is ignored, and so is a line of JSON that is no run
+record).  Opening a store parses the log, resolves each run's newest
+version (a streaming run appends one superseding line per checkpoint)
+and applies every resolved run once.
 
 Applying a run derives its read rows, once: the :class:`RunInfo` of
 the fleet summary, one :class:`CurveRow` per fitted routine (indexed by
@@ -298,12 +299,13 @@ class ObservatoryStore:
                     continue
                 try:
                     record = json.loads(line)
-                    if record.get("type") != "run":
+                    if not isinstance(record, dict) or record.get("type") != "run":
                         continue
                     run = check_record(_record_from_json(record))
-                except (ValueError, OverflowError):
-                    # a truncated trailing line (crash mid-append), or a
-                    # number an older version logged but no read can hold
+                except (ValueError, OverflowError, KeyError, TypeError, AttributeError):
+                    # a truncated trailing line (crash mid-append), a
+                    # number an older version logged but no read can
+                    # hold, or JSON that is no run record
                     continue
                 seq = index.get(run.run_id)
                 if seq is None:

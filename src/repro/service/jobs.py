@@ -1,11 +1,12 @@
 """The bounded async job queue behind the ingestion server.
 
-Uploads are acknowledged as soon as they are spooled and enqueued —
-the Metz & Lencevicius discipline of keeping instrumentation cost off
-the measured path: the client's upload latency covers a socket write
-and a queue append, never a curve fit.  The actual work (farm
-analysis, power-law fitting, store appends) happens on worker threads
-that drain the queue.
+An upload that is not waited for is acknowledged as soon as it is
+spooled and enqueued — the Metz & Lencevicius discipline of keeping
+instrumentation cost off the measured path: the client's upload
+latency covers a socket write and a queue append, never a curve fit.
+An upload whose client waits for the ingest travels in its job, in
+memory.  The actual work (farm analysis, power-law fitting, store
+appends) happens on worker threads that drain the queue.
 
 Semantics, all enforced by ``tests/service/test_jobs.py``:
 
@@ -65,11 +66,18 @@ class Job:
     """One unit of ingestion work and its tracked lifecycle."""
 
     def __init__(self, job_id: str, tenant: str, kind: str,
-                 path: str = "", params: Optional[Dict] = None):
+                 path: str = "", params: Optional[Dict] = None,
+                 payload: Optional[bytes] = None):
         self.job_id = job_id
         self.tenant = tenant
         self.kind = kind
-        self.path = path                  #: spooled artefact (owned by the job)
+        #: the spooled artefact, owned by the job: an upload acknowledged
+        #: before its ingest ends; ``""`` when the job carries ``payload``
+        self.path = path
+        #: the artefact's bytes when it was not spooled (a waited
+        #: upload); the handler drops them once it has used them, since
+        #: terminal jobs stay in the history
+        self.payload = payload
         self.params: Dict = params or {}
         self.status = QUEUED
         self.error: Optional[str] = None

@@ -10,13 +10,17 @@ profiling-as-a-service:
   ``telemetry.jsonl`` logs, ``repro-bench/1`` envelopes).
   ``put`` and ``put_stream`` share one upload path: every header
   field is parsed first (a bad one is rejected before anything touches
-  the disk), then the payload is spooled, acknowledged, and analysed
-  *asynchronously*, once, by the bounded
-  :class:`~repro.service.jobs.JobQueue` — the client pays for a socket
-  write, never for a farm analysis or a curve fit.  Duplicate uploads
-  are rejected at the door by content digest (idempotent ingest,
-  before any analysis), and a full queue pushes back instead of
-  buffering without bound;
+  the disk), then the payload is queued and analysed, once, by a
+  worker of the bounded :class:`~repro.service.jobs.JobQueue`.  An
+  upload whose reply does not wait for its ingest to end (no ``wait``,
+  or a ``wait_timeout``) is spooled to ``<tenant>/spool/`` before it is
+  acknowledged, and the client pays for a socket write, never for a
+  farm analysis or a curve fit; an upload whose reply waits until its
+  job ends is answered only after its ingest, so it needs no spool
+  file: its job carries its bytes, and the worker builds the record
+  from them in memory.  Duplicate uploads are rejected at the door by
+  content digest (idempotent ingest, before any analysis), and a full
+  queue pushes back instead of buffering without bound;
 * **read side** — ``runs`` / ``alerts`` / ``report`` serve the run
   history, the drift-alert feed and the fleet dashboards (JSON, ASCII
   or HTML) from the per-tenant stores through one reader, which the
@@ -37,16 +41,17 @@ profiling-as-a-service:
   :class:`~repro.service.client.ServiceClient` under live telemetry),
   the server continues the trace: ``server.request`` wraps the
   dispatch, retroactive ``server.accept`` / ``server.decode`` spans
-  cover the socket work, ``server.spool`` the disk write, and the
-  worker adds ``server.queue_wait`` / ``server.execute`` /
-  ``server.ingest`` under the same trace id — ``repro trace`` joins
-  the client and server logs into one waterfall.  Untraced requests
-  (telemetry off, old clients) take the exact pre-trace code path;
+  cover the socket work, ``server.spool`` the disk write of a spooled
+  upload, and the worker adds ``server.queue_wait`` /
+  ``server.execute`` / ``server.ingest`` under the same trace id —
+  ``repro trace`` joins the client and server logs into one
+  waterfall.  Untraced requests (telemetry off, old clients) take the
+  exact pre-trace code path;
 * **lifecycle** — ``start`` binds, ``serve_forever`` accepts until a
   shutdown is requested; SIGTERM/SIGINT (or the ``shutdown`` op) stop
   intake, drain queued and in-flight jobs to completion (bounded by
   ``drain_timeout``; a job still queued then fails unrun and its spool
-  file is removed), then close the stores.
+  file, if it has one, is removed), then close the stores.
 
 The same port also answers plain HTTP ``GET``/``HEAD`` (sniffed from
 the first bytes; other verbs get 405): ``/`` (tenant index),
@@ -72,7 +77,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..observatory import (
-    artefact_suffix, detect_drift, ingest_record, record_from_path, record_from_stream_dump,
+    artefact_suffix, detect_drift, ingest_record, record_from_bytes, record_from_stream_dump,
 )
 from ..observatory import render_alert_feed, render_observatory_html, render_observatory_report
 from ..telemetry.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
@@ -218,7 +223,7 @@ class ProfileServer:
         self._bump(f"service.jobs.{what}")
         started, finished = job.started_at, job.finished_at
         # a job abandoned at shutdown failed without running: it has no
-        # latency and no queue wait, only a spool file to remove
+        # latency and no queue wait, only (when spooled) a file to remove
         if started is not None and finished is not None:
             latency_ms = (finished - started) * 1000.0
             self._observe_ms("service.ingest_ms", latency_ms, tenant=job.tenant)
@@ -232,10 +237,11 @@ class ProfileServer:
                     started - job.enqueued_at,
                     trace_id=trace["id"], parent_uid=trace["parent"],
                     job=job.job_id, tenant=job.tenant)
-        try:
-            os.unlink(job.path)
-        except OSError:
-            pass
+        if job.path:
+            try:
+                os.unlink(job.path)
+            except OSError:
+                pass
 
     # -- job execution (worker threads) --------------------------------------
 
@@ -255,19 +261,18 @@ class ProfileServer:
         with telemetry.span("server.ingest", tenant=job.tenant):
             with self.tenants.lock(job.tenant):
                 try:
-                    if job.kind == "stream":
+                    data = job.payload
+                    if data is None:
                         with open(job.path, "rb") as stream:
-                            record = record_from_stream_dump(stream.read(),
-                                                             **job.params)
+                            data = stream.read()
+                    if job.kind == "stream":
+                        record = record_from_stream_dump(data, **job.params)
                     else:
-                        record = record_from_path(job.path, **job.params)
-                except (OSError, ValueError) as error:
-                    message = str(error)
-                    if job.path not in message:
-                        raise
-                    # the spool file is the server's own business
-                    raise type(error)(message.replace(
-                        job.path, f"job {job.job_id}")) from None
+                        # named by the job: a client never sees the server root
+                        record = record_from_bytes(data, name=f"job {job.job_id}",
+                                                   **job.params)
+                finally:
+                    job.payload = None
                 # only an upload that parsed opens, and so creates, the store
                 result = ingest_record(self.tenants.store(job.tenant), record)
         if not result.ingested:
@@ -515,7 +520,7 @@ class ProfileServer:
                                "duplicate": True})
             return True
         job = self._submit_upload(sock, tenant, "ingest", payload, digest,
-                                  params)
+                                  params, spool=wait is not None)
         if job is None:
             return True
         self._bump("service.uploads.accepted")
@@ -565,7 +570,7 @@ class ProfileServer:
             telemetry.gauge(gauge_name, tenant=tenant).set(value)
         digest = hashlib.sha256(payload).hexdigest()
         job = self._submit_upload(sock, tenant, "stream", payload, digest,
-                                  params)
+                                  params, spool=wait is not None)
         if job is None:
             return True
         self._bump("service.uploads.stream")
@@ -576,23 +581,29 @@ class ProfileServer:
         return True
 
     def _submit_upload(self, sock: socket.socket, tenant: str, kind: str,
-                       payload: bytes, digest: str,
-                       params: Dict) -> Optional[Job]:
-        """Spool ``payload`` and queue its job (the path both uploads share).
+                       payload: bytes, digest: str, params: Dict,
+                       spool: bool) -> Optional[Job]:
+        """Queue ``payload``'s job (the path both uploads share).
 
-        A full or draining queue removes the spool file, counts the
-        rejection, records an SLO shed and replies; that returns None.
+        With ``spool`` — an upload acknowledged before its ingest ends —
+        the payload is written to the tenant's spool first and the job
+        owns that file; otherwise the job carries the bytes.  A full or
+        draining queue removes the spool file, counts the rejection,
+        records an SLO shed and replies; that returns None.
         """
         job_id = self.queue.next_job_id()
-        spool_dir = os.path.join(self.tenants.path(tenant), "spool")
-        os.makedirs(spool_dir, exist_ok=True)
-        path = os.path.join(
-            spool_dir, f"{job_id}-{digest[:8]}{artefact_suffix(payload)}")
-        with telemetry.span("server.spool", tenant=tenant,
-                            bytes=len(payload)):
-            with open(path, "wb") as stream:
-                stream.write(payload)
-        job = Job(job_id, tenant, kind, path=path, params=params)
+        if spool:
+            spool_dir = os.path.join(self.tenants.path(tenant), "spool")
+            os.makedirs(spool_dir, exist_ok=True)
+            path = os.path.join(
+                spool_dir, f"{job_id}-{digest[:8]}{artefact_suffix(payload)}")
+            with telemetry.span("server.spool", tenant=tenant,
+                                bytes=len(payload)):
+                with open(path, "wb") as stream:
+                    stream.write(payload)
+            job = Job(job_id, tenant, kind, path=path, params=params)
+        else:
+            job = Job(job_id, tenant, kind, params=params, payload=payload)
         carrier = telemetry.trace_carrier()
         if carrier is not None:
             # hand the trace across the queue: the worker re-activates it
@@ -602,7 +613,8 @@ class ProfileServer:
         try:
             self.queue.submit(job)
         except (QueueFull, QueueClosed) as error:
-            os.unlink(path)
+            if job.path:
+                os.unlink(job.path)
             reason = ("draining" if isinstance(error, QueueClosed)
                       else "queue_full")
             self._bump("service.uploads.rejected", reason=reason)

@@ -349,6 +349,31 @@ def test_replay_skips_a_line_an_older_version_poisoned(tmp_path):
     assert len(ObservatoryStore(store.root)) == 2
 
 
+@pytest.mark.parametrize("line", [
+    '[1]',
+    '"x"',
+    '{"type": "run"}',
+    '{"type": "run", "run_id": "r", "curves": 5}',
+    '{"type": "run", "run_id": "r", "points": [1]}',
+    '{"type": "run", "run_id": "r", "curves": [{"routine": "f"}]}',
+], ids=["list", "string", "no-run-id", "curves-not-a-list", "points-not-a-map",
+        "curve-without-model"])
+def test_replay_skips_a_line_that_is_no_run_record(tmp_path, line):
+    """A log line of valid JSON that is no run object is skipped like a
+    torn one: the store opens and reads as if the line were not there."""
+    pinned_history(tmp_path / "clean").close()
+    with open(os.path.join(tmp_path / "clean", HISTORY_FILENAME), encoding="utf-8") as stream:
+        lines = stream.read().splitlines(keepends=True)
+    os.makedirs(tmp_path / "odd")
+    odd = os.path.join(tmp_path / "odd", HISTORY_FILENAME)
+    with open(odd, "w", encoding="utf-8") as stream:
+        stream.writelines(lines[:3] + [line + "\n"] + lines[3:])
+    store = ObservatoryStore(str(tmp_path / "odd"))
+    assert store_reads(store) == store_reads(ObservatoryStore(str(tmp_path / "clean")))
+    assert store.add_run(empty_run("r"))                # stays writable
+    assert len(ObservatoryStore(store.root)) == len(store)
+
+
 # -- what a write and an open cost --------------------------------------------
 
 

@@ -186,6 +186,28 @@ def test_a_tenant_an_older_version_poisoned_serves_again(tmp_path):
             assert len(client.runs()) == 2
 
 
+def test_a_tenant_with_a_log_line_that_is_no_run_serves_again(tmp_path):
+    """Log lines of valid JSON that are no run object are skipped at
+    open: the tenant reads and ingests again."""
+    dump = profile_dump_bytes({"a": lambda n: n})
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            assert client.put_bytes(dump, wait=True)["status"] == "done"
+            before = client.runs()
+        path = os.path.join(server.tenants.path("web"), "history.jsonl")
+    with open(path, "a", encoding="utf-8") as stream:
+        stream.write('[1]\n"x"\n{"type": "run"}\n'
+                     '{"type": "run", "run_id": "r", "curves": 5}\n')
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            assert client.runs() == before
+            client.alerts()
+            reply = client.put_bytes(profile_dump_bytes({"b": lambda n: n}),
+                                     wait=True)
+            assert reply["status"] == "done"
+            assert len(client.runs()) == 2
+
+
 def test_empty_payload_rejected(tmp_path):
     with running_server(tmp_path) as server:
         with ServiceClient(server.host, server.port) as client:
@@ -269,6 +291,73 @@ def test_queue_full_pushes_back(tmp_path, op):
                                      reason="queue_full")
         assert found and found[0]["value"] == 1
         assert wait_for(lambda: spool_files(server, "default") == [])
+
+
+def holding_worker(server):
+    """Hold the server's one worker in its handler until the returned
+    ``release`` is set; ``held`` is set once it holds a job."""
+    held, release = threading.Event(), threading.Event()
+    original = server.queue.handler
+
+    def holding(job):
+        held.set()
+        release.wait(10.0)
+        return original(job)
+
+    server.queue.handler = holding
+    return held, release
+
+
+@pytest.mark.parametrize("op", ["put", "put_stream"])
+def test_a_waited_upload_is_never_spooled(tmp_path, op):
+    """An upload whose reply waits for its job's end is answered only
+    after its ingest: its job carries its bytes, so nothing lands under
+    the tenant's spool, and the job drops the bytes once it is done."""
+    replies = []
+    with running_server(tmp_path, workers=1) as server:
+        held, release = holding_worker(server)
+        spool = os.path.join(server.tenants.path("web"), "spool")
+
+        def put_and_wait():
+            with ServiceClient(server.host, server.port, tenant="web") as client:
+                replies.append(upload(client, op, profile_dump_bytes(
+                    {"a": lambda n: n}), wait=True))
+
+        waiter = threading.Thread(target=put_and_wait)
+        waiter.start()
+        try:
+            assert held.wait(5.0)
+            assert not os.path.exists(spool)
+        finally:
+            release.set()
+        waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert replies[0]["status"] == "done"
+        assert not os.path.exists(spool)
+        job = server.queue.status(replies[0]["job"])
+        assert job.path == "" and job.payload is None
+
+
+@pytest.mark.parametrize("fields", [{}, {"wait": True, "wait_timeout": 0.05}],
+                         ids=["no-wait", "wait_timeout"])
+@pytest.mark.parametrize("op", ["put", "put_stream"])
+def test_an_upload_answered_before_its_ingest_is_spooled(tmp_path, op, fields):
+    """An upload whose reply may come before its ingest ends is spooled
+    before it is acknowledged, and its file goes when the job ends."""
+    with running_server(tmp_path, workers=1) as server:
+        held, release = holding_worker(server)
+        try:
+            with ServiceClient(server.host, server.port, tenant="web") as client:
+                reply = upload(client, op, profile_dump_bytes({"a": lambda n: n}),
+                               **fields)
+                assert reply["status"] in ("queued", "running")
+                assert held.wait(5.0)
+                assert len(spool_files(server, "web")) == 1
+                release.set()
+                assert wait_for(lambda: client.job(reply["job"])["status"] == "done")
+        finally:
+            release.set()
+        assert wait_for(lambda: spool_files(server, "web") == [])
 
 
 @pytest.mark.parametrize("op,fields,name", [

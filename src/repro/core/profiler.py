@@ -87,7 +87,9 @@ class BaseProfiler(TraceConsumer):
         self.states: Dict[int, ThreadState] = {}
         self.renumber_count = 0
         # memoize the most recent thread's state: events arrive in runs
-        # per thread (the trace is serialized), so this hits almost always
+        # per thread (the trace is serialized), so the per-event handlers
+        # test ``thread == _cached_thread`` inline and almost never call
+        # ``_state``
         self._cached_thread: Optional[int] = None
         self._cached_state: Optional[ThreadState] = None
 
@@ -137,20 +139,21 @@ class BaseProfiler(TraceConsumer):
     # -- TraceConsumer callbacks ----------------------------------------------
 
     def on_call(self, thread: int, routine: str) -> None:
-        state = self._state(thread)
+        state = self._cached_state if thread == self._cached_thread else self._state(thread)
         if self.context_sensitive:
             routine = compose_context(state.stack.entries[-1].rtn, routine)
         self._push(state, routine)
 
     def on_return(self, thread: int) -> None:
-        state = self._state(thread)
+        state = self._cached_state if thread == self._cached_thread else self._state(thread)
         # Never pop the implicit root: unmatched returns (trimmed traces,
         # longjmp-style exits) are treated as no-ops, as aprof does.
         if len(state.stack) > 1:
             self._pop(state)
 
     def on_cost(self, thread: int, units: int) -> None:
-        self._state(thread).cost += units
+        state = self._cached_state if thread == self._cached_thread else self._state(thread)
+        state.cost += units
 
     def on_thread_switch(self, thread: int) -> None:
         self._bump_count()

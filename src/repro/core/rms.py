@@ -43,8 +43,9 @@ class RmsProfiler(BaseProfiler):
     name = "aprof-rms"
 
     def on_read(self, thread: int, addr: int) -> None:
-        state = self._state(thread)
-        last = state.ts.get(addr, 0)
+        state = self._cached_state if thread == self._cached_thread else self._state(thread)
+        ts = state.ts
+        last = ts[addr]
         top = state.stack.entries[-1]
         if last < top.ts:
             top.partial += 1
@@ -52,10 +53,10 @@ class RmsProfiler(BaseProfiler):
                 ancestor = state.stack.find_latest_not_after(last)
                 if ancestor is not None:
                     ancestor.partial -= 1
-        state.ts[addr] = self.count
+        ts[addr] = self.count
 
     def on_write(self, thread: int, addr: int) -> None:
-        state = self._state(thread)
+        state = self._cached_state if thread == self._cached_thread else self._state(thread)
         state.ts[addr] = self.count
 
     def on_kernel_read(self, thread: int, addr: int) -> None:

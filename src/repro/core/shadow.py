@@ -18,6 +18,8 @@ This module provides:
 
 Addresses are non-negative integers (cell indices).  A timestamp of 0
 means "never accessed / never written", matching the paper's sentinel.
+The profilers' per-event handlers read and write both kinds by
+subscript (``shadow[addr]``): an unset cell reads as 0.
 """
 
 from __future__ import annotations
@@ -88,13 +90,10 @@ class ShadowMemory:
             self._chunks_allocated += 1
         chunk[offset % self.chunk_size] = value
 
-    # dict-style sugar -----------------------------------------------------
+    # dict-style sugar: the profilers' hot paths subscript ---------------
 
-    def __getitem__(self, addr: int) -> int:
-        return self.get(addr)
-
-    def __setitem__(self, addr: int, value: int) -> None:
-        self.set(addr, value)
+    __getitem__ = get
+    __setitem__ = set
 
     # bulk traversal (renumbering needs to visit every set cell) -----------
 
@@ -137,15 +136,16 @@ class DictShadow(dict):
     """Shadow memory backed directly by a dict.
 
     Functionally identical to :class:`ShadowMemory` and the profilers'
-    default: subclassing ``dict`` keeps the hot-path accessors
-    (``shadow.get(addr, 0)``, ``shadow[addr] = ts``) at C speed, which
-    matters — the profilers execute them on every memory event.
+    default.  Subclassing ``dict`` keeps the subscripts the profilers
+    run on every memory event at C speed: ``shadow[addr]`` on a set
+    cell and ``shadow[addr] = ts`` are ``dict``'s own.  Reading an unset
+    cell calls :meth:`__missing__`, a Python method, which returns 0
+    without storing anything.
 
-    ``get`` is inherited from ``dict`` (callers pass the 0 default
-    explicitly); the one-argument form used by generic shadow-memory
-    code also works because ``dict.get`` defaults to ``None``-safe 0 via
-    :meth:`ShadowMemory.get` compatibility — see :meth:`set` for the
-    zero-pruning write path.
+    :meth:`get` and :meth:`set` are Python methods, for generic
+    shadow-memory code such as renumbering: ``get(addr)`` returns 0 for
+    an unset cell (``dict.get`` would return ``None``), and ``set``
+    prunes zeros.
     """
 
     ENTRY_BYTES = 4

@@ -87,28 +87,28 @@ class TrmsProfiler(BaseProfiler):
     # -- memory events ---------------------------------------------------------
 
     def on_read(self, thread: int, addr: int) -> None:
-        state = self._state(thread)
-        last = state.ts.get(addr, 0)
+        state = self._cached_state if thread == self._cached_thread else self._state(thread)
+        ts = state.ts
+        last = ts[addr]
         top = state.stack.entries[-1]
-        induced = last < self.wts.get(addr, 0)
-        if induced:
+        if last < self.wts[addr]:
             # Induced first-access: new input for the topmost activation
             # *and* every pending ancestor (Invariant 2 propagates the
             # increment on return), with no ancestor decrement — unless
             # this induced kind is configured out, in which case the
             # access falls through to the sequential rule below.
-            if self.writer.get(addr, 0) == KERNEL_WRITER:
+            if self.writer[addr] == KERNEL_WRITER:
                 if self.count_external:
                     top.partial += 1
                     top.induced_external += 1
                     self.db.global_induced_external += 1
-                    state.ts[addr] = self.count
+                    ts[addr] = self.count
                     return
             elif self.count_thread_induced:
                 top.partial += 1
                 top.induced_thread += 1
                 self.db.global_induced_thread += 1
-                state.ts[addr] = self.count
+                ts[addr] = self.count
                 return
         if last < top.ts:
             # Plain first-access for the topmost activation (lines 4-10:
@@ -118,10 +118,10 @@ class TrmsProfiler(BaseProfiler):
                 ancestor = state.stack.find_latest_not_after(last)
                 if ancestor is not None:
                     ancestor.partial -= 1
-        state.ts[addr] = self.count
+        ts[addr] = self.count
 
     def on_write(self, thread: int, addr: int) -> None:
-        state = self._state(thread)
+        state = self._cached_state if thread == self._cached_thread else self._state(thread)
         count = self.count
         state.ts[addr] = count
         self.wts[addr] = count

@@ -355,12 +355,16 @@ _UNKNOWN_KIND = ("not a profile dump, v2 trace, telemetry run, bench envelope "
 
 
 def _is_telemetry_line(line: str) -> bool:
-    """True when ``line``, a ``.jsonl`` file's first, is a telemetry record."""
+    """True when ``line``, a ``.jsonl`` file's first, is a telemetry record:
+    a JSON object whose ``type`` is a telemetry type."""
     line = line.strip()
+    if not line:
+        return False
     try:
-        return bool(line) and json.loads(line).get("type") in _TELEMETRY_TYPES
+        record = json.loads(line)
     except ValueError:
         return False
+    return isinstance(record, dict) and record.get("type") in _TELEMETRY_TYPES
 
 
 def _looks_like_telemetry(path: str) -> bool:

@@ -12,8 +12,12 @@ this reproduction: "interpreter-level tracing only"):
 * kernel-mediated I/O goes through :meth:`TraceSession.kernel_fill` /
   :meth:`TraceSession.kernel_drain`, emitting per-cell
   ``kernelWrite``/``kernelRead`` events exactly like the VM's syscalls;
-* cost is charged per tracked operation (the substrate's analogue of
-  the paper's basic-block count), plus one unit per routine call.
+* cost is counted per tracked operation (the substrate's analogue of
+  the paper's basic-block count) and per routine call.  Consumers read a
+  thread's cost only at its calls and returns, so a session keeps the
+  units the emitting thread has been charged and delivers them as one
+  ``on_cost`` sum before that thread's next call, return, thread change
+  or session exit — never a zero sum, never one per access.
 
 A session serializes event emission across Python threads (the paper's
 tool runs under Valgrind's serializing scheduler; here a lock around
@@ -43,7 +47,7 @@ from ..core.events import TraceConsumer
 
 __all__ = ["TraceSession", "traced", "current_session"]
 
-_active = threading.local()
+_get_ident = threading.get_ident
 _session_stack: List["TraceSession"] = []
 _session_guard = threading.Lock()
 
@@ -103,6 +107,9 @@ class TraceSession:
         self._thread_ids: Dict[int, int] = {}
         self._next_thread = 1
         self._last_thread: Optional[int] = None
+        #: cost units charged to ``_last_thread`` and not yet delivered;
+        #: only the emitting thread holds any, as a thread change delivers
+        self._pending = 0
         self._entered = False
         #: operation counters, for tests and overhead accounting
         self.ops = 0
@@ -119,6 +126,8 @@ class TraceSession:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.tools is not None:
+            with self._lock:
+                self._deliver()
             self.tools.on_finish()
         with _session_guard:
             _session_stack.remove(self)
@@ -128,7 +137,7 @@ class TraceSession:
 
     def thread_id(self) -> int:
         """Small, stable id of the calling thread (assigned on first use)."""
-        ident = threading.get_ident()
+        ident = _get_ident()
         tid = self._thread_ids.get(ident)
         if tid is None:
             with self._lock:
@@ -155,7 +164,7 @@ class TraceSession:
     def bind_current_thread(self, tid: int) -> None:
         """Bind the calling OS thread to a reserved profiling id."""
         with self._lock:
-            self._thread_ids[threading.get_ident()] = tid
+            self._thread_ids[_get_ident()] = tid
 
     def alloc(self, size: int) -> int:
         """Reserve ``size`` fresh synthetic cell addresses; return the base."""
@@ -164,66 +173,95 @@ class TraceSession:
             self._next_addr += size
         if self.tools is not None:
             with self._lock:
-                tid = self.thread_id()
-                self._switch(tid)
-                self.tools.on_alloc(tid, base, size)
+                self.tools.on_alloc(self._emitter(), base, size)
         return base
 
     # -- event emission -----------------------------------------------------------
 
     def _switch(self, tid: int) -> None:
+        """Make ``tid`` the emitting thread; the thread left behind gets
+        its pending cost first."""
         if tid != self._last_thread:
+            self._deliver()
             self._last_thread = tid
             self.tools.on_thread_switch(tid)
 
+    def _emitter(self) -> int:
+        """The calling thread's id, made the emitting thread (lock held).
+
+        The per-access and per-call handlers call this only when their
+        inline test fails: the calling thread's id is not
+        ``_last_thread``.
+        """
+        tid = self.thread_id()
+        self._switch(tid)
+        return tid
+
+    def _deliver(self) -> None:
+        """Hand the emitting thread's pending cost to the tools (lock held)."""
+        pending = self._pending
+        if pending:
+            self._pending = 0
+            self.tools.on_cost(self._last_thread, pending)
+
     def emit_read(self, addr: int) -> None:
         self.ops += 1
-        if self.tools is None:
+        tools = self.tools
+        if tools is None:
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
-            self.tools.on_read(tid, addr)
-            if self.op_cost:
-                self.tools.on_cost(tid, self.op_cost)
+            tid = self._thread_ids.get(_get_ident(), 0)
+            if tid != self._last_thread:
+                tid = self._emitter()
+            tools.on_read(tid, addr)
+            self._pending += self.op_cost
 
     def emit_write(self, addr: int) -> None:
         self.ops += 1
-        if self.tools is None:
+        tools = self.tools
+        if tools is None:
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
-            self.tools.on_write(tid, addr)
-            if self.op_cost:
-                self.tools.on_cost(tid, self.op_cost)
+            tid = self._thread_ids.get(_get_ident(), 0)
+            if tid != self._last_thread:
+                tid = self._emitter()
+            tools.on_write(tid, addr)
+            self._pending += self.op_cost
 
     def charge(self, units: int) -> None:
         """Charge explicit cost units (compute not visible as data ops)."""
         if self.tools is None or units <= 0:
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
-            self.tools.on_cost(tid, units)
+            if self._thread_ids.get(_get_ident(), 0) != self._last_thread:
+                self._emitter()
+            self._pending += units
 
     def _enter_routine(self, name: str) -> None:
-        if self.tools is None:
+        tools = self.tools
+        if tools is None:
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
-            self.tools.on_call(tid, name)
-            if self.call_cost:
-                self.tools.on_cost(tid, self.call_cost)
+            tid = self._thread_ids.get(_get_ident(), 0)
+            if tid != self._last_thread:
+                tid = self._emitter()  # delivers the left thread's units
+            elif self._pending:
+                self._deliver()
+            tools.on_call(tid, name)
+            # the callee's first units: they wait with the rest of its cost
+            self._pending += self.call_cost
 
     def _exit_routine(self) -> None:
-        if self.tools is None:
+        tools = self.tools
+        if tools is None:
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
-            self.tools.on_return(tid)
+            tid = self._thread_ids.get(_get_ident(), 0)
+            if tid != self._last_thread:
+                tid = self._emitter()
+            elif self._pending:
+                self._deliver()
+            tools.on_return(tid)
 
     # -- kernel-mediated I/O ---------------------------------------------------------
 
@@ -238,8 +276,7 @@ class TraceSession:
             array.raw_fill(offset, values)
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
+            tid = self._emitter()
             for index, value in enumerate(values):
                 array.raw_set(offset + index, value)
                 self.tools.on_kernel_write(tid, array.addr_of(offset + index))
@@ -254,8 +291,7 @@ class TraceSession:
             return [array.raw_get(offset + index) for index in range(count)]
         values = []
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
+            tid = self._emitter()
             for index in range(count):
                 values.append(array.raw_get(offset + index))
                 self.tools.on_kernel_read(tid, array.addr_of(offset + index))
@@ -267,16 +303,14 @@ class TraceSession:
         if self.tools is None:
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
+            tid = self._emitter()
             self.tools.on_lock_acquire(tid, lock_id)
 
     def lock_released(self, lock_id) -> None:
         if self.tools is None:
             return
         with self._lock:
-            tid = self.thread_id()
-            self._switch(tid)
+            tid = self._emitter()
             self.tools.on_lock_release(tid, lock_id)
 
     def thread_created(self, child_tid: int) -> None:
@@ -284,16 +318,14 @@ class TraceSession:
         if self.tools is None:
             return
         with self._lock:
-            parent = self.thread_id()
-            self._switch(parent)
+            parent = self._emitter()
             self.tools.on_thread_create(parent, child_tid)
 
     def thread_joined(self, child_tid: int) -> None:
         if self.tools is None:
             return
         with self._lock:
-            parent = self.thread_id()
-            self._switch(parent)
+            parent = self._emitter()
             self.tools.on_thread_join(parent, child_tid)
 
     # -- container factories (convenience) ------------------------------------------------

@@ -10,6 +10,7 @@ def test_default_is_zero():
     shadow = ShadowMemory()
     assert shadow.get(0) == 0
     assert shadow.get(10**12) == 0
+    assert shadow[7] == 0
     assert shadow.chunks_allocated == 0
 
 
@@ -101,6 +102,8 @@ def test_dict_shadow_matches_interface():
     assert shadow.space_bytes() == DictShadow.ENTRY_BYTES
     shadow.clear()
     assert shadow.get(5) == 0
+    assert shadow[5] == 0
+    assert len(shadow) == 0   # reading an unset cell stores nothing
 
 
 @settings(max_examples=60)
@@ -119,4 +122,5 @@ def test_shadow_memory_equivalent_to_dict(writes):
         reference.set(addr, value)
     for addr in range(501):
         assert chunked.get(addr) == reference.get(addr)
+        assert chunked[addr] == reference[addr] == reference.get(addr)
     assert dict(chunked.items()) == dict(reference.items())

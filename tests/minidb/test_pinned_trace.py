@@ -18,7 +18,7 @@ from repro.pytrace import TraceSession
 
 #: SHA-256 of the workload's v2 trace and of its TRMS and RMS dumps
 PINNED = {
-    "trace": "f2a02c69f07c2c2849977f068c61ebe96819656ef491be0c108559a2765185fc",
+    "trace": "33bce07880ddd28f5f0dc0b7f5be40299ffa67712c6525ae0a3933004cee6054",
     "trms": "28bc25cc043511fc4cf1ab6af541e4b4fd8252d1ebe843ea55307124b8b67073",
     "rms": "a828fa46356c9e909f13c93cd4d9e424b5459fdbfce51d19cc2e45bc985fd2ab",
 }

@@ -281,3 +281,34 @@ def test_ingest_refuses_an_envelope_holding_infinity(tmp_path, literal, error):
     for argv in (("ingest", dump), ("alerts",), ("report",)):
         code, out = run_cli("observe", *argv, "--store", str(store))
         assert code == 0, out
+
+
+
+_UNKNOWN = ("not a profile dump, v2 trace, telemetry run, bench envelope "
+            "or checkpoint directory")
+_NOT_OBJECTS = {"list": "[1]", "string": '"telemetry"', "number": "7"}
+
+
+@pytest.mark.parametrize("shape", sorted(_NOT_OBJECTS))
+def test_ingest_of_jsonl_whose_first_line_is_no_object(tmp_path, monkeypatch, shape):
+    """A ``.jsonl`` file starting with JSON that is no object is no
+    telemetry log: it answers the unknown-kind ``error:`` line the same
+    bytes answer on stdin, and the command goes on to its next input."""
+    line = _NOT_OBJECTS[shape] + "\n"
+    path = tmp_path / "x.jsonl"
+    path.write_text(line)
+    dump = write_dump(tmp_path / "a.prof", {"f": lambda n: 10 * n})
+    store = tmp_path / "obs"
+    code, out = run_cli("observe", "ingest", str(path), dump, "--store", str(store))
+    assert code == 1
+    assert out.count("error:") == 1
+    assert f"error: {path}: {_UNKNOWN}\n" in out
+    assert f"{dump}: ingested" in out
+    with ObservatoryStore(str(store)) as reopened:
+        assert len(reopened) == 1
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(line.encode())))
+    code, out = run_cli("observe", "ingest", "-", "--store", str(store))
+    assert code == 1
+    assert out.count("error:") == 1
+    assert f"error: -: {_UNKNOWN}\n" in out

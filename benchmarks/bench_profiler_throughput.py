@@ -5,6 +5,8 @@ pytest-benchmark statistically: the same recorded event stream is
 replayed into a fresh profiler per round, giving stable events/second
 numbers for the regression record.  The stream mixes call-heavy
 (kdtree), memory-heavy (bwaves) and kernel-I/O (imagick) traffic.
+The pytrace case profiles Python code online instead: a session's
+per-access path and the profiler behind it.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import NaiveTrms, RmsProfiler, TrmsProfiler
+from repro.pytrace import TraceSession, traced
 from repro.workloads import benchmark as get_benchmark
 
 from conftest import EventRecorder, replay_recorded
@@ -45,6 +48,36 @@ def test_profiler_throughput(benchmark, factory, label):
     rate = len(events) / benchmark.stats.stats.mean
     print(f"\n{label}: {rate / 1000:.0f}k events/s over {len(events)} events")
     assert rate > 50_000, f"{label} fell below 50k events/s: {rate:.0f}"
+
+
+@traced
+def count_matches(records, index):
+    hits = 0
+    for other in range(len(records)):
+        if records[index] == records[other]:
+            hits += 1
+    return hits
+
+
+def test_pytrace_session_throughput(benchmark):
+    """A session feeding a TrmsProfiler from the nested loop of perfbench
+    service's regressed ``lookup``, one traced call per outer iteration:
+    most reads repeat a cell within one epoch, as in the sweep."""
+    size = 120
+    accesses = []
+
+    def run():
+        session = TraceSession(tools=TrmsProfiler())
+        with session:
+            records = session.array(size, fill=1)
+            for index in range(size):
+                count_matches(records, index)
+        accesses.append(session.ops)
+
+    benchmark.pedantic(run, rounds=5, iterations=1, warmup_rounds=1)
+    rate = accesses[-1] / benchmark.stats.stats.mean
+    print(f"\npytrace: {rate / 1000:.0f}k accesses/s over {accesses[-1]} accesses")
+    assert rate > 50_000, f"pytrace fell below 50k accesses/s: {rate:.0f}"
 
 
 def deep_stream(depth: int = 40, rounds: int = 60, reads: int = 30):

@@ -22,6 +22,15 @@ Invariant 2 (suffix sums give true rms values).  On a read of cell ``l``:
 Writes and reads both refresh ``ts_t[l]``; a cell first *written* by an
 activation never counts toward its rms.
 
+A read whose cell stamp ``ts_t[l]`` already equals the global counter
+returns at once, and the early return is exact.  Every stamp in
+``ts_t`` and the shadow stack is at most ``count``: the counter only
+grows, and renumbering restarts it above every stamp it assigns.  So
+``ts_t[l] == count`` makes ``ts_t[l] < S_t[top].ts`` false, and the one
+store left, ``ts_t[l] = count``, would change nothing.  Such repeats —
+the same thread reading a cell again with no call or thread switch in
+between — are common in loops that reread their data.
+
 On multithreaded runs this profiler deliberately ignores all cross-thread
 effects, exactly like the original aprof-rms the paper compares against:
 each thread is profiled as an isolated sequential computation, and
@@ -46,6 +55,10 @@ class RmsProfiler(BaseProfiler):
         state = self._cached_state if thread == self._cached_thread else self._state(thread)
         ts = state.ts
         last = ts[addr]
+        count = self.count
+        if last == count:
+            # a repeat read: it cannot change anything (module docstring)
+            return
         top = state.stack.entries[-1]
         if last < top.ts:
             top.partial += 1
@@ -53,7 +66,7 @@ class RmsProfiler(BaseProfiler):
                 ancestor = state.stack.find_latest_not_after(last)
                 if ancestor is not None:
                     ancestor.partial -= 1
-        ts[addr] = self.count
+        ts[addr] = count
 
     def on_write(self, thread: int, addr: int) -> None:
         state = self._cached_state if thread == self._cached_thread else self._state(thread)

@@ -30,6 +30,16 @@ This reproduction additionally tags each cell's latest writer (thread id
 or kernel) in a provenance shadow, so every induced first-access is
 attributed to *thread-induced* or *external* input — the split behind
 Figures 9, 17, 18 and 19.
+
+A read whose cell stamp ``ts_t[l]`` already equals the global counter
+returns at once, and the early return is exact.  Every stamp in
+``ts_t``, ``wts`` and the shadow stacks is at most ``count``: the
+counter only grows, and renumbering restarts it above every stamp it
+assigns.  So ``ts_t[l] == count`` makes both ``ts_t[l] < wts[l]`` and
+``ts_t[l] < S_t[top].ts`` false, and the one store left,
+``ts_t[l] = count``, would change nothing.  Such repeats — the same
+thread reading a cell again with no call, thread switch or kernel write
+in between — are common in loops that reread their data.
 """
 
 from __future__ import annotations
@@ -90,6 +100,10 @@ class TrmsProfiler(BaseProfiler):
         state = self._cached_state if thread == self._cached_thread else self._state(thread)
         ts = state.ts
         last = ts[addr]
+        count = self.count
+        if last == count:
+            # a repeat read: it cannot change anything (module docstring)
+            return
         top = state.stack.entries[-1]
         if last < self.wts[addr]:
             # Induced first-access: new input for the topmost activation
@@ -102,13 +116,13 @@ class TrmsProfiler(BaseProfiler):
                     top.partial += 1
                     top.induced_external += 1
                     self.db.global_induced_external += 1
-                    ts[addr] = self.count
+                    ts[addr] = count
                     return
             elif self.count_thread_induced:
                 top.partial += 1
                 top.induced_thread += 1
                 self.db.global_induced_thread += 1
-                ts[addr] = self.count
+                ts[addr] = count
                 return
         if last < top.ts:
             # Plain first-access for the topmost activation (lines 4-10:
@@ -118,7 +132,7 @@ class TrmsProfiler(BaseProfiler):
                 ancestor = state.stack.find_latest_not_after(last)
                 if ancestor is not None:
                     ancestor.partial -= 1
-        ts[addr] = self.count
+        ts[addr] = count
 
     def on_write(self, thread: int, addr: int) -> None:
         state = self._cached_state if thread == self._cached_thread else self._state(thread)

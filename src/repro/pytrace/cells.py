@@ -23,6 +23,8 @@ class TrackedArray:
         if size < 0:
             raise ValueError(f"negative array size {size}")
         self.session = session
+        self._emit_read = session.emit_read
+        self._emit_write = session.emit_write
         self.base = session.alloc(max(size, 1))
         self._values: List = [fill] * size
 
@@ -37,14 +39,14 @@ class TrackedArray:
         value = self._values[index]          # raises IndexError first
         if index < 0:
             index += len(self._values)
-        self.session.emit_read(self.base + index)
+        self._emit_read(self.base + index)
         return value
 
     def __setitem__(self, index: int, value) -> None:
         self._values[index] = value
         if index < 0:
             index += len(self._values)
-        self.session.emit_write(self.base + index)
+        self._emit_write(self.base + index)
 
     def __iter__(self) -> Iterator:
         for index in range(len(self._values)):
@@ -78,6 +80,8 @@ class TrackedList:
 
     def __init__(self, session: TraceSession, values: Iterable = ()):
         self.session = session
+        self._emit_read = session.emit_read
+        self._emit_write = session.emit_write
         self._values: List = []
         self._addrs: List[int] = []
         for value in values:
@@ -93,22 +97,22 @@ class TrackedList:
         addr = self.session.alloc(1)
         self._values.append(value)
         self._addrs.append(addr)
-        self.session.emit_write(addr)
+        self._emit_write(addr)
 
     def pop(self):
         value = self._values.pop()
         addr = self._addrs.pop()
-        self.session.emit_read(addr)
+        self._emit_read(addr)
         return value
 
     def __getitem__(self, index: int):
         value = self._values[index]
-        self.session.emit_read(self._addrs[index])
+        self._emit_read(self._addrs[index])
         return value
 
     def __setitem__(self, index: int, value) -> None:
         self._values[index] = value
-        self.session.emit_write(self._addrs[index])
+        self._emit_write(self._addrs[index])
 
     def __iter__(self) -> Iterator:
         for index in range(len(self._values)):
@@ -131,6 +135,8 @@ class TrackedDict:
 
     def __init__(self, session: TraceSession):
         self.session = session
+        self._emit_read = session.emit_read
+        self._emit_write = session.emit_write
         self._values: Dict[Hashable, object] = {}
         self._addrs: Dict[Hashable, int] = {}
 
@@ -145,7 +151,7 @@ class TrackedDict:
 
     def __getitem__(self, key: Hashable):
         value = self._values[key]            # raises KeyError first
-        self.session.emit_read(self._addrs[key])
+        self._emit_read(self._addrs[key])
         return value
 
     def get(self, key: Hashable, default=None):
@@ -159,7 +165,7 @@ class TrackedDict:
             addr = self.session.alloc(1)
             self._addrs[key] = addr
         self._values[key] = value
-        self.session.emit_write(addr)
+        self._emit_write(addr)
 
     def __delitem__(self, key: Hashable) -> None:
         del self._values[key]

@@ -8,12 +8,13 @@ stack-walking oracles — sizes, costs, induced-access attribution, global
 tallies, everything.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NaiveRms, NaiveTrms, RmsProfiler, TrmsProfiler, replay
 
-from .util import db_snapshot, events_strategy
+from .util import db_snapshot, events_strategy, repeat_reads, repeat_reads_strategy
 
 
 @settings(max_examples=200, deadline=None)
@@ -160,6 +161,43 @@ def test_all_features_combined_matches_oracle(events):
         context_sensitive=True,
         count_thread_induced=False,
     )
+    replay(events, fast)
+    replay(events, oracle)
+    assert db_snapshot(fast.db) == db_snapshot(oracle.db)
+
+
+NO_INDUCED = dict(count_thread_induced=False, count_external=False)
+
+#: (profiler, oracle) factories: each online profiler in four variants
+REPEAT_READ_PAIRS = {
+    "trms": lambda: (TrmsProfiler(keep_activations=True),
+                     NaiveTrms(keep_activations=True)),
+    "trms-renumbering": lambda: (TrmsProfiler(keep_activations=True, max_count=40),
+                                 NaiveTrms(keep_activations=True)),
+    "trms-chunked": lambda: (TrmsProfiler(keep_activations=True, use_chunked_shadow=True),
+                             NaiveTrms(keep_activations=True)),
+    "trms-no-induced": lambda: (TrmsProfiler(keep_activations=True, **NO_INDUCED),
+                                NaiveTrms(keep_activations=True, **NO_INDUCED)),
+    "rms": lambda: (RmsProfiler(keep_activations=True),
+                    NaiveRms(keep_activations=True)),
+    "rms-renumbering": lambda: (RmsProfiler(keep_activations=True, max_count=40),
+                                NaiveRms(keep_activations=True)),
+    "rms-chunked": lambda: (RmsProfiler(keep_activations=True, use_chunked_shadow=True),
+                            NaiveRms(keep_activations=True)),
+    "rms-no-induced": lambda: (TrmsProfiler(keep_activations=True, **NO_INDUCED),
+                               NaiveRms(keep_activations=True)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(REPEAT_READ_PAIRS))
+@settings(max_examples=100, deadline=None)
+@given(repeat_reads_strategy())
+def test_repeat_reads_match_oracle(pair, events):
+    """A read that repeats an access in the same epoch returns early in
+    the online profilers; on streams full of them every variant still
+    equals its oracle."""
+    assert repeat_reads(events) > 0
+    fast, oracle = REPEAT_READ_PAIRS[pair]()
     replay(events, fast)
     replay(events, oracle)
     assert db_snapshot(fast.db) == db_snapshot(oracle.db)

@@ -89,3 +89,57 @@ def events_strategy(max_ops: int = 120):
     return st.lists(op_strategy(), min_size=0, max_size=max_ops).map(
         lambda ops: _OpsToEvents(ops).build()
     )
+
+
+def repeat_reads_strategy(max_runs: int = 12):
+    """A merged event stream made of runs of same-thread reads.
+
+    ``events_strategy`` draws each op's thread uniformly, so a thread
+    rarely reads one cell twice in one epoch (no call, thread switch or
+    kernel write in between).  Here each run is one thread reading three
+    cells four to ten times in a row, so it repeats at least one; between
+    runs come calls, returns, writes (a thread switch first when by
+    another thread), kernel reads and writes, and bare thread switches
+    (a ``cost`` on another thread).
+    """
+    cells = ADDRESSES[:3]
+    run = st.tuples(st.sampled_from(THREADS),
+                    st.lists(st.sampled_from(cells), min_size=4, max_size=10))
+    gap = st.tuples(
+        st.sampled_from(["call", "return", "write", "kread", "kwrite", "cost"]),
+        st.sampled_from(THREADS),
+        st.sampled_from(cells),
+    )
+
+    def ops_of(parts):
+        ops = []
+        for (thread, addrs), gaps in parts:
+            ops.extend(("read", thread, addr) for addr in addrs)
+            ops.extend(gaps)
+        return ops
+
+    return st.lists(st.tuples(run, st.lists(gap, max_size=3)),
+                    min_size=1, max_size=max_runs).map(
+        lambda parts: _OpsToEvents(ops_of(parts)).build())
+
+
+def repeat_reads(events: List[Event]) -> int:
+    """How many reads in ``events`` repeat an access of the same thread
+    to the same cell within one epoch, counted from the stream alone.
+
+    Such a read finds its cell stamp equal to the profiler's counter:
+    the thread's access stamped it with the counter, and only a call, a
+    thread switch or a kernel write moves the counter on.
+    """
+    repeats = 0
+    touched = set()
+    for event in events:
+        kind = event.kind
+        if kind in (EventKind.CALL, EventKind.THREAD_SWITCH, EventKind.KERNEL_WRITE):
+            touched.clear()
+        elif kind in (EventKind.READ, EventKind.KERNEL_READ, EventKind.WRITE):
+            key = (event.thread, event.arg)
+            if kind != EventKind.WRITE and key in touched:
+                repeats += 1
+            touched.add(key)
+    return repeats

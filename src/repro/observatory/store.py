@@ -274,12 +274,16 @@ class ObservatoryStore:
         if fcntl is None:               # pragma: no cover - non-POSIX
             yield
             return
-        with open(os.path.join(self.root, LOCK_FILENAME), "a+") as handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        fd = os.open(os.path.join(self.root, LOCK_FILENAME),
+                     os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o666)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
             try:
                 yield
             finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+                fcntl.flock(fd, fcntl.LOCK_UN)
+        finally:
+            os.close(fd)
 
     def _replay(self) -> List[RunRecord]:
         """The log's runs, each at its newest version, in ingest order."""
@@ -321,11 +325,15 @@ class ObservatoryStore:
         payload = _record_to_json(record)
         if supersede:
             payload["supersede"] = True
+        line = memoryview((json.dumps(payload, sort_keys=True) + "\n").encode("utf-8"))
         with self._locked():
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(payload, sort_keys=True) + "\n")
-                stream.flush()
-                os.fsync(stream.fileno())
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o666)
+            try:
+                while line:
+                    line = line[os.write(fd, line):]
+                os.fsync(fd)
+            finally:
+                os.close(fd)
 
     # -- writes ------------------------------------------------------------
 

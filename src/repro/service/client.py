@@ -62,6 +62,8 @@ class ServiceClient:
                  timeout: Optional[float] = 30.0):
         self.tenant = tenant
         self.sock = socket.create_connection((host, port), timeout=timeout)
+        #: the connection's read-ahead (see :func:`~repro.service.wire.recv_frame`)
+        self._buffer = bytearray()
 
     def close(self) -> None:
         try:
@@ -95,7 +97,7 @@ class ServiceClient:
 
     def _round_trip(self, header: Dict, payload: bytes) -> Tuple[Dict, bytes]:
         send_frame(self.sock, header, payload)
-        reply = recv_frame(self.sock)
+        reply = recv_frame(self.sock, buffer=self._buffer)
         assert reply is not None        # recv_frame raises on EOF here
         reply_header, reply_payload = reply
         if not reply_header.get("ok"):

@@ -4,9 +4,12 @@ An upload that is not waited for is acknowledged as soon as it is
 spooled and enqueued — the Metz & Lencevicius discipline of keeping
 instrumentation cost off the measured path: the client's upload
 latency covers a socket write and a queue append, never a curve fit.
-An upload whose client waits for the ingest travels in its job, in
-memory.  The actual work (farm analysis, power-law fitting, store
-appends) happens on worker threads that drain the queue.
+Its work (farm analysis, power-law fitting, store appends) happens on
+worker threads that drain the queue.  An upload whose client waits for
+the ingest travels in its job, in memory, and :meth:`JobQueue.run`
+runs it on the thread that received it: it passes the same intake
+checks and counts in flight like a queued job, without two thread
+hand-offs.
 
 Semantics, all enforced by ``tests/service/test_jobs.py``:
 
@@ -17,14 +20,17 @@ Semantics, all enforced by ``tests/service/test_jobs.py``:
   done | failed``; :meth:`JobQueue.status` is queryable at any time
   and terminal jobs are kept in a bounded ring of recent history;
 * **one attempt**: a worker runs each job exactly once, when it takes
-  it off the queue; a handler exception fails the job and records the
-  error.  Ingestion is deterministic, so a second run could only fail
-  the same way;
+  it off the queue (a job given to :meth:`JobQueue.run` runs once, on
+  the caller's thread); a handler exception fails the job and records
+  the error.  Ingestion is deterministic, so a second run could only
+  fail the same way;
 * **graceful drain**: :meth:`drain` stops intake, waits for queued and
-  in-flight jobs to finish (bounded by a deadline), then stops the
-  workers — the SIGTERM path of ``repro serve``.  A job still queued at
-  the deadline is failed unrun ("abandoned at shutdown"), so its waiters
-  wake and the observer can release what it holds.
+  in-flight jobs to finish (bounded by a deadline; a job
+  :meth:`JobQueue.run` runs on its caller's thread is in flight too),
+  then stops the workers — the SIGTERM path of ``repro serve``.  A job
+  still queued at the deadline is failed unrun ("abandoned at
+  shutdown"), so its waiters wake and the observer can release what it
+  holds.
 """
 
 from __future__ import annotations
@@ -83,8 +89,9 @@ class Job:
         self.error: Optional[str] = None
         self.result: Optional[Dict] = None
         #: trace continuation set by the server when the upload was traced:
-        #: ``{"id", "parent", "enqueued_time"}`` — the worker re-activates
-        #: the trace context from it so async spans join the request tree
+        #: ``{"id", "parent", "enqueued_time"}`` — the thread that runs the
+        #: job re-activates the trace context from it so its spans join
+        #: the request tree
         self.trace: Optional[Dict] = None
         self.enqueued_at = time.monotonic()
         self.started_at: Optional[float] = None
@@ -157,19 +164,43 @@ class JobQueue:
             self._counter += 1
             return f"j{self._counter:06d}"
 
+    def _admit(self) -> None:
+        """The intake checks (caller holds the lock): :class:`QueueClosed`
+        while draining, :class:`QueueFull` with ``capacity`` jobs queued."""
+        if not self._accepting:
+            raise QueueClosed("queue is draining")
+        if len(self._pending) >= self.capacity:
+            raise QueueFull(
+                f"queue at capacity ({self.capacity} job(s) pending)")
+
     def submit(self, job: Job) -> Job:
         """Enqueue ``job``; :class:`QueueFull` / :class:`QueueClosed` on refusal."""
         with self._lock:
-            if not self._accepting:
-                raise QueueClosed("queue is draining")
-            if len(self._pending) >= self.capacity:
-                raise QueueFull(
-                    f"queue at capacity ({self.capacity} job(s) pending)")
+            self._admit()
             job.enqueued_at = time.monotonic()
             self._pending.append(job)
             self._remember(job)
             self._not_empty.notify()
-        self._notify("queued", job)
+        self._notify(QUEUED, job)
+        return job
+
+    def run(self, job: Job) -> Job:
+        """Run ``job`` on the calling thread, now; it is terminal on return.
+
+        The intake checks are :meth:`submit`'s (:class:`QueueFull` /
+        :class:`QueueClosed` on refusal, before the handler runs).  The
+        job is then remembered for :meth:`status` and counted in flight,
+        so :meth:`drain` waits for it, and it walks the statuses and
+        reaches the observer like a queued job, with no queue wait.
+        """
+        with self._lock:
+            self._admit()
+            self._remember(job)
+            self._in_flight += 1
+            job.enqueued_at = job.started_at = time.monotonic()
+            job.status = RUNNING
+        self._notify(QUEUED, job)
+        self._execute(job)
         return job
 
     def _remember(self, job: Job) -> None:
@@ -211,20 +242,24 @@ class JobQueue:
                 self._in_flight += 1
                 job.started_at = time.monotonic()
                 job.status = RUNNING
-            try:
-                job.result = self.handler(job)
-                job.status = DONE
-            except Exception as error:  # noqa: BLE001 - boundary by design
-                job.error = f"{type(error).__name__}: {error}"
-                job.status = FAILED
-            finally:
-                job.finished_at = time.monotonic()
-                with self._lock:
-                    self._in_flight -= 1
-                    if not self._pending and not self._in_flight:
-                        self._idle.notify_all()
-                job.done_event.set()
-                self._notify(job.status, job)
+            self._execute(job)
+
+    def _execute(self, job: Job) -> None:
+        """Run an in-flight job's handler once and settle the job."""
+        try:
+            job.result = self.handler(job)
+            job.status = DONE
+        except Exception as error:  # noqa: BLE001 - boundary by design
+            job.error = f"{type(error).__name__}: {error}"
+            job.status = FAILED
+        finally:
+            job.finished_at = time.monotonic()
+            with self._lock:
+                self._in_flight -= 1
+                if not self._pending and not self._in_flight:
+                    self._idle.notify_all()
+            job.done_event.set()
+            self._notify(job.status, job)
 
     def _notify(self, what: str, job: Job) -> None:
         if self.observer is not None:

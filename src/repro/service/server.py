@@ -10,17 +10,19 @@ profiling-as-a-service:
   ``telemetry.jsonl`` logs, ``repro-bench/1`` envelopes).
   ``put`` and ``put_stream`` share one upload path: every header
   field is parsed first (a bad one is rejected before anything touches
-  the disk), then the payload is queued and analysed, once, by a
-  worker of the bounded :class:`~repro.service.jobs.JobQueue`.  An
+  the disk), then the payload becomes a job of the bounded
+  :class:`~repro.service.jobs.JobQueue` and is analysed once.  An
   upload whose reply does not wait for its ingest to end (no ``wait``,
   or a ``wait_timeout``) is spooled to ``<tenant>/spool/`` before it is
-  acknowledged, and the client pays for a socket write, never for a
-  farm analysis or a curve fit; an upload whose reply waits until its
-  job ends is answered only after its ingest, so it needs no spool
-  file: its job carries its bytes, and the worker builds the record
-  from them in memory.  Duplicate uploads are rejected at the door by
-  content digest (idempotent ingest, before any analysis), and a full
-  queue pushes back instead of buffering without bound;
+  acknowledged and queued for a worker, and the client pays for a
+  socket write, never for a farm analysis or a curve fit; an upload
+  whose reply waits until its job ends is answered only after its
+  ingest, so it needs no spool file and no worker: its job carries its
+  bytes, and the connection thread that received them runs it
+  (:meth:`~repro.service.jobs.JobQueue.run`), building the record in
+  memory.  Duplicate uploads are rejected at the door by content digest
+  (idempotent ingest, before any analysis), and a full queue pushes
+  back instead of buffering without bound, both kinds of upload alike;
 * **read side** — ``runs`` / ``alerts`` / ``report`` serve the run
   history, the drift-alert feed and the fleet dashboards (JSON, ASCII
   or HTML) from the per-tenant stores through one reader, which the
@@ -42,16 +44,18 @@ profiling-as-a-service:
   the server continues the trace: ``server.request`` wraps the
   dispatch, retroactive ``server.accept`` / ``server.decode`` spans
   cover the socket work, ``server.spool`` the disk write of a spooled
-  upload, and the worker adds ``server.queue_wait`` /
-  ``server.execute`` / ``server.ingest`` under the same trace id —
-  ``repro trace`` joins the client and server logs into one
-  waterfall.  Untraced requests (telemetry off, old clients) take the
-  exact pre-trace code path;
+  upload, and the job adds ``server.queue_wait`` / ``server.execute``
+  / ``server.ingest`` under the same trace id (a job run on its
+  connection thread waited in no queue: its ``server.queue_wait`` is
+  0 ms long) — ``repro trace`` joins the client and server logs into
+  one waterfall.  Untraced requests (telemetry off, old clients) take
+  the exact pre-trace code path;
 * **lifecycle** — ``start`` binds, ``serve_forever`` accepts until a
   shutdown is requested; SIGTERM/SIGINT (or the ``shutdown`` op) stop
-  intake, drain queued and in-flight jobs to completion (bounded by
+  intake, drain queued and in-flight jobs — those running on
+  connection threads too — to completion (bounded by
   ``drain_timeout``; a job still queued then fails unrun and its spool
-  file, if it has one, is removed), then close the stores.
+  file is removed), then close the stores.
 
 The same port also answers plain HTTP ``GET``/``HEAD`` (sniffed from
 the first bytes; other verbs get 405): ``/`` (tenant index),
@@ -243,15 +247,16 @@ class ProfileServer:
             except OSError:
                 pass
 
-    # -- job execution (worker threads) --------------------------------------
+    # -- job execution (worker and connection threads) -----------------------
 
     def _execute(self, job: Job) -> Dict:
         trace = job.trace
         tele = telemetry.current()
         if trace is None or not tele.enabled:
             return self._ingest_job(job)
-        # continue the upload's trace on this worker thread: the spans
-        # land in the server log with the request span as their parent
+        # continue the upload's trace on this thread (a worker, or the
+        # connection thread of a waited upload): the spans land in the
+        # server log with the request span as their parent
         with tele.trace(trace.get("id"), trace.get("parent")):
             with tele.span("server.execute", tenant=job.tenant,
                            job=job.job_id):
@@ -384,11 +389,13 @@ class ProfileServer:
             if kind == "http":
                 self._serve_http(sock)
                 return
+            # made after the peek: an HTTP request never reaches it
+            buffer = bytearray()
             while not self._shutdown.is_set():
                 recv_time = time.time()
                 recv_wall0 = time.perf_counter()
                 try:
-                    frame = recv_frame(sock, eof_ok=True)
+                    frame = recv_frame(sock, eof_ok=True, buffer=buffer)
                 except WireError as error:
                     self._bump("service.requests.malformed")
                     self._reply_error(sock, str(error))
@@ -520,11 +527,10 @@ class ProfileServer:
                                "duplicate": True})
             return True
         job = self._submit_upload(sock, tenant, "ingest", payload, digest,
-                                  params, spool=wait is not None)
+                                  params, wait)
         if job is None:
             return True
         self._bump("service.uploads.accepted")
-        self._wait(job, wait)
         self._reply(sock, {"ok": True, "op": "put", "tenant": tenant,
                            "run_id": job.result.get("run_id", run_id)
                            if job.result else run_id,
@@ -570,11 +576,10 @@ class ProfileServer:
             telemetry.gauge(gauge_name, tenant=tenant).set(value)
         digest = hashlib.sha256(payload).hexdigest()
         job = self._submit_upload(sock, tenant, "stream", payload, digest,
-                                  params, spool=wait is not None)
+                                  params, wait)
         if job is None:
             return True
         self._bump("service.uploads.stream")
-        self._wait(job, wait)
         self._reply(sock, {"ok": True, "op": "put_stream", "tenant": tenant,
                            "run_id": run_id, "stream_id": stream_id,
                            "seq": meta["seq"], **job.snapshot()})
@@ -582,17 +587,20 @@ class ProfileServer:
 
     def _submit_upload(self, sock: socket.socket, tenant: str, kind: str,
                        payload: bytes, digest: str, params: Dict,
-                       spool: bool) -> Optional[Job]:
-        """Queue ``payload``'s job (the path both uploads share).
+                       wait: Optional[float]) -> Optional[Job]:
+        """Run or queue ``payload``'s job (the path both uploads share)
+        and wait for it as long as the reply does: ``wait`` seconds (0:
+        not at all, the reply is the ack; None: until the job ends).
 
-        With ``spool`` — an upload acknowledged before its ingest ends —
-        the payload is written to the tenant's spool first and the job
-        owns that file; otherwise the job carries the bytes.  A full or
-        draining queue removes the spool file, counts the rejection,
-        records an SLO shed and replies; that returns None.
+        A waited upload (``wait`` None) is answered only after its ingest:
+        its job carries the bytes and runs here, on the connection thread.
+        Any other upload is written to the tenant's spool first, its job
+        owns that file, and a worker runs it.  A full or draining queue
+        refuses either kind: it removes the spool file, counts the
+        rejection, records an SLO shed and replies; that returns None.
         """
         job_id = self.queue.next_job_id()
-        if spool:
+        if wait is not None:
             spool_dir = os.path.join(self.tenants.path(tenant), "spool")
             os.makedirs(spool_dir, exist_ok=True)
             path = os.path.join(
@@ -606,11 +614,13 @@ class ProfileServer:
             job = Job(job_id, tenant, kind, params=params, payload=payload)
         carrier = telemetry.trace_carrier()
         if carrier is not None:
-            # hand the trace across the queue: the worker re-activates it
+            # the trace the job's spans continue, on the thread that runs it
             job.trace = {"id": carrier.get("id"),
                          "parent": carrier.get("parent"),
                          "enqueued_time": time.time()}
         try:
+            if wait is None:
+                return self.queue.run(job)
             self.queue.submit(job)
         except (QueueFull, QueueClosed) as error:
             if job.path:
@@ -622,15 +632,9 @@ class ProfileServer:
             self._reply_error(sock, str(error), status="rejected",
                               reason=reason)
             return None
+        if wait:
+            job.done_event.wait(wait)
         return job
-
-    @staticmethod
-    def _wait(job: Job, seconds: Optional[float]) -> None:
-        """Block the client thread until ``job`` is terminal, at most
-        ``seconds`` (None: no limit; 0: not at all, the reply is the ack).
-        Workers still do the analysis."""
-        if seconds != 0:
-            job.done_event.wait(seconds)
 
     def _op_job(self, sock, header, payload) -> bool:
         job = self.queue.status(str(header.get("job") or ""))

@@ -22,6 +22,13 @@ Both sides enforce hard size ceilings *before* allocating, so a
 malformed or hostile length prefix is an error, never an allocation:
 oversized or garbled frames raise :class:`WireError` and the server
 drops the connection after a best-effort error reply.
+
+A connection that reads many frames (the server's per-client loop, a
+:class:`~repro.service.client.ServiceClient`) passes
+:func:`recv_frame` a read-ahead ``buffer`` it keeps for the
+connection: each ``recv`` then asks for up to 64 KiB, so a frame under
+that size takes one ``recv``, and the bytes past the frame wait in the
+buffer for the next one.
 """
 
 from __future__ import annotations
@@ -52,23 +59,34 @@ _PREFIX = struct.Struct("!4sII")
 MAX_HEADER_BYTES = 1 << 20          # 1 MiB of JSON metadata
 MAX_PAYLOAD_BYTES = 64 << 20        # 64 MiB artefact
 
+#: the most one ``recv`` asks for (and so the most a read-ahead holds
+#: past the frame it completes)
+_RECV_BYTES = 1 << 16
+
 
 class WireError(Exception):
     """A malformed, truncated or oversized frame."""
 
 
-def _recv_exact(sock: socket.socket, size: int) -> bytes:
-    """Read exactly ``size`` bytes or raise :class:`WireError`."""
-    chunks = []
-    remaining = size
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 16))
+def _fill(sock: socket.socket, data: bytearray, size: int,
+          read_ahead: bool) -> bool:
+    """Receive into ``data`` until it holds ``size`` bytes; False on an
+    EOF before any byte of the frame.
+
+    Each ``recv`` asks for ``_RECV_BYTES`` with ``read_ahead``, else for
+    no byte past ``size``.  An EOF after part of the frame raises
+    :class:`WireError`.
+    """
+    while len(data) < size:
+        chunk = sock.recv(_RECV_BYTES if read_ahead
+                          else min(size - len(data), _RECV_BYTES))
         if not chunk:
+            if not data:
+                return False
             raise WireError(
-                f"connection closed mid-frame ({size - remaining}/{size} bytes)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+                f"connection closed mid-frame ({len(data)}/{size} bytes)")
+        data += chunk
+    return True
 
 
 def send_frame(sock: socket.socket, header: Dict, payload: bytes = b"") -> None:
@@ -82,20 +100,25 @@ def send_frame(sock: socket.socket, header: Dict, payload: bytes = b"") -> None:
                  + header_bytes + payload)
 
 
-def recv_frame(sock: socket.socket,
-               eof_ok: bool = False) -> Optional[Tuple[Dict, bytes]]:
+def recv_frame(sock: socket.socket, eof_ok: bool = False,
+               buffer: Optional[bytearray] = None) -> Optional[Tuple[Dict, bytes]]:
     """Receive one frame; ``None`` on a clean EOF when ``eof_ok``.
+
+    ``buffer`` is the connection's read-ahead (an empty ``bytearray`` at
+    its start, then passed to every call): the frame is taken from its
+    front, and what a ``recv`` returned past the frame stays in it.
+    Without one, no byte past the frame is read.
 
     Raises :class:`WireError` on a bad magic, an oversized length
     prefix, a truncated frame, or a header that is not a JSON object.
     """
-    first = sock.recv(1)
-    if not first:
+    read_ahead = buffer is not None
+    data = buffer if buffer is not None else bytearray()
+    if not _fill(sock, data, _PREFIX.size, read_ahead):
         if eof_ok:
             return None
         raise WireError("connection closed before a frame")
-    prefix = first + _recv_exact(sock, _PREFIX.size - 1)
-    magic, header_len, payload_len = _PREFIX.unpack(prefix)
+    magic, header_len, payload_len = _PREFIX.unpack_from(data)
     if magic != MAGIC:
         raise WireError(f"bad frame magic {magic!r}")
     if header_len > MAX_HEADER_BYTES:
@@ -104,8 +127,13 @@ def recv_frame(sock: socket.socket,
     if payload_len > MAX_PAYLOAD_BYTES:
         raise WireError(f"payload length {payload_len} exceeds "
                         f"{MAX_PAYLOAD_BYTES}")
-    header_bytes = _recv_exact(sock, header_len)
-    payload = _recv_exact(sock, payload_len) if payload_len else b""
+    header_end = _PREFIX.size + header_len
+    end = header_end + payload_len
+    _fill(sock, data, end, read_ahead)
+    header_bytes = data[_PREFIX.size:header_end]
+    with memoryview(data) as view:
+        payload = bytes(view[header_end:end])
+    del data[:end]
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, ValueError) as error:

@@ -177,3 +177,88 @@ def test_observer_sees_lifecycle():
         assert QUEUED in events
     finally:
         queue.drain(0)
+
+
+def test_run_executes_on_the_calling_thread():
+    seen = []
+    events = []
+
+    def handler(job):
+        seen.append(threading.current_thread())
+        return {"kind": job.kind}
+
+    queue = JobQueue(handler, workers=1,
+                     observer=lambda what, job: events.append(what))
+    try:
+        job = queue.run(make_job(queue, kind="inline"))
+        assert seen == [threading.current_thread()]
+        assert job.status == DONE and job.done_event.is_set()
+        assert job.result == {"kind": "inline"}
+        assert job.snapshot()["queue_seconds"] == 0
+        assert queue.status(job.job_id) is job
+        assert events == [QUEUED, DONE]
+        assert queue.in_flight() == 0 and queue.depth() == 0
+    finally:
+        queue.drain(0)
+
+
+def test_run_records_a_raising_handler_as_failed():
+    def handler(job):
+        raise RuntimeError("boom")
+
+    queue = JobQueue(handler, workers=1)
+    try:
+        job = queue.run(make_job(queue))
+        assert job.status == FAILED
+        assert job.error == "RuntimeError: boom"
+        assert queue.in_flight() == 0
+    finally:
+        queue.drain(0)
+
+
+def test_run_makes_the_intake_checks_of_submit():
+    release = threading.Event()
+    ran = []
+
+    def handler(job):
+        ran.append(job.kind)
+        if job.kind == "blocker":
+            release.wait(5.0)
+        return {}
+
+    queue = JobQueue(handler, workers=1, capacity=1)
+    try:
+        queue.submit(make_job(queue, kind="blocker"))
+        assert wait_for(lambda: queue.in_flight() == 1)
+        queue.submit(make_job(queue, kind="queued"))
+        refused = make_job(queue, kind="refused")
+        with pytest.raises(QueueFull):
+            queue.run(refused)
+        assert refused.status == QUEUED and queue.status(refused.job_id) is None
+    finally:
+        release.set()
+    assert queue.drain(deadline=5.0) is True
+    with pytest.raises(QueueClosed):
+        queue.run(make_job(queue, kind="late"))
+    assert ran == ["blocker", "queued"]
+
+
+def test_drain_waits_for_a_job_run_on_another_thread():
+    started, release = threading.Event(), threading.Event()
+
+    def handler(job):
+        started.set()
+        release.wait(5.0)
+        return {"ran": True}
+
+    queue = JobQueue(handler, workers=1)
+    job = make_job(queue)
+    runner = threading.Thread(target=queue.run, args=(job,))
+    runner.start()
+    assert started.wait(5.0)
+    assert queue.in_flight() == 1 and queue.depth() == 0
+    threading.Timer(0.2, release.set).start()
+    assert queue.drain(deadline=5.0) is True
+    assert job.status == DONE and job.result == {"ran": True}
+    runner.join(5.0)
+    assert not runner.is_alive()

@@ -12,11 +12,13 @@ import urllib.request
 
 import pytest
 
+from repro.observatory import ObservatoryStore
 from repro.service import (
     FAILED,
     ProfileServer,
     ServiceClient,
     ServiceError,
+    WireError,
     recv_frame,
 )
 
@@ -294,8 +296,9 @@ def test_queue_full_pushes_back(tmp_path, op):
 
 
 def holding_worker(server):
-    """Hold the server's one worker in its handler until the returned
-    ``release`` is set; ``held`` is set once it holds a job."""
+    """Hold the thread running a job (the server's one worker, or a
+    waited upload's connection thread) in the job handler until the
+    returned ``release`` is set; ``held`` is set once it holds a job."""
     held, release = threading.Event(), threading.Event()
     original = server.queue.handler
 
@@ -437,7 +440,8 @@ def test_stop_drains_queued_jobs(tmp_path):
 
 def test_timed_out_drain_fails_queued_jobs_and_frees_their_waiters(tmp_path):
     """A drain that times out fails every job still queued without
-    running it: its spool file goes and a ``wait`` put gets its answer."""
+    running it: its spool file goes and a put waiting for it (with a
+    ``wait_timeout``, so it was spooled and queued) gets its answer."""
     server = ProfileServer(str(tmp_path / "tenants"), workers=1,
                            drain_timeout=0.2)
     original = server.queue.handler
@@ -455,7 +459,7 @@ def test_timed_out_drain_fails_queued_jobs_and_frees_their_waiters(tmp_path):
         with ServiceClient(server.host, server.port) as client:
             replies.append(client.put_bytes(
                 profile_dump_bytes({"c": lambda n: n}), run_id="run-2",
-                wait=True))
+                wait=True, wait_timeout=60.0))
 
     try:
         with ServiceClient(server.host, server.port) as client:
@@ -484,6 +488,164 @@ def test_timed_out_drain_fails_queued_jobs_and_frees_their_waiters(tmp_path):
         assert replies[0]["status"] == FAILED
     found = server.registry.find("service.jobs.failed")
     assert found and found[0]["value"] == 2
+
+
+def test_a_waited_put_runs_on_its_connection_thread(tmp_path):
+    """A waited put is run by the thread that received it, not queued:
+    ``job`` answers its id with ``done`` and no queue wait."""
+    threads = []
+    with running_server(tmp_path, workers=1) as server:
+        original = server.queue.handler
+
+        def recording(job):
+            threads.append(threading.current_thread().name)
+            return original(job)
+
+        server.queue.handler = recording
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            reply = client.put_bytes(profile_dump_bytes({"a": lambda n: n}),
+                                     wait=True)
+            assert reply["status"] == "done"
+            assert reply["queue_seconds"] == 0
+            job = client.job(reply["job"])
+            assert job["status"] == "done"
+            assert job["queue_seconds"] == 0
+            assert job["result"]["ingested"] is True
+    assert len(threads) == 1 and threads[0].startswith("service-client-")
+
+
+def test_a_waited_put_while_capacity_jobs_are_queued_is_refused(tmp_path):
+    """The queue's capacity refuses a waited put too, though it would
+    not queue: the reply is ``queue_full`` and the upload adds no run."""
+    with running_server(tmp_path, workers=1, capacity=1) as server:
+        held, release = holding_worker(server)
+        try:
+            with ServiceClient(server.host, server.port, tenant="web") as client:
+                client.put_bytes(profile_dump_bytes({"a": lambda n: n}))
+                assert held.wait(5.0)
+                client.put_bytes(profile_dump_bytes({"b": lambda n: n}))
+                assert server.queue.depth() == 1
+                with pytest.raises(ServiceError) as raised:
+                    client.put_bytes(profile_dump_bytes({"c": lambda n: n}),
+                                     run_id="refused", wait=True)
+                assert raised.value.header["status"] == "rejected"
+                assert raised.value.header["reason"] == "queue_full"
+                release.set()
+                assert wait_for(lambda: len(client.runs()) == 2)
+                assert "refused" not in [run["run_id"] for run in client.runs()]
+        finally:
+            release.set()
+        found = server.registry.find("service.uploads.rejected",
+                                     reason="queue_full")
+        assert found and found[0]["value"] == 1
+
+
+def test_a_waited_put_during_a_drain_is_refused(tmp_path):
+    """Once a drain has begun, a waited put on a connection opened before
+    it is refused ``draining``, like a queued one."""
+    server = ProfileServer(str(tmp_path / "tenants"), workers=1)
+    held, release = holding_worker(server)
+    server.start()
+    stopper = threading.Thread(target=server.stop)
+    try:
+        with ServiceClient(server.host, server.port, tenant="web") as late:
+            assert late.ping()["ok"] is True
+            with ServiceClient(server.host, server.port, tenant="web") as client:
+                client.put_bytes(profile_dump_bytes({"a": lambda n: n}))
+            assert held.wait(5.0)
+            stopper.start()
+            assert wait_for(lambda: not server.queue._accepting)
+            with pytest.raises(ServiceError) as raised:
+                late.put_bytes(profile_dump_bytes({"b": lambda n: n}),
+                               run_id="refused", wait=True)
+            assert raised.value.header["status"] == "rejected"
+            assert raised.value.header["reason"] == "draining"
+    finally:
+        release.set()
+        stopper.join(10.0)
+        server.stop()
+    assert not stopper.is_alive()
+    found = server.registry.find("service.uploads.rejected", reason="draining")
+    assert found and found[0]["value"] == 1
+    store = server.tenants.store("web")
+    assert len(store) == 1 and not store.has_run("refused")
+
+
+def test_drain_waits_for_an_ingest_on_a_connection_thread(tmp_path):
+    """A drain waits for a waited put's ingest, which runs on its
+    connection thread, before it closes the stores: the put is answered
+    ``done`` and its run is on disk."""
+    server = ProfileServer(str(tmp_path / "tenants"), workers=1)
+    held, release = holding_worker(server)
+    ingested = threading.Event()
+    holding = server.queue.handler
+
+    def marking(job):
+        result = holding(job)
+        ingested.set()
+        return result
+
+    server.queue.handler = marking
+    closed_after_ingest = []
+    close = server.tenants.close
+
+    def recording_close():
+        closed_after_ingest.append(ingested.is_set())
+        close()
+
+    server.tenants.close = recording_close
+    server.start()
+    replies = []
+
+    def put_and_wait():
+        try:
+            with ServiceClient(server.host, server.port, tenant="web") as client:
+                replies.append(client.put_bytes(
+                    profile_dump_bytes({"a": lambda n: n}), run_id="inline",
+                    wait=True))
+        except (OSError, WireError):
+            pass        # the drain closed the socket before the reply
+
+    waiter = threading.Thread(target=put_and_wait)
+    stopper = threading.Thread(target=server.stop)
+    waiter.start()
+    try:
+        assert held.wait(5.0)
+        assert server.queue.in_flight() == 1 and server.queue.depth() == 0
+        stopper.start()
+        time.sleep(0.2)
+        assert stopper.is_alive()           # the drain waits for the ingest
+        assert closed_after_ingest == []
+    finally:
+        release.set()
+        stopper.join(10.0)
+        waiter.join(10.0)
+        server.stop()
+    assert not stopper.is_alive() and not waiter.is_alive()
+    assert closed_after_ingest == [True]
+    if replies:
+        assert replies[0]["status"] == "done"
+    store = ObservatoryStore(server.tenants.path("web"))
+    assert store.has_run("inline")
+
+
+def test_a_raising_ingest_replies_failed_and_frees_the_tenant_lock(tmp_path):
+    """An ingest that raises on the connection thread fails its job, the
+    put gets ``failed``, and the tenant's lock is free for the next one."""
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="web") as client:
+            reply = client.put_bytes(b'{"schema": "bogus", "metrics": {}}\n',
+                                     wait=True)
+            assert reply["status"] == "failed"
+            assert "repro-bench/1" in reply["error"]
+            lock = server.tenants.lock("web")
+            assert lock.acquire(timeout=1.0)    # not held by the client thread
+            lock.release()
+            reply = client.put_bytes(profile_dump_bytes({"a": lambda n: n}),
+                                     wait=True)
+            assert reply["status"] == "done"
+        found = server.registry.find("service.jobs.failed")
+        assert found and found[0]["value"] == 1
 
 
 def test_shutdown_op_stops_accepting_connections(tmp_path):

@@ -1,11 +1,21 @@
 """Framing tests: round trips, ceilings, truncation, garbage."""
 
+import json
 import socket
 import struct
+import threading
 
 import pytest
 
-from repro.service import MAGIC, MAX_HEADER_BYTES, WireError, recv_frame, send_frame
+from repro.service import (
+    MAGIC,
+    MAX_HEADER_BYTES,
+    MAX_PAYLOAD_BYTES,
+    ProfileServer,
+    WireError,
+    recv_frame,
+    send_frame,
+)
 
 
 def pair():
@@ -115,3 +125,140 @@ def test_send_refuses_oversized_payload():
     finally:
         left.close()
         right.close()
+
+
+# -- the read-ahead buffer ------------------------------------------------------
+
+
+def frame_bytes(header, payload=b""):
+    """One frame's bytes, as ``send_frame`` writes them."""
+    body = json.dumps(header, sort_keys=True).encode("utf-8")
+    return struct.pack("!4sII", MAGIC, len(body), len(payload)) + body + payload
+
+
+def test_buffered_frame_sent_one_byte_per_send_decodes_exactly():
+    data = frame_bytes({"op": "put", "tenant": "web"}, b"\x00payload\xff")
+    left, right = pair()
+    buffer = bytearray()
+
+    def send_bytewise():
+        for index in range(len(data)):
+            left.send(data[index:index + 1])
+
+    try:
+        sender = threading.Thread(target=send_bytewise)
+        sender.start()
+        header, payload = recv_frame(right, buffer=buffer)
+        sender.join(5.0)
+        assert not sender.is_alive()
+        assert header == {"op": "put", "tenant": "web"}
+        assert payload == b"\x00payload\xff"
+        assert buffer == bytearray()
+    finally:
+        left.close()
+        right.close()
+
+
+def test_buffered_two_frames_in_one_sendall_decode_exactly():
+    first = frame_bytes({"seq": 1}, b"one")
+    second = frame_bytes({"seq": 2}, b"\x00" * 70000)    # past one recv
+    left, right = pair()
+    buffer = bytearray()
+    try:
+        sender = threading.Thread(target=left.sendall, args=(first + second,))
+        sender.start()
+        assert recv_frame(right, buffer=buffer) == ({"seq": 1}, b"one")
+        assert recv_frame(right, buffer=buffer) == ({"seq": 2}, b"\x00" * 70000)
+        sender.join(5.0)
+        assert not sender.is_alive()
+        assert buffer == bytearray()
+    finally:
+        left.close()
+        right.close()
+
+
+def test_buffered_eof_mid_frame_raises():
+    data = frame_bytes({"op": "ping"}, b"payload")
+    left, right = pair()
+    try:
+        left.sendall(data[:-3])
+        left.close()
+        with pytest.raises(WireError, match="mid-frame"):
+            recv_frame(right, eof_ok=True, buffer=bytearray())
+    finally:
+        right.close()
+
+
+@pytest.mark.parametrize("lengths,match", [
+    ((MAX_HEADER_BYTES + 1, 0), "header length"),
+    ((2, MAX_PAYLOAD_BYTES + 1), "payload length"),
+], ids=["header", "payload"])
+def test_buffered_oversized_length_refused_before_reading_it(lengths, match):
+    """Only the prefix is sent and the sender stays open: a reader that
+    went on to read the frame would block until the timeout."""
+    left, right = pair()
+    right.settimeout(5.0)
+    try:
+        left.sendall(struct.pack("!4sII", MAGIC, *lengths))
+        with pytest.raises(WireError, match=match):
+            recv_frame(right, buffer=bytearray())
+    finally:
+        left.close()
+        right.close()
+
+
+def test_buffered_clean_eof_between_frames_returns_none():
+    left, right = pair()
+    buffer = bytearray()
+    try:
+        left.sendall(frame_bytes({"seq": 1}) + frame_bytes({"seq": 2}, b"x"))
+        left.close()
+        assert recv_frame(right, eof_ok=True, buffer=buffer) == ({"seq": 1}, b"")
+        assert recv_frame(right, eof_ok=True, buffer=buffer) == ({"seq": 2}, b"x")
+        assert recv_frame(right, eof_ok=True, buffer=buffer) is None
+        with pytest.raises(WireError, match="before a frame"):
+            recv_frame(right, buffer=buffer)
+    finally:
+        right.close()
+
+
+def test_server_answers_pipelined_frames_and_http_on_its_connections(tmp_path):
+    """The server's connection loop reads through its buffer (two frames
+    in one send get two replies), and an HTTP request, sniffed before
+    the buffer exists, is still answered."""
+    server = ProfileServer(str(tmp_path / "tenants"), workers=1)
+    try:
+        left, right = pair()
+        thread = threading.Thread(target=server._serve_client, args=(right, 1))
+        thread.start()
+        try:
+            left.sendall(frame_bytes({"op": "ping"}) + frame_bytes({"op": "tenants"}))
+            buffer = bytearray()
+            assert recv_frame(left, buffer=buffer)[0] == {"ok": True, "op": "ping"}
+            assert recv_frame(left, buffer=buffer)[0] == {"ok": True, "op": "tenants",
+                                                          "tenants": []}
+        finally:
+            left.close()
+            thread.join(5.0)
+        assert not thread.is_alive()
+
+        left, right = pair()
+        thread = threading.Thread(target=server._serve_client, args=(right, 2))
+        thread.start()
+        try:
+            left.sendall(b"GET /stats HTTP/1.0\r\n\r\n")
+            response = b""
+            while True:
+                chunk = left.recv(1 << 16)
+                if not chunk:
+                    break
+                response += chunk
+        finally:
+            left.close()
+            thread.join(5.0)
+        assert not thread.is_alive()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        assert json.loads(body)["queue_depth"] == 0
+    finally:
+        server.stop()

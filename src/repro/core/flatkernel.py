@@ -21,9 +21,16 @@ same analysis dramatically cheaper:
    kernel/thread provenance into one integer.
 
 3. **Shadow stacks flatten to parallel columns.**  A pending activation
-   is a row of :class:`~repro.core.stack.FlatStack` — six ``array('q')``
-   columns the kernel binds to locals, so the per-event work is integer
-   compares, dict probes and in-place column updates.
+   is a row of :class:`~repro.core.stack.FlatStack` — six parallel
+   lists the kernel binds to locals, so the per-event work is integer
+   compares, dict probes and in-place column updates.  Lists, not
+   ``array('q')``: an in-place ``col[-1] += 1`` costs about half as
+   much on a list, and an append plus a pop under a third (an array
+   boxes every element it hands out); and a list holds any int, so a
+   thread cost of 2**63 or more analyses as it does online instead of
+   raising ``OverflowError``.  Each thread state keeps its bound
+   columns as one tuple, so a thread change rebinds them with one
+   unpack.
 
 The kernel analyses every thread of the trace in a *single interleaved
 pass*, keeping per-thread stacks and latest-access tables exactly like
@@ -69,14 +76,20 @@ _ROOT_NAME = "<root:{thread}>"
 class _FlatThreadState:
     """One analysed thread: flat stack, latest-access table, cost."""
 
-    __slots__ = ("thread", "stack", "last", "cost")
+    __slots__ = ("thread", "stack", "last", "cost", "bound")
 
     def __init__(self, thread: int):
         self.thread = thread
-        self.stack = FlatStack()
+        self.stack = stack = FlatStack()
         #: cell -> global position of this thread's latest access
         self.last: Dict[int, int] = {}
         self.cost = 0
+        #: what :meth:`FlatAnalyzer.feed` binds to locals on a thread
+        #: change, in its unpack order
+        self.bound = (
+            self.last, self.last.get, stack.rtn, stack.ts, stack.cost,
+            stack.partial, stack.induced_thread, stack.induced_external,
+        )
 
 
 class FlatAnalyzer:
@@ -166,15 +179,8 @@ class FlatAnalyzer:
                 current_thread = thread
                 state = states.get(thread) or self._ensure(thread)
                 cost = state.cost
-                stack = state.stack
-                s_last = state.last
-                s_last_get = s_last.get
-                s_rtn = stack.rtn
-                s_ts = stack.ts
-                s_cost = stack.cost
-                s_partial = stack.partial
-                s_ind_thread = stack.induced_thread
-                s_ind_external = stack.induced_external
+                (s_last, s_last_get, s_rtn, s_ts, s_cost, s_partial,
+                 s_ind_thread, s_ind_external) = state.bound
             if kind == _COST:
                 cost += arg
             elif kind == _READ or kind == _KERNEL_READ:

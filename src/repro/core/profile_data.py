@@ -37,19 +37,6 @@ class SizeStats:
         self.cost_sum = 0
         self.cost_sumsq = 0
 
-    def add(self, cost: int) -> None:
-        if self.calls == 0:
-            self.cost_min = cost
-            self.cost_max = cost
-        else:
-            if cost < self.cost_min:
-                self.cost_min = cost
-            if cost > self.cost_max:
-                self.cost_max = cost
-        self.calls += 1
-        self.cost_sum += cost
-        self.cost_sumsq += cost * cost
-
     @property
     def cost_avg(self) -> float:
         """Mean cost over the activations observed at this size."""
@@ -107,24 +94,6 @@ class RoutineProfile:
         self.cost_sum = 0
         self.induced_thread_sum = 0
         self.induced_external_sum = 0
-
-    def add_activation(
-        self,
-        size: int,
-        cost: int,
-        induced_thread: int = 0,
-        induced_external: int = 0,
-    ) -> None:
-        stats = self.points.get(size)
-        if stats is None:
-            stats = SizeStats()
-            self.points[size] = stats
-        stats.add(cost)
-        self.calls += 1
-        self.size_sum += size
-        self.cost_sum += cost
-        self.induced_thread_sum += induced_thread
-        self.induced_external_sum += induced_external
 
     @property
     def distinct_sizes(self) -> int:
@@ -205,12 +174,35 @@ class ProfileDatabase:
         induced_thread: int = 0,
         induced_external: int = 0,
     ) -> None:
+        """Record one finished activation, in place.
+
+        Finds or makes the ``(routine, thread)`` profile and its ``size``
+        point and updates both.  A point whose ``calls`` is 0 (new, or
+        loaded so from a dump) takes ``cost`` as its min and max.
+        """
         key = (routine, thread)
         profile = self._profiles.get(key)
         if profile is None:
-            profile = RoutineProfile(routine, thread)
-            self._profiles[key] = profile
-        profile.add_activation(size, cost, induced_thread, induced_external)
+            profile = self._profiles[key] = RoutineProfile(routine, thread)
+        points = profile.points
+        stats = points.get(size)
+        if stats is None:
+            stats = points[size] = SizeStats()
+        if stats.calls:
+            if cost < stats.cost_min:
+                stats.cost_min = cost
+            if cost > stats.cost_max:
+                stats.cost_max = cost
+        else:
+            stats.cost_min = stats.cost_max = cost
+        stats.calls += 1
+        stats.cost_sum += cost
+        stats.cost_sumsq += cost * cost
+        profile.calls += 1
+        profile.size_sum += size
+        profile.cost_sum += cost
+        profile.induced_thread_sum += induced_thread
+        profile.induced_external_sum += induced_external
         if self.keep_activations:
             self.activations.append(
                 ActivationRecord(routine, thread, size, cost, induced_thread, induced_external)

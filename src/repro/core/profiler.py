@@ -96,34 +96,30 @@ class BaseProfiler(TraceConsumer):
     # -- state management ---------------------------------------------------
 
     def _state(self, thread: int) -> ThreadState:
-        """The state of ``thread``, creating it (with an implicit root
-        activation) on first use."""
-        if thread == self._cached_thread:
-            return self._cached_state
+        """The state of ``thread``, now the cached one; made on first use,
+        with an implicit root activation."""
         state = self.states.get(thread)
         if state is None:
-            state = ThreadState(thread, self._shadow_factory)
-            self.states[thread] = state
-            self._push(state, f"{self.ROOT_PREFIX}{thread}>")
+            state = self.states[thread] = ThreadState(thread, self._shadow_factory)
+            state.stack.push(f"{self.ROOT_PREFIX}{thread}>", self._bump_count(), 0)
         self._cached_thread = thread
         self._cached_state = state
         return state
 
     def _bump_count(self) -> int:
+        """Advance the global counter, renumbering at ``max_count``; return it."""
         self.count += 1
         if self.max_count is not None and self.count >= self.max_count:
             self._renumber()
         return self.count
 
-    def _push(self, state: ThreadState, routine: str) -> StackEntry:
-        self._bump_count()
-        return state.stack.push(routine, self.count, state.cost)
-
     def _pop(self, state: ThreadState) -> None:
-        entry = state.stack.pop()
-        inclusive_cost = state.cost - entry.cost
-        parent = state.stack.entries[-1] if state.stack.entries else None
-        if parent is not None:
+        """Complete the top activation of ``state``: fold its partials
+        into its parent, if any, and record it."""
+        entries = state.stack.entries
+        entry = entries.pop()
+        if entries:
+            parent = entries[-1]
             parent.partial += entry.partial
             parent.induced_thread += entry.induced_thread
             parent.induced_external += entry.induced_external
@@ -131,7 +127,7 @@ class BaseProfiler(TraceConsumer):
             entry.rtn,
             state.thread,
             entry.partial,
-            inclusive_cost,
+            state.cost - entry.cost,
             entry.induced_thread,
             entry.induced_external,
         )
@@ -140,15 +136,16 @@ class BaseProfiler(TraceConsumer):
 
     def on_call(self, thread: int, routine: str) -> None:
         state = self._cached_state if thread == self._cached_thread else self._state(thread)
+        entries = state.stack.entries
         if self.context_sensitive:
-            routine = compose_context(state.stack.entries[-1].rtn, routine)
-        self._push(state, routine)
+            routine = compose_context(entries[-1].rtn, routine)
+        entries.append(StackEntry(routine, self._bump_count(), state.cost))
 
     def on_return(self, thread: int) -> None:
         state = self._cached_state if thread == self._cached_thread else self._state(thread)
         # Never pop the implicit root: unmatched returns (trimmed traces,
         # longjmp-style exits) are treated as no-ops, as aprof does.
-        if len(state.stack) > 1:
+        if len(state.stack.entries) > 1:
             self._pop(state)
 
     def on_cost(self, thread: int, units: int) -> None:
@@ -158,8 +155,11 @@ class BaseProfiler(TraceConsumer):
     def on_thread_switch(self, thread: int) -> None:
         self._bump_count()
         # Touch the state so the implicit root exists from the very first
-        # event of the thread, whatever kind it is.
-        self._state(thread)
+        # event of the thread, whatever kind it is, and cache it for the
+        # events that follow.
+        state = self.states.get(thread) or self._state(thread)
+        self._cached_thread = thread
+        self._cached_state = state
 
     def on_finish(self) -> None:
         """Unwind every pending activation, including implicit roots.

@@ -90,7 +90,7 @@ from ..telemetry.registry import MetricsRegistry
 from .jobs import DONE, FAILED, Job, JobQueue, QueueClosed, QueueFull
 from .slo import SloTargets, SloTracker
 from .tenants import DEFAULT_TENANT, TenantError, TenantManager, validate_tenant
-from .wire import MAGIC, WireError, recv_frame, send_frame
+from .wire import MAGIC, WireError, recv_frame, send_frame, wait_for_frame
 
 __all__ = ["ProfileServer"]
 
@@ -392,6 +392,10 @@ class ProfileServer:
             # made after the peek: an HTTP request never reaches it
             buffer = bytearray()
             while not self._shutdown.is_set():
+                # the clocks start once the frame's first bytes are in
+                # hand: the client's idle time between requests is no
+                # part of decoding the next one
+                wait_for_frame(sock, buffer)
                 recv_time = time.time()
                 recv_wall0 = time.perf_counter()
                 try:

@@ -46,6 +46,7 @@ __all__ = [
     "WireError",
     "send_frame",
     "recv_frame",
+    "wait_for_frame",
 ]
 
 WIRE_SCHEMA = "repro-wire/1"
@@ -98,6 +99,21 @@ def send_frame(sock: socket.socket, header: Dict, payload: bytes = b"") -> None:
         raise WireError(f"payload too large ({len(payload)} bytes)")
     sock.sendall(_PREFIX.pack(MAGIC, len(header_bytes), len(payload))
                  + header_bytes + payload)
+
+
+def wait_for_frame(sock: socket.socket, buffer: bytearray) -> None:
+    """Block until ``buffer``, a connection's read-ahead, holds bytes of
+    the next frame, or the peer has closed the connection.
+
+    A server calls it before :func:`recv_frame` to learn when a frame
+    starts to arrive, not when it began to wait for one, so the wait for
+    a kept-alive client's next request stays out of the frame's timing.
+    Its one ``recv``, made only when ``buffer`` is empty, is the one
+    :func:`recv_frame` would have made first: no syscall is added but
+    at the end of a connection, where :func:`recv_frame` sees the EOF.
+    """
+    if not buffer:
+        buffer += sock.recv(_RECV_BYTES)
 
 
 def recv_frame(sock: socket.socket, eof_ok: bool = False,

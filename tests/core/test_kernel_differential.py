@@ -69,6 +69,27 @@ def test_flat_kernel_dumps_are_byte_identical(events):
     assert flat_dump.getvalue() == online_dump.getvalue()
 
 
+def test_flat_kernel_holds_a_thread_cost_past_int64():
+    """A thread cost of 2**63 fits no int64 column; the flat stack's
+    list columns hold it, so the kernel agrees with the online profiler
+    (an ``array('q')`` cost column raised ``OverflowError`` at the
+    ``CALL`` that snapshots it)."""
+    half = 1 << 62
+    events = [
+        Event(EventKind.COST, 1, half),
+        Event(EventKind.COST, 1, half),
+        Event(EventKind.CALL, 1, "f"),
+        Event(EventKind.READ, 1, 5),
+        Event(EventKind.COST, 1, 3),
+        Event(EventKind.RETURN, 1, None),
+        Event(EventKind.COST, 1, half),
+    ]
+    flat = flat_db(events)
+    assert db_snapshot(flat) == db_snapshot(online_db(events))
+    assert flat.profile("f", 1).cost_sum == 3
+    assert flat.profile("<root:1>", 1).cost_sum == 3 * half + 3
+
+
 def test_flat_kernel_on_real_vm_trace():
     """End to end on a recorded multithreaded guest run."""
     import sys

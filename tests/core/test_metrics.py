@@ -39,12 +39,14 @@ def test_profile_richness_single_routine():
 
 
 def test_profile_richness_can_be_negative():
-    rms = RoutineProfile("f", 1)
-    trms = RoutineProfile("f", 1)
-    rms.add_activation(1, 0)
-    rms.add_activation(2, 0)
-    trms.add_activation(5, 0)
-    trms.add_activation(5, 0)
+    rms_db = ProfileDatabase()
+    trms_db = ProfileDatabase()
+    rms_db.add_activation("f", 1, 1, 0)
+    rms_db.add_activation("f", 1, 2, 0)
+    trms_db.add_activation("f", 1, 5, 0)
+    trms_db.add_activation("f", 1, 5, 0)
+    rms = rms_db.profile("f", 1)
+    trms = trms_db.profile("f", 1)
     assert profile_richness(rms, trms) == pytest.approx(-0.5)
 
 

@@ -12,7 +12,9 @@ import urllib.request
 
 import pytest
 
+from repro import telemetry
 from repro.observatory import ObservatoryStore
+from repro.reporting.tracing import assemble_traces, load_trace_spans
 from repro.service import (
     FAILED,
     ProfileServer,
@@ -70,6 +72,27 @@ def test_put_wait_ingests_and_is_queryable(tmp_path):
             assert client.tenants() == ["web"]
         # the spooled artefact is removed once the job is terminal
         assert wait_for(lambda: spool_files(server, "web") == [])
+
+
+def test_decode_span_starts_when_the_frame_arrives(tmp_path):
+    """``server.decode`` times the frame, not the kept-alive client's idle
+    gap before it: a put sent 0.3 s after a ping decodes in under 50 ms."""
+    tele_root = str(tmp_path / "tele")
+    with telemetry.session(tele_root):
+        with running_server(tmp_path) as server:
+            with ServiceClient(server.host, server.port, tenant="web") as client:
+                client.ping()
+                time.sleep(0.3)
+                reply = client.put_bytes(profile_dump_bytes({"a": lambda n: n}),
+                                         wait=True)
+                assert reply["status"] == "done"
+    traces = assemble_traces(load_trace_spans([tele_root]))
+    puts = [trace for trace in traces.values()
+            if any(span.name == "client.put" for span in trace.spans)]
+    assert len(puts) == 1
+    decodes = [span for span in puts[0].spans if span.name == "server.decode"]
+    assert len(decodes) == 1
+    assert decodes[0].wall < 0.05, decodes[0].wall
 
 
 def test_put_waits_past_the_platform_timeout(tmp_path):
@@ -531,6 +554,9 @@ def test_a_waited_put_while_capacity_jobs_are_queued_is_refused(tmp_path):
                 assert raised.value.header["status"] == "rejected"
                 assert raised.value.header["reason"] == "queue_full"
                 release.set()
+                # the tenant's store exists only once the first ingest
+                # ends; a ``runs`` read before then is "no such tenant"
+                assert wait_for(lambda: "web" in client.tenants())
                 assert wait_for(lambda: len(client.runs()) == 2)
                 assert "refused" not in [run["run_id"] for run in client.runs()]
         finally:

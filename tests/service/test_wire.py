@@ -16,6 +16,7 @@ from repro.service import (
     recv_frame,
     send_frame,
 )
+from repro.service.wire import wait_for_frame
 
 
 def pair():
@@ -204,6 +205,28 @@ def test_buffered_oversized_length_refused_before_reading_it(lengths, match):
             recv_frame(right, buffer=bytearray())
     finally:
         left.close()
+        right.close()
+
+
+def test_wait_for_frame_receives_only_into_an_empty_read_ahead():
+    """``wait_for_frame`` receives only when the read-ahead is empty, so
+    a frame already buffered costs no ``recv``; after the last frame it
+    returns on the EOF, which ``recv_frame`` then reports."""
+    left, right = pair()
+    buffer = bytearray()
+    frames = frame_bytes({"seq": 1}) + frame_bytes({"seq": 2}, b"x")
+    try:
+        left.sendall(frames)
+        left.close()
+        wait_for_frame(right, buffer)
+        assert bytes(buffer) == frames
+        assert recv_frame(right, eof_ok=True, buffer=buffer) == ({"seq": 1}, b"")
+        wait_for_frame(right, buffer)
+        assert recv_frame(right, eof_ok=True, buffer=buffer) == ({"seq": 2}, b"x")
+        wait_for_frame(right, buffer)
+        assert buffer == bytearray()
+        assert recv_frame(right, eof_ok=True, buffer=buffer) is None
+    finally:
         right.close()
 
 

@@ -260,6 +260,36 @@ def test_analyze_dump_of_empty_trace(metric, tmp_path):
     assert dump.read_bytes() == expected.getvalue().encode("utf-8")
 
 
+def test_analyze_a_thread_cost_past_int64(tmp_path):
+    """Two 2**62-unit COST records take a thread's cost to 2**63, past
+    int64: ``analyze --metric both`` still exits 0, and its TRMS dump
+    equals the online profiler's on the same trace."""
+    from repro.core import Event, EventKind, TrmsProfiler, replay
+    from repro.farm import iter_binary_trace, save_profile, write_binary_trace
+
+    half = 1 << 62
+    trace = tmp_path / "big.rpt2"
+    with open(trace, "wb") as stream:
+        write_binary_trace([
+            Event(EventKind.COST, 1, half),
+            Event(EventKind.COST, 1, half),
+            Event(EventKind.CALL, 1, "f"),
+            Event(EventKind.READ, 1, 5),
+            Event(EventKind.COST, 1, 3),
+            Event(EventKind.RETURN, 1, None),
+        ], stream)
+    online = TrmsProfiler()
+    with open(trace, "rb") as stream:
+        replay(iter_binary_trace(stream), online)
+    assert online.db.profile("<root:1>", 1).cost_sum == 2 * half + 3
+    expected = io.StringIO()
+    save_profile(online.db, expected)
+    dump = tmp_path / "big.profile"
+    code, output = run_cli("analyze", str(trace), "--metric", "both", "--dump", str(dump))
+    assert code == 0, output
+    assert dump.read_bytes() == expected.getvalue().encode("utf-8")
+
+
 def test_analyze_jobs_stats_report(tmp_path):
     """``--stats`` reports the one pass; ``--jobs`` is no longer an option."""
     trace = tmp_path / "run.rpt2"

@@ -42,7 +42,6 @@ from .merge import (
     PROFILE_MAGIC,
     ProfileDumpError,
     copy_database,
-    is_profile_dump,
     load_profile,
     merge_databases,
     merge_into,
@@ -69,7 +68,6 @@ __all__ = [
     "PROFILE_MAGIC",
     "ProfileDumpError",
     "copy_database",
-    "is_profile_dump",
     "load_profile",
     "merge_databases",
     "merge_into",

@@ -436,7 +436,8 @@ def read_trace_meta(stream: IO[bytes]) -> TraceMeta:
     :class:`TruncatedChunk` (recoverable: the writer may still be
     running, or died mid-flush — the sealed prefix is intact and a
     tailer can consume it).  Anything else malformed raises plain
-    :class:`BinaryTraceError`.
+    :class:`BinaryTraceError`, a chunk index entry with no event or with
+    a payload outside ``[end of magic, footer offset)`` included.
     """
     stream.seek(0)
     if stream.read(len(BINARY_MAGIC)) != BINARY_MAGIC:
@@ -461,14 +462,24 @@ def read_trace_meta(stream: IO[bytes]) -> TraceMeta:
     names: List[str] = []
     for _ in range(n_names):
         (length,) = _U32.unpack(_read_exact(stream, _U32.size, "name length"))
+        if length > trailer_offset - stream.tell():     # never allocate past the file
+            raise BinaryTraceError("truncated binary trace: short read of name")
         names.append(_read_exact(stream, length, "name").decode("utf-8"))
     (n_chunks,) = _U32.unpack(_read_exact(stream, _U32.size, "chunk index size"))
     chunks: List[ChunkMeta] = []
-    for _ in range(n_chunks):
+    for index in range(n_chunks):
         (offset,) = _U64.unpack(_read_exact(stream, _U64.size, "chunk offset"))
         fixed = _read_exact(stream, _CHUNK_FIXED.size, "chunk index entry")
         payload_bytes, events, first_pos, writes, counts = _parse_chunk_fixed(fixed, stream)
         payload_offset = offset + _CHUNK_FIXED.size + _THREAD_COUNT.size * len(counts)
+        # as ``read_chunk_header`` checks a live chunk: one event at least,
+        # and a payload between the magic and the footer
+        if (events <= 0 or offset < len(BINARY_MAGIC)
+                or payload_offset + payload_bytes > footer_offset):
+            raise BinaryTraceError(
+                f"corrupt chunk index: chunk {index} ({events} event(s), "
+                f"{payload_bytes} payload bytes at offset {payload_offset}) is empty "
+                f"or not between the magic and the footer at {footer_offset}")
         chunks.append(ChunkMeta(offset, payload_offset, payload_bytes, events,
                                 first_pos, writes, counts))
     return TraceMeta(event_count, names, chunks)

@@ -44,7 +44,6 @@ __all__ = [
     "merge_databases",
     "save_profile",
     "load_profile",
-    "is_profile_dump",
 ]
 
 PROFILE_MAGIC = "repro-profile 1"
@@ -182,12 +181,3 @@ def load_profile(stream: IO[str]) -> ProfileDatabase:
         except (ValueError, TraceFileError) as error:
             raise ProfileDumpError(f"line {line_no}: {error}") from None
     return db
-
-
-def is_profile_dump(path: str) -> bool:
-    """True when the file at ``path`` starts with the profile magic."""
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as stream:
-            return stream.readline().rstrip("\n") == PROFILE_MAGIC
-    except OSError:
-        return False

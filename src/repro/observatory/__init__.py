@@ -12,7 +12,7 @@ runs, which is what an operator of a long-lived system actually has:
 * :mod:`repro.observatory.ingest` — turns ``repro-profile 1`` dumps,
   v2 traces, streaming checkpoints, ``telemetry.jsonl`` runs and
   ``repro-bench/1`` envelopes into store records, idempotently by run
-  id;
+  id, telling the files apart by their bytes under one rule;
 * :mod:`repro.observatory.drift` — per-routine growth-class
   trajectories, changepoint flagging and severity-ranked alerts;
 * :mod:`repro.observatory.dashboards` — the ASCII and HTML dashboards
@@ -32,12 +32,9 @@ from .dashboards import (
 from .drift import Changepoint, DriftAlert, RoutineTrajectory, detect_drift, trajectories
 from .ingest import (
     IngestResult,
-    artefact_suffix,
-    ingest_bytes,
-    ingest_checkpoint,
     ingest_path,
     ingest_record,
-    ingest_stream_dump,
+    mtime_iso,
     record_from_bytes,
     record_from_checkpoint,
     record_from_envelope,
@@ -68,12 +65,9 @@ __all__ = [
     "detect_drift",
     "trajectories",
     "IngestResult",
-    "artefact_suffix",
-    "ingest_bytes",
-    "ingest_checkpoint",
     "ingest_path",
     "ingest_record",
-    "ingest_stream_dump",
+    "mtime_iso",
     "record_from_bytes",
     "record_from_checkpoint",
     "record_from_envelope",

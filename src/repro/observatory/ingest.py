@@ -1,6 +1,6 @@
 """Ingestion: turning pipeline artefacts into observatory run records.
 
-Three sources feed the history store, each reduced to the same
+Four kinds of file feed the history store, each reduced to the same
 :class:`~repro.observatory.store.RunRecord` shape:
 
 * ``repro-profile 1`` dumps (``profile --dump``, ``analyze --dump``,
@@ -8,27 +8,37 @@ Three sources feed the history store, each reduced to the same
   is fitted with
   :func:`repro.curvefit.selection.select_model` into a curve row, the
   top-K routines by total cost also keep their raw plot points;
-* ``telemetry.jsonl`` runs — span totals and counters of one pipeline
+* v2 binary traces — analysed first (``analyze_file``, the farm
+  engine's one pass), then fitted like a dump;
+* ``telemetry.jsonl`` logs — span totals and counters of one pipeline
   invocation;
 * ``repro-bench/1`` envelopes from ``benchmarks/results/`` — scalar
   metrics flattened from the payload (gate ratios included), keyed by
   the envelope's own run identity.
 
-:func:`ingest_path` sniffs the file kind; the ``record_from_*``
-builders are the library API (``tools/bench_gate.py`` and tests use
-them directly).  Ingestion is idempotent by run id: the default run id
-of a file is a digest of its bytes, so re-ingesting the same artefact
-is always a no-op.
+**One rule tells them apart, by their bytes alone**, checked in order:
+bytes that start with ``RPTRACE2`` are a v2 trace; a first line
+(universal newlines) of ``repro-profile 1`` is a dump; a first line
+that is a JSON object whose ``type`` is a telemetry record type is a
+telemetry log; bytes whose first non-blank byte is ``{`` are an
+envelope; anything else is refused with ``ValueError``.  A file's name
+never decides its kind.  Only directories go by path: a streaming
+checkpoint directory (or its ``CURRENT.json``) and a telemetry run
+directory (its ``telemetry.jsonl`` is read as a log).
 
-Two extensions serve the profiling service (:mod:`repro.service`):
-v2 **binary traces** ingest too — the farm engine analyses them
-server-side (``analyze_file``) and the resulting profile is fitted
-like any dump — and :func:`record_from_bytes` builds the record of an
-in-memory artefact (a stdin pipe, a wire upload) with the sniffing of
-the on-disk path, on the file name :func:`artefact_suffix` picks.  It
-parses dumps and envelopes in memory, decoding their text as a file
-read does; only the kinds whose readers take a path (v2 traces,
-telemetry logs) go through a scratch file.
+A file (:func:`record_from_path`, :func:`ingest_path`), a stdin pipe
+and a wire upload (:func:`record_from_bytes`) go through that rule and
+one builder, so the same bytes build the same record, or fail with
+the same error, whichever way they come in.  The builder parses text
+in memory, decoded as a file read decodes it (strict UTF-8, universal
+newlines).  A v2 trace on disk is analysed where it lies and digested
+in blocks, never read whole; one that arrives as bytes is written to a
+scratch file first, because ``analyze_file`` takes a path.
+
+Ingestion is idempotent by run id: the default run id of an artefact
+is a digest of its bytes, so re-ingesting the same artefact is always
+a no-op, from a file or from bytes.  A file's default timestamp is its
+mtime (:func:`mtime_iso`); bytes have none, and ``-`` stands in.
 """
 
 from __future__ import annotations
@@ -37,9 +47,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 from datetime import datetime, timezone
-from typing import IO, Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import IO, Dict, Iterator, List, NamedTuple, Optional
 
 from ..core.profile_data import ProfileDatabase
 from ..curvefit.fitting import fit_power_law
@@ -49,6 +60,7 @@ from .store import CurveRecord, ObservatoryStore, RunRecord, _is_late, check_rec
 __all__ = [
     "IngestResult",
     "MIN_FIT_POINTS",
+    "mtime_iso",
     "record_from_profile_db",
     "record_from_telemetry",
     "record_from_envelope",
@@ -56,11 +68,7 @@ __all__ = [
     "record_from_path",
     "record_from_bytes",
     "record_from_stream_dump",
-    "artefact_suffix",
-    "ingest_bytes",
-    "ingest_checkpoint",
     "ingest_record",
-    "ingest_stream_dump",
     "ingest_path",
 ]
 
@@ -81,15 +89,14 @@ class IngestResult(NamedTuple):
     detail: str
 
 
-def _digest_run_id(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as stream:
-        for block in iter(lambda: stream.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()[:32]
+def mtime_iso(path: str) -> str:
+    """A file's mtime as ISO-8601: the timestamp offline ingestion gives
+    a file ingested without one ("" when the file cannot be stat'ed).
 
-
-def _mtime_iso(path: str) -> str:
+    ``ServiceClient.put_file`` sends the same with an upload, which
+    keeps server-side ingestion byte-identical to ``repro observe
+    ingest`` of the same file.
+    """
     try:
         mtime = os.path.getmtime(path)
     except OSError:
@@ -123,7 +130,11 @@ def record_from_profile_db(
         points = profile.worst_case_points()
         if len(points) < MIN_FIT_POINTS:
             continue
-        selection = select_model(points)
+        try:
+            selection = select_model(points)
+        except OverflowError:       # a dump's integers are unbounded
+            raise ValueError(f"routine {routine!r}: a size or cost is too large "
+                             "to fit") from None
         try:
             exponent: Optional[float] = fit_power_law(points).exponent
         except ValueError:
@@ -176,14 +187,15 @@ def record_from_telemetry(
         if isinstance(value, (int, float)):
             key = f"counter.{entry.get('name', 'counter')}"
             metrics[key] = metrics.get(key, 0.0) + float(value)
-    events = int(metrics.get("counter.record.events", 0))
+    events = metrics.get("counter.record.events", 0.0)
     return RunRecord(
         run_id=run_id,
         git_sha=git_sha,
         timestamp=timestamp,
         scale=scale,
         source="telemetry",
-        events=events,
+        # a non-finite count is left to ``check_record``, which refuses it
+        events=int(events) if math.isfinite(events) else 0,
         metrics=metrics,
         curves=[],
         points={},
@@ -202,16 +214,23 @@ def _flatten_scalars(payload, prefix: str, into: Dict[str, float]) -> None:
 
 
 def record_from_envelope(envelope: Dict) -> RunRecord:
-    """A ``repro-bench/1`` envelope, keyed by its own run identity."""
+    """A ``repro-bench/1`` envelope, keyed by its own run identity.
+
+    Raises ``ValueError`` on a ``scale`` that is no number."""
     metrics: Dict[str, float] = {}
     _flatten_scalars(envelope.get("metrics") or {}, "", metrics)
     bench = envelope.get("bench")
     source = f"bench:{bench}" if bench else "bench"
+    scale = envelope.get("scale") or 0.0
+    try:
+        scale = float(scale)
+    except (TypeError, OverflowError):
+        raise ValueError(f"envelope scale {scale!r:.40} is no float") from None
     return RunRecord(
         run_id=str(envelope.get("run_id") or ""),
         git_sha=str(envelope.get("git_sha") or ""),
         timestamp=str(envelope.get("timestamp") or ""),
-        scale=float(envelope.get("scale") or 0.0),
+        scale=scale,
         source=source,
         events=0,
         metrics=metrics,
@@ -259,8 +278,25 @@ def record_from_checkpoint(
     return record._replace(metrics=metrics)
 
 
+def record_from_stream_dump(
+    data: bytes,
+    stream_meta: Dict,
+    run_id: Optional[str] = None,
+    git_sha: str = "",
+    scale: float = 0.0,
+) -> RunRecord:
+    """The partial run record of a checkpoint dump shipped over the wire:
+    the full ``repro-profile 1`` bytes, decoded as :func:`record_from_bytes`
+    decodes a dump, plus the manifest fields as ``stream_meta`` (see
+    :func:`record_from_checkpoint`).  A record
+    :func:`~repro.observatory.store.check_record` refuses raises
+    ``ValueError``."""
+    return check_record(record_from_checkpoint(stream_meta, _load_dump(data), run_id=run_id,
+                                               git_sha=git_sha, scale=scale))
+
+
 def ingest_record(store: ObservatoryStore, record: RunRecord) -> IngestResult:
-    """Add one built record to ``store``: the step every ``ingest_*`` ends in.
+    """Add one built record to ``store``.
 
     A streaming checkpoint's record (source ``stream``) supersedes the
     stored version of its run; any other record is added once per run id.
@@ -287,115 +323,6 @@ def ingest_record(store: ObservatoryStore, record: RunRecord) -> IngestResult:
     return IngestResult(record.run_id, "stream", ingested, detail)
 
 
-def ingest_checkpoint(
-    store: ObservatoryStore,
-    directory: str,
-    run_id: Optional[str] = None,
-    git_sha: str = "",
-    scale: float = 0.0,
-) -> IngestResult:
-    """Ingest the newest checkpoint of a stream directory, superseding.
-
-    ``directory`` holds a ``CURRENT.json`` manifest plus the checkpoint
-    dumps it names (:mod:`repro.streaming.snapshot`).  Safe to call repeatedly
-    while the stream is live: each call replaces the previous partial
-    run in place; an unchanged checkpoint is an idempotent no-op.
-    """
-    from ..streaming.snapshot import load_checkpoint
-
-    manifest, db = load_checkpoint(directory)
-    return ingest_record(store, record_from_checkpoint(
-        manifest, db, run_id=run_id, git_sha=git_sha, scale=scale))
-
-
-def record_from_stream_dump(
-    data: bytes,
-    stream_meta: Dict,
-    run_id: Optional[str] = None,
-    git_sha: str = "",
-    scale: float = 0.0,
-) -> RunRecord:
-    """The partial run record of a checkpoint dump shipped over the wire:
-    the full ``repro-profile 1`` bytes plus the manifest fields as
-    ``stream_meta`` (see :func:`record_from_checkpoint`).  A record
-    :func:`~repro.observatory.store.check_record` refuses raises
-    ``ValueError``."""
-    from ..farm import load_profile
-
-    db = load_profile(io.StringIO(data.decode("utf-8")))
-    return check_record(record_from_checkpoint(stream_meta, db, run_id=run_id,
-                                               git_sha=git_sha, scale=scale))
-
-
-def ingest_stream_dump(
-    store: ObservatoryStore,
-    data: bytes,
-    stream_meta: Dict,
-    run_id: Optional[str] = None,
-    git_sha: str = "",
-    scale: float = 0.0,
-) -> IngestResult:
-    """Ingest a checkpoint dump shipped over the wire.
-
-    The service's ``put_stream`` op delivers it; same superseding
-    semantics as :func:`ingest_checkpoint`, without touching the
-    uploader's filesystem.
-    """
-    return ingest_record(store, record_from_stream_dump(
-        data, stream_meta, run_id=run_id, git_sha=git_sha, scale=scale))
-
-
-# -- file sniffing -----------------------------------------------------------
-
-#: the record types of a ``telemetry.jsonl`` log
-_TELEMETRY_TYPES = ("meta", "span", "heartbeat", "metrics", "event")
-
-_UNKNOWN_KIND = ("not a profile dump, v2 trace, telemetry run, bench envelope "
-                 "or checkpoint directory")
-
-
-def _is_telemetry_line(line: str) -> bool:
-    """True when ``line``, a ``.jsonl`` file's first, is a telemetry record:
-    a JSON object whose ``type`` is a telemetry type."""
-    line = line.strip()
-    if not line:
-        return False
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return False
-    return isinstance(record, dict) and record.get("type") in _TELEMETRY_TYPES
-
-
-def _looks_like_telemetry(path: str) -> bool:
-    if os.path.basename(path) == "telemetry.jsonl" or os.path.isdir(path):
-        return True
-    if not path.endswith(".jsonl"):
-        return False
-    try:
-        with open(path, "r", encoding="utf-8", errors="replace") as stream:
-            return _is_telemetry_line(stream.readline())
-    except OSError:
-        return False
-
-
-def _bench_record(envelope: Dict, name: str, run_id: Optional[str], git_sha: str,
-                  default_run_id: Callable[[], str]) -> RunRecord:
-    """The record of the envelope parsed from ``name``; ``run_id`` and
-    ``git_sha`` override its own, and ``default_run_id()`` names a run
-    that has none."""
-    if envelope.get("schema") != "repro-bench/1":
-        raise ValueError(f"{name}: not a repro-bench/1 envelope")
-    record = record_from_envelope(envelope)
-    if run_id:
-        record = record._replace(run_id=run_id)
-    if not record.run_id:
-        record = record._replace(run_id=default_run_id())
-    if git_sha:
-        record = record._replace(git_sha=git_sha)
-    return record
-
-
 def ingest_path(
     store: ObservatoryStore,
     path: str,
@@ -404,124 +331,25 @@ def ingest_path(
     timestamp: str = "",
     scale: float = 0.0,
 ) -> IngestResult:
-    """Sniff ``path`` and ingest it; see the module docstring.
+    """Ingest whatever :func:`record_from_path` reads at ``path``.
 
-    Accepts whatever :func:`record_from_path` reads; a streaming
-    checkpoint supersedes its run's stored version (see
-    :func:`ingest_checkpoint`).  Raises ``ValueError`` on anything else,
-    ``OSError`` on unreadable paths.
+    A streaming checkpoint supersedes its run's stored version.  Raises
+    ``ValueError`` on anything else, ``OSError`` on unreadable paths.
     """
     return ingest_record(store, record_from_path(
         path, run_id=run_id, git_sha=git_sha, timestamp=timestamp, scale=scale))
 
 
-def record_from_path(
-    path: str,
-    run_id: Optional[str] = None,
-    git_sha: str = "",
-    timestamp: str = "",
-    scale: float = 0.0,
-) -> RunRecord:
-    """Sniff ``path`` and build its run record, with no store involved.
+# -- the content rule and the one builder --------------------------------------
 
-    Accepts a streaming checkpoint directory (holding ``CURRENT.json``,
-    or that file itself; ``timestamp`` is the manifest's), a
-    ``repro-profile 1`` dump, a v2 binary trace (analysed inline through
-    the farm engine first), a ``telemetry.jsonl`` file (or a run
-    directory holding one) or a ``repro-bench/1`` JSON envelope.  Raises
-    ``ValueError`` on anything else or on a record that
-    :func:`~repro.observatory.store.check_record` refuses (so a caller
-    can refuse it before it opens, and so creates, a store), and
-    ``OSError`` on unreadable paths.
-    """
-    from ..farm import is_binary_trace, is_profile_dump, load_profile
-    from ..streaming.snapshot import MANIFEST_NAME, load_checkpoint
+#: the record types of a ``telemetry.jsonl`` log
+_TELEMETRY_TYPES = ("meta", "span", "heartbeat", "metrics", "event")
 
-    # Checkpoint directories first: a directory would otherwise sniff
-    # as a telemetry run, and CURRENT.json as a bench envelope.
-    checkpoint_dir: Optional[str] = None
-    if os.path.isdir(path) and os.path.exists(os.path.join(path, MANIFEST_NAME)):
-        checkpoint_dir = path
-    elif os.path.basename(path) == MANIFEST_NAME and os.path.exists(path):
-        checkpoint_dir = os.path.dirname(path) or "."
-    if checkpoint_dir is not None:
-        manifest, db = load_checkpoint(checkpoint_dir)
-        record = record_from_checkpoint(manifest, db, run_id=run_id,
-                                        git_sha=git_sha, scale=scale)
-    elif not os.path.isdir(path) and is_binary_trace(path):
-        from ..farm import analyze_file
+_UNKNOWN_KIND = ("not a profile dump, v2 trace, telemetry run, bench envelope "
+                 "or checkpoint directory")
 
-        result = analyze_file(path)
-        record = record_from_profile_db(
-            result.db,
-            run_id=run_id or _digest_run_id(path),
-            git_sha=git_sha,
-            timestamp=timestamp or _mtime_iso(path),
-            scale=scale,
-            source="trace",
-        )
-    elif _looks_like_telemetry(path):
-        from ..telemetry import TelemetryRun, resolve_log_path
-
-        log_path = resolve_log_path(path) if os.path.isdir(path) else path
-        run = TelemetryRun.load(path)
-        record = record_from_telemetry(
-            run,
-            run_id=run_id or _digest_run_id(log_path),
-            git_sha=git_sha,
-            timestamp=timestamp or _mtime_iso(log_path),
-            scale=scale,
-        )
-    elif is_profile_dump(path):
-        with open(path, "r", encoding="utf-8") as stream:
-            db = load_profile(stream)
-        record = record_from_profile_db(
-            db,
-            run_id=run_id or _digest_run_id(path),
-            git_sha=git_sha,
-            timestamp=timestamp or _mtime_iso(path),
-            scale=scale,
-        )
-    elif path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as stream:
-            envelope = json.load(stream)
-        record = _bench_record(envelope, path, run_id, git_sha,
-                               lambda: _digest_run_id(path))
-    elif not os.path.exists(path):
-        raise FileNotFoundError(f"{path}: no such file or directory")
-    else:
-        raise ValueError(f"{path}: {_UNKNOWN_KIND}")
-    return check_record(record)
-
-
-# -- in-memory artefacts -----------------------------------------------------
-
-
-def artefact_suffix(data: bytes) -> str:
-    """The file suffix under which ``data`` sniffs like itself.
-
-    The sniffers above look at file *content* except for two cases
-    that go by name: ``telemetry.jsonl`` logs (``.jsonl``) and
-    ``repro-bench/1`` envelopes (``.json``).  :func:`record_from_bytes`
-    sniffs ``data`` as a file of this suffix, and the service names its
-    spool files with it.
-    """
-    from ..farm.binfmt import BINARY_MAGIC
-
-    if data.startswith(BINARY_MAGIC):
-        return ".rpt2"
-    head = data[:4096].decode("utf-8", errors="replace")
-    first = head.split("\n", 1)[0].strip()
-    if first:
-        try:
-            record = json.loads(first)
-        except ValueError:
-            record = None
-        if isinstance(record, dict):
-            if record.get("type") in _TELEMETRY_TYPES:
-                return ".jsonl"
-            return ".json"
-    return ".profile"
+#: JSON's whitespace, which may come before an envelope's ``{``
+_JSON_BLANK = b" \t\r\n"
 
 
 def _first_line(data: bytes) -> str:
@@ -536,25 +364,154 @@ def _first_line(data: bytes) -> str:
     return data[:end].decode("utf-8", errors="replace")
 
 
+def _artefact_kind(data: bytes) -> str:
+    """The one rule: ``trace``, ``profile``, ``telemetry`` or ``bench``
+    by ``data`` alone, in that order of checks, or "" for none."""
+    from ..farm import BINARY_MAGIC, PROFILE_MAGIC
+
+    if data.startswith(BINARY_MAGIC):
+        return "trace"
+    first = _first_line(data)
+    if first == PROFILE_MAGIC:
+        return "profile"
+    try:
+        record = json.loads(first)
+    except (ValueError, RecursionError):
+        record = None
+    if isinstance(record, dict) and record.get("type") in _TELEMETRY_TYPES:
+        return "telemetry"
+    if data.lstrip(_JSON_BLANK).startswith(b"{"):
+        return "bench"
+    return ""
+
+
 def _text(data: bytes) -> IO[str]:
     """``data`` as ``open(path, "r", encoding="utf-8")`` reads a file
     holding it: strict UTF-8, universal newlines."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
+def _load_dump(data: bytes) -> ProfileDatabase:
+    # looked up per call: perfbench patches ``repro.farm.load_profile``
+    from .. import farm
+
+    return farm.load_profile(_text(data))
+
+
+def _digest(data: bytes) -> str:
+    """The default run id of an artefact of bytes ``data``."""
+    return hashlib.sha256(data).hexdigest()[:32]
+
+
+def _file_digest(path: str) -> str:
+    """:func:`_digest` of the file at ``path``, read in blocks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        for block in iter(lambda: stream.read(1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()[:32]
+
+
 @contextlib.contextmanager
-def _scratch_file(data: bytes, suffix: str) -> Iterator[str]:
-    """The path of a temporary file holding ``data``, for the readers
-    that take a path; removed on exit."""
+def _trace_file(data: bytes, path: Optional[str]) -> Iterator[str]:
+    """``path``, or a scratch file holding ``data`` (removed on exit):
+    ``analyze_file`` takes a path."""
+    if path is not None:
+        yield path
+        return
     import tempfile
 
-    handle, path = tempfile.mkstemp(prefix="repro-ingest-", suffix=suffix)
+    handle, scratch = tempfile.mkstemp(prefix="repro-ingest-")
     try:
         with os.fdopen(handle, "wb") as stream:
             stream.write(data)
-        yield path
+        yield scratch
     finally:
-        os.unlink(path)
+        os.unlink(scratch)
+
+
+def _build(data: bytes, kind: str, path: Optional[str], name: str, run_id: Optional[str],
+           git_sha: str, timestamp: str, scale: float) -> RunRecord:
+    """The one builder: the record of an artefact of ``kind`` ("" for the
+    kind the rule tells from ``data``).  ``data`` is all of its bytes,
+    but a v2 trace at ``path`` (None for bytes in memory) is read
+    there; ``name`` stands for the artefact in error messages."""
+    kind = kind or _artefact_kind(data)
+    if kind == "trace":
+        # looked up per call: perfbench patches ``repro.farm.analyze_file``
+        from .. import farm
+
+        with _trace_file(data, path) as trace:
+            db = farm.analyze_file(trace).db
+            digest = _file_digest(trace)
+        record = record_from_profile_db(db, run_id=run_id or digest, git_sha=git_sha,
+                                        timestamp=timestamp, scale=scale, source="trace")
+    elif kind == "profile":
+        record = record_from_profile_db(_load_dump(data), run_id=run_id or _digest(data),
+                                        git_sha=git_sha, timestamp=timestamp, scale=scale)
+    elif kind == "telemetry":
+        from ..telemetry import TelemetryRun, parse_records
+
+        run = TelemetryRun(list(parse_records(_text(data))))
+        record = record_from_telemetry(run, run_id=run_id or _digest(data), git_sha=git_sha,
+                                       timestamp=timestamp, scale=scale)
+    elif kind == "bench":
+        try:
+            envelope = json.load(_text(data))
+            if envelope.get("schema") != "repro-bench/1":
+                raise ValueError(f"{name}: not a repro-bench/1 envelope")
+            record = record_from_envelope(envelope)
+        except RecursionError:
+            raise ValueError(f"{name}: envelope nested too deeply") from None
+        # ``run_id`` and ``git_sha`` override the envelope's own; its
+        # timestamp is its own
+        record = record._replace(run_id=run_id or record.run_id or _digest(data),
+                                 git_sha=git_sha or record.git_sha)
+    else:
+        raise ValueError(f"{name}: {_UNKNOWN_KIND}")
+    return check_record(record)
+
+
+def record_from_path(
+    path: str,
+    run_id: Optional[str] = None,
+    git_sha: str = "",
+    timestamp: str = "",
+    scale: float = 0.0,
+) -> RunRecord:
+    """Build the run record of ``path``, with no store involved.
+
+    A file builds what :func:`record_from_bytes` builds from its bytes,
+    except that ``timestamp`` defaults to its mtime and a v2 trace is
+    analysed in place.  A streaming checkpoint directory (holding
+    ``CURRENT.json``, or that file itself; ``timestamp`` is the
+    manifest's) builds its newest checkpoint's partial run; any other
+    directory is a telemetry run, read from its ``telemetry.jsonl``.
+    Raises ``ValueError`` on anything else or on a record that
+    :func:`~repro.observatory.store.check_record` refuses (so a caller
+    can refuse it before it opens, and so creates, a store), and
+    ``OSError`` on unreadable paths.
+    """
+    from ..farm import BINARY_MAGIC
+    from ..streaming.snapshot import MANIFEST_NAME, load_checkpoint
+    from ..telemetry import TELEMETRY_FILENAME
+
+    if os.path.basename(path) == MANIFEST_NAME and os.path.isfile(path):
+        path = os.path.dirname(path) or "."
+    kind = ""
+    if os.path.isdir(path):
+        if os.path.exists(os.path.join(path, MANIFEST_NAME)):
+            manifest, db = load_checkpoint(path)
+            return check_record(record_from_checkpoint(manifest, db, run_id=run_id,
+                                                       git_sha=git_sha, scale=scale))
+        path, kind = os.path.join(path, TELEMETRY_FILENAME), "telemetry"
+    with open(path, "rb") as stream:
+        # the magic is all the rule needs to tell a v2 trace, which is
+        # analysed where it lies and never read whole
+        data = stream.read(len(BINARY_MAGIC))
+        if kind or _artefact_kind(data) != "trace":
+            data += stream.read()
+    return _build(data, kind, path, path, run_id, git_sha, timestamp or mtime_iso(path), scale)
 
 
 def record_from_bytes(
@@ -567,59 +524,14 @@ def record_from_bytes(
 ) -> RunRecord:
     """The run record of an in-memory artefact, with no store involved.
 
-    ``data`` sniffs as :func:`record_from_path` sniffs a file holding it
-    named with :func:`artefact_suffix`, and builds the same record or
-    raises the same exception type; ``name`` stands for the artefact in
-    error messages where the path would.  A ``repro-profile 1`` dump or
-    a ``repro-bench/1`` envelope is parsed in memory, its text decoded
-    as a file read decodes it (strict UTF-8, universal newlines); a v2
-    trace or a telemetry log, whose readers take a path, is written to
-    a scratch file first.
-
-    The default run id is the digest of ``data`` — identical to what
-    ingesting the same bytes from a file would assign, so online
-    (wire/stdin) and offline (path) ingestion of one artefact are
-    idempotent against each other.  No timestamp is inferred (bytes
-    have no mtime; ``-`` stands in); pass the artefact's own
-    ``timestamp`` when ordering matters.
+    ``data`` builds the record :func:`record_from_path` builds from a
+    file holding it, whatever the file's name, or raises the same
+    exception; ``name`` stands for the artefact in error messages where
+    the path would.  The default run id is the digest of ``data`` —
+    identical to what ingesting the same bytes from a file would
+    assign, so online (wire/stdin) and offline (path) ingestion of one
+    artefact are idempotent against each other.  No timestamp is
+    inferred (bytes have no mtime; ``-`` stands in); pass the
+    artefact's own ``timestamp`` when ordering matters.
     """
-    # looked up per call: perfbench patches ``repro.farm.load_profile``
-    from ..farm import PROFILE_MAGIC, analyze_file, load_profile
-
-    suffix = artefact_suffix(data)
-    digest = hashlib.sha256(data).hexdigest()[:32]
-    timestamp = timestamp or "-"
-    if suffix == ".rpt2":
-        with _scratch_file(data, suffix) as path:
-            db = analyze_file(path).db
-        record = record_from_profile_db(db, run_id=run_id or digest, git_sha=git_sha,
-                                        timestamp=timestamp, scale=scale, source="trace")
-    elif suffix == ".jsonl" and _is_telemetry_line(_first_line(data)):
-        from ..telemetry import TelemetryRun
-
-        with _scratch_file(data, suffix) as path:
-            run = TelemetryRun.load(path)
-        record = record_from_telemetry(run, run_id=run_id or digest, git_sha=git_sha,
-                                       timestamp=timestamp, scale=scale)
-    elif _first_line(data) == PROFILE_MAGIC:
-        record = record_from_profile_db(load_profile(_text(data)), run_id=run_id or digest,
-                                        git_sha=git_sha, timestamp=timestamp, scale=scale)
-    elif suffix == ".json":
-        record = _bench_record(json.load(_text(data)), name, run_id, git_sha,
-                               lambda: digest)
-    else:
-        raise ValueError(f"{name}: {_UNKNOWN_KIND}")
-    return check_record(record)
-
-
-def ingest_bytes(
-    store: ObservatoryStore,
-    data: bytes,
-    run_id: Optional[str] = None,
-    git_sha: str = "",
-    timestamp: str = "",
-    scale: float = 0.0,
-) -> IngestResult:
-    """Ingest an in-memory artefact (see :func:`record_from_bytes`)."""
-    return ingest_record(store, record_from_bytes(
-        data, run_id=run_id, git_sha=git_sha, timestamp=timestamp, scale=scale))
+    return _build(data, "", None, name, run_id, git_sha, timestamp or "-", scale)

@@ -22,12 +22,11 @@ is minted and headers are byte-identical to before.
 
 from __future__ import annotations
 
-import os
 import socket
-from datetime import datetime, timezone
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
+from ..observatory.ingest import mtime_iso
 from .tenants import DEFAULT_TENANT
 from .wire import recv_frame, send_frame
 
@@ -40,19 +39,6 @@ class ServiceError(Exception):
     def __init__(self, header: Dict):
         super().__init__(str(header.get("error") or "service error"))
         self.header = header
-
-
-def mtime_iso(path: str) -> str:
-    """A file's mtime as ISO-8601 — the timestamp offline ingestion uses.
-
-    Sending it with an upload keeps server-side ingestion byte-identical
-    to ``repro observe ingest`` of the same file.
-    """
-    try:
-        mtime = os.path.getmtime(path)
-    except OSError:
-        return ""
-    return datetime.fromtimestamp(mtime, tz=timezone.utc).isoformat()
 
 
 class ServiceClient:
@@ -127,7 +113,9 @@ class ServiceClient:
         }, data)[0]
 
     def put_file(self, path: str, wait: bool = False, **kwargs) -> Dict:
-        """Upload a file, stamping its mtime unless a timestamp is given."""
+        """Upload a file, stamping its mtime as offline ingestion does
+        (:func:`~repro.observatory.ingest.mtime_iso`) unless a timestamp
+        is given."""
         with open(path, "rb") as stream:
             data = stream.read()
         kwargs.setdefault("timestamp", mtime_iso(path))

@@ -81,7 +81,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import telemetry
 from ..observatory import (
-    artefact_suffix, detect_drift, ingest_record, record_from_bytes, record_from_stream_dump,
+    detect_drift, ingest_record, record_from_bytes, record_from_stream_dump,
 )
 from ..observatory import render_alert_feed, render_observatory_html, render_observatory_report
 from ..telemetry.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
@@ -607,8 +607,8 @@ class ProfileServer:
         if wait is not None:
             spool_dir = os.path.join(self.tenants.path(tenant), "spool")
             os.makedirs(spool_dir, exist_ok=True)
-            path = os.path.join(
-                spool_dir, f"{job_id}-{digest[:8]}{artefact_suffix(payload)}")
+            # no suffix: the worker tells the kind by the bytes
+            path = os.path.join(spool_dir, f"{job_id}-{digest[:8]}")
             with telemetry.span("server.spool", tenant=tenant,
                                 bytes=len(payload)):
                 with open(path, "wb") as stream:

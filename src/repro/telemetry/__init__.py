@@ -23,7 +23,14 @@ disabled** (the default telemetry is a shared no-op), and telemetry
 bit-identical output with telemetry on and off.  See docs/TELEMETRY.md.
 """
 
-from .jsonl import TELEMETRY_FILENAME, JsonlSink, TelemetryRun, iter_records, resolve_log_path
+from .jsonl import (
+    TELEMETRY_FILENAME,
+    JsonlSink,
+    TelemetryRun,
+    iter_records,
+    parse_records,
+    resolve_log_path,
+)
 from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .prometheus import render_prometheus
 from .registry import (
@@ -63,6 +70,7 @@ __all__ = [
     "JsonlSink",
     "TelemetryRun",
     "iter_records",
+    "parse_records",
     "resolve_log_path",
     "PROMETHEUS_CONTENT_TYPE",
     "render_prometheus",

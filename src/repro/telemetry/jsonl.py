@@ -10,7 +10,11 @@ directory.  One JSON object per line, every record carrying a ``type``:
 * ``metrics`` — the registry snapshot, written when the run closes.
 
 The reader skips record types it does not know, so logs that carry the
-``heartbeat`` records older versions wrote still load.
+``heartbeat`` records older versions wrote still load, and it skips a
+record whose fields have the wrong shape for its type, so a damaged log
+loads as its good records.  :func:`parse_records` is the reader over
+lines; :func:`iter_records` opens a log file for it, and the observatory
+hands it a log that arrived as bytes.
 
 Appending lines is crash-tolerant: a run that dies mid-flight leaves a
 readable prefix (the reader skips a torn last line), unlike a single
@@ -24,13 +28,15 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 __all__ = [
     "TELEMETRY_FILENAME",
     "JsonlSink",
     "iter_records",
+    "parse_records",
     "resolve_log_path",
     "TelemetryRun",
 ]
@@ -77,23 +83,64 @@ class JsonlSink:
                 self._stream.close()
 
 
-def iter_records(path: str) -> Iterator[Dict]:
-    """Yield every well-formed record of a telemetry log.
+def _is_number(value) -> bool:
+    """A JSON number a float can hold: what span totals and counters add."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
-    A torn final line (interrupted run) is skipped rather than raised:
-    partial observability of a crashed run is the whole point.
+
+def _is_metric(entry) -> bool:
+    return (isinstance(entry, dict)
+            and isinstance(entry.get("kind"), str)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("labels", {}), dict)
+            and ("value" not in entry or _is_number(entry["value"])))
+
+
+def _well_formed(record) -> bool:
+    """True when ``record`` has the shape :class:`TelemetryRun` reads: an
+    object; a ``span`` with a string ``name`` and numeric ``start``,
+    ``wall`` and ``cpu`` where present; a ``metrics`` snapshot whose
+    ``metrics`` is a list of entries, each with a string ``kind`` and
+    ``name``, an object ``labels`` and a numeric ``value`` where present."""
+    if not isinstance(record, dict):
+        return False
+    kind = record.get("type")
+    if kind == "span":
+        return isinstance(record.get("name"), str) and all(
+            _is_number(record[key]) for key in ("start", "wall", "cpu") if key in record)
+    if kind == "metrics":
+        entries = record.get("metrics", [])
+        return isinstance(entries, list) and all(_is_metric(entry) for entry in entries)
+    return True
+
+
+def parse_records(lines: Iterable[str]) -> Iterator[Dict]:
+    """Yield every well-formed record of a telemetry log's ``lines``.
+
+    A line that is not JSON (a torn final line of an interrupted run:
+    partial observability of a crashed run is the whole point) or whose
+    record has the wrong shape for its type is skipped rather than
+    raised.
     """
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError):    # torn, or nested too deeply
+            continue
+        if _well_formed(record):
+            yield record
+
+
+def iter_records(path: str) -> Iterator[Dict]:
+    """Yield every well-formed record of the telemetry log at ``path`` (a
+    log file or its run directory; see :func:`parse_records`)."""
     with open(resolve_log_path(path), "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict):
-                yield record
+        yield from parse_records(stream)
 
 
 class TelemetryRun:

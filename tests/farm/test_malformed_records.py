@@ -10,10 +10,17 @@ longer matches its event count; both decoders reject it with
 :class:`~repro.farm.binfmt.BinaryTraceError`.  ``repro analyze`` turns
 every case into one ``error:`` line and exit status 2 under every
 metric: ``trms``, ``rms`` and ``both``.
+
+A footer index entry with no event, or whose payload does not lie
+between the magic and the footer, is refused by ``read_trace_meta``
+itself, naming the chunk, before anything seeks to it; and a string
+table name longer than what is left of the file is refused before it
+is read.
 """
 
 import io
 import struct
+import tracemalloc
 
 import pytest
 
@@ -124,3 +131,59 @@ def test_analyze_exits_2_on_malformed_record(malformed, argv):
               if line.startswith("error:")]
     assert len(errors) == 1 and MESSAGES[case] in errors[0]
     assert "retrying" not in out.getvalue()
+
+
+def patch_index_entry(path, chunk, offset=None, events=None):
+    """Rewrite one chunk's footer index entry: its file offset, its event count."""
+    with open(path, "r+b") as stream:
+        meta = read_trace_meta(stream)
+        stream.seek(-TRAILER.size, 2)
+        footer_offset, _, _ = TRAILER.unpack(stream.read(TRAILER.size))
+        entry = footer_offset + 4 + sum(4 + len(name.encode("utf-8")) for name in meta.names) + 4
+        for earlier in meta.chunks[:chunk]:
+            entry += 8 + struct.calcsize("<IIQIH") + 12 * len(earlier.thread_counts)
+        if offset is not None:
+            stream.seek(entry)
+            stream.write(struct.pack("<Q", offset))
+        if events is not None:
+            stream.seek(entry + 8 + 4)
+            stream.write(struct.pack("<I", events))
+
+
+@pytest.mark.parametrize("change", [
+    {"offset": 492_581_209_259_008},
+    {"offset": 0},
+    {"events": 0},
+], ids=["offset-past-the-file", "offset-in-the-magic", "no-events"])
+def test_a_bad_chunk_index_entry_is_refused_by_name(tmp_path, change):
+    path = tmp_path / "kdtree.rpt2"
+    record_benchmark_v2("376.kdtree", path, threads=2, scale=0.3)
+    patch_index_entry(path, chunk=1, **change)
+    with open(path, "rb") as stream:
+        with pytest.raises(BinaryTraceError, match="corrupt chunk index: chunk 1 "):
+            read_trace_meta(stream)
+    out = io.StringIO()
+    assert main(["analyze", str(path)], out=out) == 2
+    errors = [line for line in out.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "corrupt chunk index: chunk 1 " in errors[0]
+
+
+def test_a_name_past_the_footer_is_refused_before_it_is_allocated(tmp_path):
+    """A footer name length is a u32: one claiming 100 MiB of a small
+    file ends in the short-read error, having allocated none of it."""
+    path = tmp_path / "kdtree.rpt2"
+    record_benchmark_v2("376.kdtree", path, threads=2, scale=0.3)
+    with open(path, "r+b") as stream:
+        stream.seek(-TRAILER.size, 2)
+        footer_offset, _, _ = TRAILER.unpack(stream.read(TRAILER.size))
+        stream.seek(footer_offset + 4)              # the first name's length
+        stream.write(struct.pack("<I", 100 << 20))
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as stream:
+            with pytest.raises(BinaryTraceError, match="short read of name"):
+                read_trace_meta(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -312,3 +313,41 @@ def test_ingest_of_jsonl_whose_first_line_is_no_object(tmp_path, monkeypatch, sh
     assert code == 1
     assert out.count("error:") == 1
     assert f"error: -: {_UNKNOWN}\n" in out
+
+
+@pytest.mark.parametrize("shape", sorted(_NOT_OBJECTS))
+def test_ingest_of_json_that_is_no_object(tmp_path, shape):
+    """A ``.json`` file holding JSON that is no object is no envelope: it
+    answers one unknown-kind ``error:`` line, not a traceback, and the
+    command goes on to its next input."""
+    path = tmp_path / "x.json"
+    path.write_text(_NOT_OBJECTS[shape] + "\n")
+    dump = write_dump(tmp_path / "a.prof", {"f": lambda n: 10 * n})
+    code, out = run_cli("observe", "ingest", str(path), dump, "--store", str(tmp_path / "obs"))
+    assert code == 1
+    assert out.count("error:") == 1
+    assert f"error: {path}: {_UNKNOWN}\n" in out
+    assert f"{dump}: ingested" in out
+
+
+BASELINE = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                        "benchmarks", "baselines", "kernel_throughput.json")
+
+
+@pytest.mark.parametrize("indent", [2, None], ids=["pretty", "one-line"])
+@pytest.mark.parametrize("name", ["env.json", "env.txt"])
+def test_an_envelope_ingests_alike_from_a_file_and_stdin(tmp_path, monkeypatch, indent, name):
+    """What a file's bytes say decides; its name does not, and neither
+    does the way in: both stores hold the same log."""
+    with open(BASELINE, encoding="utf-8") as stream:
+        data = (json.dumps(json.load(stream), indent=indent) + "\n").encode("utf-8")
+    path = tmp_path / name
+    path.write_bytes(data)
+    code, out = run_cli("observe", "ingest", str(path), "--store", str(tmp_path / "a"))
+    assert code == 0, out
+    assert "[bench:kernel_throughput]" in out
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, out = run_cli("observe", "ingest", "-", "--store", str(tmp_path / "b"))
+    assert code == 0, out
+    assert ((tmp_path / "a" / "history.jsonl").read_bytes()
+            == (tmp_path / "b" / "history.jsonl").read_bytes())

@@ -4,7 +4,12 @@ import io
 import os
 
 from repro.farm import save_profile
-from repro.observatory import ObservatoryStore, ingest_stream_dump, record_from_profile_db
+from repro.observatory import (
+    ObservatoryStore,
+    ingest_record,
+    record_from_profile_db,
+    record_from_stream_dump,
+)
 
 from .util import db_from
 
@@ -107,13 +112,13 @@ def test_late_checkpoint_does_not_replace_a_newer_one(tmp_path):
     store = ObservatoryStore(path)
     meta = {"stream_id": "abc", "timestamp": "2026-08-07T00:00:00+00:00"}
     final = db_from({"alpha": lambda n: n, "beta": lambda n: n * n})
-    assert ingest_stream_dump(store, dump_of(final),
-                              {**meta, "seq": 5, "closed": True}).ingested
+    assert ingest_record(store, record_from_stream_dump(
+        dump_of(final), {**meta, "seq": 5, "closed": True})).ingested
     with open(store.path, "rb") as stream:
         log = stream.read()
 
-    late = ingest_stream_dump(store, dump_of(db_from({"alpha": lambda n: n})),
-                              {**meta, "seq": 4, "closed": False})
+    late = ingest_record(store, record_from_stream_dump(
+        dump_of(db_from({"alpha": lambda n: n})), {**meta, "seq": 4, "closed": False}))
     assert not late.ingested
     assert "#4" in late.detail and "#5" in late.detail
     with open(store.path, "rb") as stream:
@@ -150,9 +155,10 @@ def test_closed_checkpoint_of_a_second_recording_replaces_the_first(tmp_path):
     first = dump_of(db_from({"alpha": lambda n: n, "beta": lambda n: n * n}))
     second = dump_of(db_from({"gamma": lambda n: n}))
     for seq in range(1, 6):
-        assert ingest_stream_dump(store, first,
-                                  {**meta, "seq": seq, "closed": seq == 5}).ingested
-    results = [ingest_stream_dump(store, second, {**meta, "seq": seq, "closed": seq == 3})
+        assert ingest_record(store, record_from_stream_dump(
+            first, {**meta, "seq": seq, "closed": seq == 5})).ingested
+    results = [ingest_record(store, record_from_stream_dump(
+                   second, {**meta, "seq": seq, "closed": seq == 3}))
                for seq in range(1, 4)]
     assert [result.ingested for result in results] == [False, False, True]
     assert "#1" in results[0].detail and "#5 (final)" in results[0].detail

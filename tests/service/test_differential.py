@@ -3,18 +3,24 @@
 Profiles uploaded through the server must produce *byte-identical*
 observatory rows — and identical drift alerts — to the same files
 ingested with ``repro observe ingest``, under 100 concurrent clients
-with zero dropped and zero duplicated runs.
+with zero dropped and zero duplicated runs.  Every other file kind
+(envelopes, telemetry logs, v2 traces) uploads to the same rows an
+offline ingest writes, whatever the file is named.
 """
 
 import io
+import json
 import os
+import shutil
 import threading
 
-from repro import telemetry
+from repro import observatory, service, telemetry
 from repro.cli import main as cli_main
+from repro.farm import BinaryTraceWriter
 from repro.observatory import HISTORY_FILENAME, ObservatoryStore, detect_drift
 from repro.reporting.tracing import assemble_traces, load_trace_spans
 from repro.service import ServiceClient, build_envelope, slap
+from repro.workloads import benchmark
 
 from .util import profile_dump_bytes, running_server
 
@@ -121,6 +127,69 @@ def test_server_matches_observe_ingest_under_100_clients(tmp_path):
         names = {span.name for span in trace.spans}
         assert {"client.put", "server.request", "server.queue_wait",
                 "server.execute", "server.ingest"} <= names
+
+
+def write_kinds(directory):
+    """One file of each kind that is not a dump, none named for its kind."""
+    directory.mkdir(parents=True)
+    envelope = {"schema": "repro-bench/1", "run_id": "bench-pretty", "git_sha": "e1",
+                "timestamp": "2026-08-01T00:00:00+00:00", "bench": "pretty",
+                "scale": 1.0, "metrics": {"wall_s": 1.5, "gate": {"ratio": 0.9}}}
+    with open(directory / "pretty.json", "w") as stream:
+        json.dump(envelope, stream, indent=2)            # as save_result writes
+    (directory / "envelope.txt").write_text(json.dumps(
+        {**envelope, "run_id": "bench-line", "bench": "line"}) + "\n")
+    with telemetry.session(str(directory / "tele")):
+        with telemetry.span("record"):
+            telemetry.counter("record.events").inc(42)
+    shutil.copy(directory / "tele" / telemetry.TELEMETRY_FILENAME, directory / "spans.log")
+    with open(directory / "trace.bin", "wb") as stream:
+        writer = BinaryTraceWriter(stream, chunk_events=256)
+        benchmark("376.kdtree").run(tools=writer, threads=2, scale=0.3)
+        writer.close()
+    return [str(directory / name)
+            for name in ("pretty.json", "envelope.txt", "spans.log", "trace.bin")]
+
+
+def test_every_file_kind_uploads_as_it_ingests_offline(tmp_path):
+    paths = write_kinds(tmp_path / "kinds")
+    offline_root = str(tmp_path / "offline")
+    out = io.StringIO()
+    assert cli_main(["observe", "ingest", *paths, "--store", offline_root], out=out) == 0, \
+        out.getvalue()
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="kinds") as client:
+            for path in paths:
+                reply = client.put_file(path, wait=True)
+                assert reply["status"] == "done", (path, reply)
+        online_root = server.tenants.path("kinds")
+    offline = history_rows(offline_root)
+    assert len(offline) == len(paths)
+    assert {json.loads(row)["source"] for row in offline} == {
+        "bench:pretty", "bench:line", "telemetry", "trace"}
+    assert history_rows(online_root) == offline
+
+
+def test_put_file_stamps_the_timestamp_offline_ingest_gives():
+    assert service.mtime_iso is observatory.mtime_iso
+
+
+def test_a_crlf_dump_builds_alike_through_put_and_put_stream(tmp_path):
+    dump = profile_dump_bytes({"lin": lambda n: 3 * n, "quad": lambda n: n * n})
+    crlf = dump.replace(b"\n", b"\r\n")
+    with running_server(tmp_path) as server:
+        with ServiceClient(server.host, server.port, tenant="crlf") as client:
+            put = client.put_bytes(crlf, run_id="put", wait=True)
+            streamed, _ = client.request({
+                "op": "put_stream", "tenant": "crlf", "wait": True,
+                "stream": {"id": "s1", "seq": 1, "timestamp": "2026-08-01T00:00:00"},
+            }, crlf)
+        root = server.tenants.path("crlf")
+    assert put["status"] == "done", put
+    assert streamed["status"] == "done", streamed
+    rows = {row["run_id"]: row for row in map(json.loads, history_rows(root))}
+    assert rows["stream-s1"]["curves"] == rows["put"]["curves"] != []
+    assert rows["stream-s1"]["points"] == rows["put"]["points"]
 
 
 def test_slap_swarm_counts_and_envelope(tmp_path):

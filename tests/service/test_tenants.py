@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.observatory import HISTORY_FILENAME, ingest_bytes
+from repro.observatory import HISTORY_FILENAME, ingest_record, record_from_bytes
 from repro.service import DEFAULT_TENANT, TenantError, TenantManager, validate_tenant
 
 from .util import profile_dump_bytes
@@ -60,8 +60,8 @@ def test_stores_are_isolated(tmp_path):
         alpha = manager.store("alpha")
         beta = manager.store("beta")
         assert alpha is not beta
-        ingest_bytes(alpha, profile_dump_bytes({"r": lambda n: n}),
-                     run_id="run-a")
+        ingest_record(alpha, record_from_bytes(profile_dump_bytes({"r": lambda n: n}),
+                                               run_id="run-a"))
         assert alpha.has_run("run-a")
         assert not beta.has_run("run-a")
         assert len(beta) == 0
@@ -88,10 +88,10 @@ def test_gc_is_per_tenant(tmp_path):
         beta = manager.store("beta")
         for index in range(3):
             dump = profile_dump_bytes({"r": lambda n: (index + 1) * n})
-            ingest_bytes(alpha, dump, run_id=f"a-{index}",
-                         timestamp=f"2026-08-0{index + 1}T00:00:00+00:00")
-            ingest_bytes(beta, dump, run_id=f"b-{index}",
-                         timestamp=f"2026-08-0{index + 1}T00:00:00+00:00")
+            ingest_record(alpha, record_from_bytes(
+                dump, run_id=f"a-{index}", timestamp=f"2026-08-0{index + 1}T00:00:00+00:00"))
+            ingest_record(beta, record_from_bytes(
+                dump, run_id=f"b-{index}", timestamp=f"2026-08-0{index + 1}T00:00:00+00:00"))
         assert alpha.gc(keep=1) == 2
         assert len(alpha) == 1
         assert len(beta) == 3            # untouched by alpha's compaction

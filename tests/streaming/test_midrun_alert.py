@@ -12,7 +12,7 @@ from repro.core.flatkernel import analyze_events_flat
 from repro.observatory import (
     ObservatoryStore,
     detect_drift,
-    ingest_checkpoint,
+    ingest_path,
     record_from_profile_db,
 )
 from repro.streaming import LiveProfileSession
@@ -59,7 +59,7 @@ def test_doping_alert_fires_before_trace_close(tmp_path):
             pass
         info = session.checkpoint()
         assert info.seq == 1
-        result = ingest_checkpoint(store, ckpt)
+        result = ingest_path(store, ckpt)
         assert result.ingested and result.source == "stream"
         alerts = [a for a in detect_drift(store)
                   if a.routine == "victim" and a.verdict == "regressed"]
@@ -70,7 +70,7 @@ def test_doping_alert_fires_before_trace_close(tmp_path):
 
     # the final checkpoint supersedes the partial one under the same id:
     # still one streamed run in history, now marked closed
-    final = ingest_checkpoint(store, ckpt)
+    final = ingest_path(store, ckpt)
     assert final.run_id == result.run_id
     runs = [run for run in store.runs() if run.run_id == result.run_id]
     assert len(runs) == 1
@@ -88,9 +88,9 @@ def test_checkpoint_reingest_is_idempotent(tmp_path):
     with live_writer(trace, chunk_events=16) as writer:
         replay(linear, writer)
     session.finalize()
-    first = ingest_checkpoint(store, ckpt)
+    first = ingest_path(store, ckpt)
     assert first.ingested
-    again = ingest_checkpoint(store, ckpt)
+    again = ingest_path(store, ckpt)
     assert not again.ingested              # identical checkpoint: no-op
     assert "already known" in again.detail
 
@@ -119,7 +119,7 @@ def test_second_recording_to_one_path_is_a_run_of_its_own(tmp_path):
     with live_writer(trace, chunk_events=16) as writer:
         replay(linear, writer)
     first.finalize()
-    closed = ingest_checkpoint(store, str(tmp_path / "a"))
+    closed = ingest_path(store, str(tmp_path / "a"))
     assert closed.ingested
 
     second = LiveProfileSession(trace, str(tmp_path / "b"), checkpoint_events=10 ** 9,
@@ -129,7 +129,7 @@ def test_second_recording_to_one_path_is_a_run_of_its_own(tmp_path):
         while second.step():
             pass
         assert second.checkpoint().seq == 1
-        partial = ingest_checkpoint(store, str(tmp_path / "b"))
+        partial = ingest_path(store, str(tmp_path / "b"))
     second.finalize()
     assert partial.ingested, partial.detail
     assert partial.run_id != closed.run_id
